@@ -35,7 +35,6 @@ from .graph import (
     square,
 )
 from .structure import (
-    Classification,
     RootGraph,
     classify,
     find_reducible_vertex,
@@ -196,10 +195,6 @@ class StrongEdgeColoring:
     @property
     def palette_size(self) -> int:
         return max(self.colors, default=-1) + 1
-
-    def color_of(self, edge) -> int:
-        u, v = sorted(edge)
-        return self.colors[self.edges.index((u, v))]
 
     def verify_on(self, f: Graph) -> bool:
         """Definition check: conflicting edge pairs carry distinct colors."""
@@ -523,7 +518,3 @@ def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
         raise InternalBoundViolation("square coloring failed final verification")
     return result
 
-
-def classify_component(sub: Graph) -> Classification:
-    """Classification of one connected claw-free graph by its own clique number."""
-    return classify(sub, max_clique(sub)[0])

@@ -57,7 +57,11 @@ def _decide_k_colorable(g: Graph, k: int, budget: _NodeBudget) -> list[int] | No
     def saturation(u):
         return len({colors[w] for w in bits(g._adj[u]) if colors[w] != UNCOLORED})
 
-    def walk(used: int) -> bool:
+    # One frame per colored vertex: the vertex, the colors still to try on
+    # it, and the palette in use before it. Each descent spends one node.
+    stack = []
+    used = 0
+    while True:
         budget.spend()
         v = None
         v_key = None
@@ -68,18 +72,21 @@ def _decide_k_colorable(g: Graph, k: int, budget: _NodeBudget) -> list[int] | No
             if v is None or key > v_key:
                 v, v_key = u, key
         if v is None:
-            return True
+            return colors
         taken = {colors[w] for w in bits(g._adj[v]) if colors[w] != UNCOLORED}
-        for c in range(min(used + 1, k)):
-            if c in taken:
-                continue
-            colors[v] = c
-            if walk(max(used, c + 1)):
-                return True
+        options = iter([c for c in range(min(used + 1, k)) if c not in taken])
+        stack.append((v, options, used))
+        while stack:
+            v, options, used = stack[-1]
+            c = next(options, None)
+            if c is not None:
+                colors[v] = c
+                used = max(used, c + 1)
+                break
             colors[v] = UNCOLORED
-        return False
-
-    return colors if walk(0) else None
+            stack.pop()
+        else:
+            return None
 
 
 def exact_chromatic(g: Graph, upper: int, node_limit: int = DEFAULT_NODE_LIMIT) -> ExactResult:

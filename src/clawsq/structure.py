@@ -10,6 +10,7 @@ machine-checkable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .analysis import require_claw_free
 from .errors import (
@@ -33,10 +34,6 @@ SHAPE_CLIQUE_PAIR = "clique_pair"
 SHAPE_CLIQUE_PAIR_PLUS_EDGES = "clique_pair_plus_edges"
 SHAPE_FIVE_CYCLE = "five_cycle"
 SHAPE_OTHER = "other"
-
-# Past this neighborhood size the partition enumeration is pointless: such
-# vertices cannot occur in the all-covered case of any supported omega.
-_PARTITION_SIZE_LIMIT = 18
 
 
 @dataclass(frozen=True)
@@ -62,13 +59,6 @@ class NeighborhoodShape:
         return tuple(sorted(len(p) for p in self.parts))
 
 
-def _mask_is_clique(g: Graph, mask: int) -> bool:
-    for v in bits(mask):
-        if g._adj[v] & mask != mask & ~(1 << v):
-            return False
-    return True
-
-
 def _is_five_cycle(g: Graph) -> bool:
     return (
         g.n == 5
@@ -78,13 +68,51 @@ def _is_five_cycle(g: Graph) -> bool:
     )
 
 
+def _complement_sides(sub: Graph) -> list[tuple[int, int]] | None:
+    """Color classes of each component of the complement of ``sub``, as bitmasks.
+
+    Components come in order of their lowest vertex, each with that vertex
+    in its first class, so vertex 0 leads the first class of the first one.
+    None when some component is not bipartite.
+    """
+    full = (1 << sub.n) - 1
+    anti = [full & ~row & ~(1 << i) for i, row in enumerate(sub._adj)]
+    sides = []
+    unseen = full
+    while unseen:
+        frontier = unseen & -unseen
+        classes = [frontier, 0]
+        parity = 0
+        unseen ^= frontier
+        while frontier:
+            reach = 0
+            for u in bits(frontier):
+                reach |= anti[u]
+            # Edges leave a BFS layer only for its own or a neighboring
+            # layer, so an edge into the current class closes an odd cycle.
+            if reach & classes[parity]:
+                return None
+            frontier = reach & unseen
+            unseen ^= frontier
+            parity ^= 1
+            classes[parity] |= frontier
+        sides.append((classes[0], classes[1]))
+    return sides
+
+
 def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     """Classify the induced neighborhood of ``v`` as two covering cliques.
 
-    Enumerates every split of N(v) into two cliques and keeps the ones with
-    the fewest cross edges. A unique minimum with at most two cross edges
-    (non-incident when there are two) yields a tagged decomposition;
-    anything else is ``five_cycle`` or ``other``.
+    A split of N(v) into two cliques A and B is a proper 2-coloring of the
+    complement of G[N(v)], and every complement edge crosses it, so the
+    number of G-edges between the parts is |A|·|B| minus the complement
+    edge count. Bipartite sides of the complement components are therefore
+    oriented, by a subset-sum over |A| that counts orientations up to two,
+    to make the parts as unequal as possible; this is O(h²) for h = |N(v)|.
+    A unique split with the fewest cross edges, at most two of them and
+    non-incident when there are two, yields a tagged decomposition;
+    anything else is ``five_cycle`` or ``other``, with ``ambiguous`` set
+    when several splits tie for the fewest cross edges.
     """
     nbrs = g.neighbors(v)
     h = len(nbrs)
@@ -93,34 +121,38 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     sub, old = induced_subgraph(g, nbrs)
     if _is_five_cycle(sub):
         return NeighborhoodShape(SHAPE_FIVE_CYCLE, None)
-    if h > _PARTITION_SIZE_LIMIT:
+    sides = _complement_sides(sub)
+    if sides is None:
         return NeighborhoodShape(SHAPE_OTHER, None)
 
-    full = (1 << h) - 1
-    best_k = None
-    best_partitions = []
-    # Fix vertex 0 inside part A so each unordered split is seen once.
-    for half in range(1 << (h - 1)):
-        a_mask = (half << 1) | 1
-        b_mask = full ^ a_mask
-        if not _mask_is_clique(sub, a_mask) or not _mask_is_clique(sub, b_mask):
-            continue
-        k = sum((sub._adj[i] & b_mask).bit_count() for i in bits(a_mask))
-        if best_k is None or k < best_k:
-            best_k = k
-            best_partitions = [a_mask]
-        elif k == best_k:
-            best_partitions.append(a_mask)
-
-    if best_k is None:
-        return NeighborhoodShape(SHAPE_OTHER, None)
-    if len(best_partitions) > 1:
+    # Bit a of once[i] is set when some orientation of components 0..i puts
+    # a vertices in A, with vertex 0 kept in A; bit a of twice when at least
+    # two orientations of all components do.
+    once = [1 << sides[0][0].bit_count()]
+    twice = 0
+    for x_side, y_side in sides[1:]:
+        x, y = x_side.bit_count(), y_side.bit_count()
+        prev = once[-1]
+        twice = (twice << x) | (twice << y) | ((prev << x) & (prev << y))
+        once.append((prev << x) | (prev << y))
+    size = min(bits(once[-1]), key=lambda a: a * (h - a))
+    ties = [a for a in {size, h - size} if once[-1] >> a & 1]
+    if len(ties) > 1 or twice >> ties[0] & 1:
         return NeighborhoodShape(SHAPE_OTHER, None, ambiguous=True)
+    best_k = size * (h - size) - (h * (h - 1) // 2 - sub.edge_count)
     if best_k > 2:
         return NeighborhoodShape(SHAPE_OTHER, None)
 
-    a_mask = best_partitions[0]
-    b_mask = full ^ a_mask
+    # Walk the unique orientation back from the last component.
+    a_size = ties[0]
+    a_mask = sides[0][0]
+    for i in range(len(sides) - 1, 0, -1):
+        x_side, y_side = sides[i]
+        x = x_side.bit_count()
+        pick = x_side if a_size >= x and once[i - 1] >> (a_size - x) & 1 else y_side
+        a_mask |= pick
+        a_size -= pick.bit_count()
+    b_mask = ((1 << h) - 1) ^ a_mask
     crosses = tuple(
         sorted(
             tuple(sorted((old[i], old[j])))
@@ -220,27 +252,12 @@ def krausz_partition(g: Graph, omega: int) -> list[frozenset[int]] | None:
             if len(part) > omega - 1:
                 return None
             designated.add(part | {v})
-    cover: dict[tuple[int, int], int] = {}
-    for c in designated:
-        members = sorted(c)
-        for i, u in enumerate(members):
-            for w in members[i + 1 :]:
-                if not g.has_edge(u, w):
-                    return None
-                cover[(u, w)] = cover.get((u, w), 0) + 1
-    extra = []
-    for e in g.edges():
-        hits = cover.get(e, 0)
-        if hits > 1:
-            return None
-        if hits == 0:
-            extra.append(frozenset(e))
-    cliques = sorted(designated | set(extra), key=sorted)
-    membership = [0] * g.n
-    for c in cliques:
-        for u in c:
-            membership[u] += 1
-    if any(count > 2 for count in membership):
+    covered = {pair for c in designated for pair in combinations(sorted(c), 2)}
+    extra = {frozenset(e) for e in g.edges() if e not in covered}
+    cliques = sorted(designated | extra, key=sorted)
+    try:
+        _validate_krausz(g, cliques)
+    except InvalidPartitionError:
         return None
     return cliques
 

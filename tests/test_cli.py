@@ -5,10 +5,12 @@ import pytest
 from clawsq.cli import main
 from clawsq.corpus import (
     claw,
+    cocktail_party,
     cycle,
     default_corpus,
     gen_icosahedron,
     octahedron,
+    path,
     write_corpus,
     write_dimacs,
 )
@@ -68,6 +70,15 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, "analyze", target, "--require-claw-free")
         assert code == 2
 
+    @pytest.mark.parametrize("k", [10, 11])
+    def test_cocktail_party_all_ambiguous(self, tmp_path, capsys, k):
+        # Every neighborhood of K_{k x 2} is K_{(k-1) x 2}, which splits into
+        # two cliques in 2^(k-2) ways, whatever its size.
+        target = write_graph(tmp_path, "cp.col", cocktail_party(k))
+        code, out, _ = run_cli(capsys, "analyze", target)
+        assert code == 0
+        assert json.loads(out)["ambiguous_neighborhoods"] == list(range(2 * k))
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/g.col")
         assert code == 1
@@ -93,6 +104,14 @@ class TestColor:
         assert code == 0
         assert report["palette"] == 4
         assert report["oracle"]["chi_square"] == 4
+
+    def test_long_path_oracle(self, tmp_path, capsys):
+        # The exact search descends once per vertex; it must not hit the
+        # interpreter's recursion limit.
+        target = write_graph(tmp_path, "path.col", path(1200))
+        code, out, _ = run_cli(capsys, "color", target, "--oracle")
+        assert code == 0
+        assert json.loads(out)["oracle"]["chi_square"] == 3
 
     def test_claw_exits_two(self, tmp_path, capsys):
         target = write_graph(tmp_path, "claw.col", claw())

@@ -1,7 +1,11 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from clawsq.corpus import (
     claw,
+    cocktail_party,
     complete,
     cycle,
     gen_line_graph,
@@ -19,6 +23,7 @@ from clawsq.errors import (
 from clawsq.graph import (
     build_graph,
     delete_vertex,
+    induced_subgraph,
     is_clique,
     max_clique,
     max_degree,
@@ -31,6 +36,7 @@ from clawsq.structure import (
     SHAPE_FIVE_CYCLE,
     SHAPE_OTHER,
     SHAPE_TWO_DISJOINT_EDGES,
+    NeighborhoodShape,
     classify,
     classify_very_bad,
     find_reducible_vertex,
@@ -41,7 +47,7 @@ from clawsq.structure import (
     root_graph,
 )
 
-from helpers import bfs_distances
+from helpers import bfs_distances, brute_neighborhood_shape
 from iso_util import is_isomorphic
 
 
@@ -116,6 +122,66 @@ class TestNeighborhoodShape:
         shape = neighborhood_shape(build_graph(1, []), 0)
         assert shape.kind == SHAPE_CLIQUE_PAIR
         assert shape.sizes == (0, 0)
+
+    def test_large_cocktail_party_neighborhood_is_ambiguous(self):
+        g = cocktail_party(30)
+        assert g.degree(0) == 58
+        shape = neighborhood_shape(g, 0)
+        assert shape.kind == SHAPE_OTHER
+        assert shape.ambiguous
+
+
+def under_apex(h, edges):
+    """Graph with neighborhood edges on 0..h-1 and an apex h joined to all of them."""
+    return build_graph(h + 1, list(edges) + [(i, h) for i in range(h)])
+
+
+class TestNeighborhoodShapeMatchesEnumeration:
+    def test_every_neighborhood_up_to_five(self):
+        for h in range(6):
+            pairs = list(combinations(range(h), 2))
+            for mask in range(1 << len(pairs)):
+                g = under_apex(h, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                assert neighborhood_shape(g, h) == brute_neighborhood_shape(g, h)
+
+    def test_random_dense_neighborhoods(self):
+        rng = random.Random(20161)
+        for _ in range(120):
+            h = rng.randint(6, 14)
+            density = rng.uniform(0.5, 0.95)
+            edges = [p for p in combinations(range(h), 2) if rng.random() < density]
+            g = under_apex(h, edges)
+            assert neighborhood_shape(g, h) == brute_neighborhood_shape(g, h)
+
+    def test_every_corpus_vertex(self, corpus):
+        # The enumeration runs once per distinct induced neighborhood, under an
+        # apex with local labels; the labels map back through ``old``, which is
+        # increasing, so part and cross-edge order is kept.
+        local = {}
+        for entry in corpus:
+            g = entry.graph
+            for v in range(g.n):
+                sub, old = induced_subgraph(g, g.neighbors(v))
+                if sub._adj not in local:
+                    local[sub._adj] = brute_neighborhood_shape(
+                        under_apex(sub.n, sub.edges()), sub.n
+                    )
+                ref = local[sub._adj]
+                expected = NeighborhoodShape(
+                    ref.kind,
+                    None
+                    if ref.parts is None
+                    else tuple(frozenset(old[i] for i in p) for p in ref.parts),
+                    tuple((old[i], old[j]) for i, j in ref.cross_edges),
+                    ref.ambiguous,
+                )
+                assert neighborhood_shape(g, v) == expected
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_cocktail_party(self, k):
+        # K_{k x 2} is vertex-transitive, so vertex 0 stands for all of them.
+        g = cocktail_party(k)
+        assert neighborhood_shape(g, 0) == brute_neighborhood_shape(g, 0)
 
 
 class TestGoodVertex:
