@@ -1,4 +1,5 @@
 import pytest
+from helpers import stress_instances
 
 from clawsq.corpus import (
     BlowupSpec,
@@ -14,6 +15,11 @@ from clawsq.corpus import (
 @pytest.fixture(scope="session")
 def corpus():
     return default_corpus()
+
+
+@pytest.fixture(scope="session")
+def stress_family():
+    return stress_instances()
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,13 @@ assignment enumeration) and deliberately shares no code path with the
 library routines it validates.
 """
 
+import hashlib
+import random
 from collections import deque
 from itertools import combinations, product
 
-from clawsq.graph import bits, induced_subgraph
+from clawsq.corpus import gen_line_graph
+from clawsq.graph import bits, build_graph, induced_subgraph
 from clawsq.structure import (
     SHAPE_CLIQUE_PAIR,
     SHAPE_CLIQUE_PAIR_PLUS_EDGES,
@@ -155,3 +158,115 @@ def brute_neighborhood_shape(g, v):
         )
         return NeighborhoodShape(kind, parts)
     return NeighborhoodShape(SHAPE_CLIQUE_PAIR_PLUS_EDGES, parts, crosses)
+
+
+def girth(n, edges):
+    """Length of a shortest cycle by BFS from every vertex; None for a forest."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    best = None
+    for s in range(n):
+        dist = {s: 0}
+        parent = {s: None}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w:
+                    length = dist[u] + dist[w] + 1
+                    if best is None or length < best:
+                        best = length
+    return best
+
+
+def _on_short_cycle(adj, u, v):
+    """True when uv is a loop, a repeated edge, or lies on a cycle of length 3 or 4."""
+    if u == v or adj[u].count(v) > 1:
+        return True
+    # A cycle of length <= 4 through uv is a u-v path of length <= 3 avoiding uv.
+    near = set(adj[u]) - {v}
+    for _ in range(2):
+        if v in near:
+            return True
+        near |= {w for x in near for w in adj[x] if w != u}
+    return v in near
+
+
+def regular_root_girth5(n, d, seed):
+    """Edges of a random d-regular simple graph on n vertices with girth >= 5.
+
+    Pairs the n*d half-edges at random, then repeatedly switches a bad edge
+    (a loop, a repeat, or one on a 3- or 4-cycle) and a random other edge
+    for two new edges, keeping the switch only when neither new edge is
+    bad. A kept switch adds no short cycle, so the count of bad edges falls
+    and the loop ends; draws that end disconnected are redrawn.
+    """
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
+        adj = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        while True:
+            bad = [i for i, (u, v) in enumerate(edges) if _on_short_cycle(adj, u, v)]
+            if not bad:
+                break
+            i = rng.choice(bad)
+            j = rng.randrange(len(edges))
+            (u, v), (x, y) = edges[i], edges[j]
+            if j == i or {u, v} & {x, y}:
+                continue
+            if rng.random() < 0.5:
+                x, y = y, x
+            for a, b in ((u, v), (x, y)):
+                adj[a].remove(b)
+                adj[b].remove(a)
+            for a, b in ((u, x), (v, y)):
+                adj[a].append(b)
+                adj[b].append(a)
+            if _on_short_cycle(adj, u, x) or _on_short_cycle(adj, v, y):
+                for a, b in ((u, x), (v, y)):
+                    adj[a].remove(b)
+                    adj[b].remove(a)
+                for a, b in ((u, v), (x, y)):
+                    adj[a].append(b)
+                    adj[b].append(a)
+                continue
+            edges[i], edges[j] = (u, x), (v, y)
+        if len(bfs_distances(build_graph(n, edges), 0)) == n:
+            return sorted((min(u, v), max(u, v)) for u, v in edges)
+
+
+# (name, root vertices, root degree, seed): line graphs of 120 to 200
+# vertices in which no vertex is reducible, so color_square goes straight
+# to the strong edge coloring of the recovered root.
+STRESS_FAMILY = (
+    ("cubic-80", 80, 3, 1),
+    ("cubic-120", 120, 3, 2),
+    ("quartic-60", 60, 4, 3),
+    ("quartic-100", 100, 4, 4),
+)
+
+
+def stress_instances():
+    """(name, root degree, root edges, line graph) for every STRESS_FAMILY entry."""
+    out = []
+    for name, n, d, seed in STRESS_FAMILY:
+        edges = regular_root_girth5(n, d, seed)
+        g, _ = gen_line_graph(build_graph(n, edges))
+        out.append((name, d, edges, g))
+    return out
+
+
+def coloring_digest(colors):
+    """sha256 of a color sequence written as comma-separated decimals."""
+    return hashlib.sha256(",".join(map(str, colors)).encode()).hexdigest()

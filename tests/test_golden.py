@@ -1,0 +1,39 @@
+"""Square colorings pinned by digest, so rewrites of hot code keep their output.
+
+``golden_colorings.json`` holds ``coloring_digest(color_square(g).colors)``
+for every corpus entry and every stress-family instance. A change that
+alters a coloring on purpose regenerates the file with
+``PYTHONPATH=src:tests python tests/test_golden.py`` and says why.
+"""
+
+import json
+from pathlib import Path
+
+from helpers import coloring_digest, stress_instances
+
+from clawsq.coloring import color_square
+from clawsq.corpus import default_corpus
+
+GOLDEN = Path(__file__).with_name("golden_colorings.json")
+
+
+def current_digests(corpus, stress):
+    return {
+        "corpus": {e.id: coloring_digest(color_square(e.graph).colors) for e in corpus},
+        "stress": {
+            name: coloring_digest(color_square(g).colors) for name, _, _, g in stress
+        },
+    }
+
+
+def test_colorings_match_golden(corpus, stress_family):
+    golden = json.loads(GOLDEN.read_text())
+    current = current_digests(corpus, stress_family)
+    assert current["stress"] == golden["stress"]
+    changed = sorted(k for k, v in current["corpus"].items() if golden["corpus"].get(k) != v)
+    assert not changed and current["corpus"].keys() == golden["corpus"].keys()
+
+
+if __name__ == "__main__":
+    digests = current_digests(default_corpus(), stress_instances())
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
