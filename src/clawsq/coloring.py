@@ -10,6 +10,7 @@ the square before returning.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .analysis import require_claw_free
@@ -218,42 +219,55 @@ class StrongEdgeColoring:
 
 
 def edge_conflict_graph(f: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
-    """Graph on the edges of f, adjacent when they share or see an endpoint."""
+    """Graph on the edges of f, adjacent when they share or see an endpoint.
+
+    Edge uv conflicts with every edge at a vertex of N(u) | N(v), a set that
+    holds u and v themselves, so each row is an OR of per-vertex incidence
+    masks.
+    """
     edges = tuple(sorted(f.edges()))
-    m = len(edges)
-    reach = []
-    for u, v in edges:
-        reach.append(f._adj[u] | f._adj[v] | (1 << u) | (1 << v))
-    rows = [0] * m
-    count = 0
-    for i in range(m):
-        ui, vi = edges[i]
-        for j in range(i + 1, m):
-            uj, vj = edges[j]
-            if reach[i] >> uj & 1 or reach[i] >> vj & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-                count += 1
-    return Graph(m, tuple(rows), count), edges
+    incident = [0] * f.n
+    for i, (u, v) in enumerate(edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    rows = []
+    for i, (u, v) in enumerate(edges):
+        row = 0
+        for w in bits(f._adj[u] | f._adj[v]):
+            row |= incident[w]
+        rows.append(row & ~(1 << i))
+    count = sum(row.bit_count() for row in rows) // 2
+    return Graph(len(edges), tuple(rows), count), edges
 
 
 def _dsatur_order_greedy(g: Graph) -> list[int]:
-    """Greedy coloring by dynamic saturation; returns the color list."""
+    """Greedy coloring by dynamic saturation; returns the color list.
+
+    Colors next the uncolored vertex with the most distinct neighbor
+    colors, then the highest degree, then the lowest index. A heap holds one
+    entry per (vertex, saturation) reached; entries for colored vertices or
+    outgrown saturations are skipped when popped.
+    """
     n = g.n
+    adj = g._adj
     colors = [UNCOLORED] * n
     neighbor_colors = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == UNCOLORED),
-            key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
-        )
+    degree = [row.bit_count() for row in adj]
+    heap = [(0, -degree[u], u) for u in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        neg_sat, _, v = heapq.heappop(heap)
+        if colors[v] != UNCOLORED or -neg_sat != len(neighbor_colors[v]):
+            continue
         c = 0
         while c in neighbor_colors[v]:
             c += 1
         colors[v] = c
-        for u in bits(g._adj[v]):
-            if colors[u] == UNCOLORED:
-                neighbor_colors[u].add(c)
+        for u in bits(adj[v]):
+            seen = neighbor_colors[u]
+            if colors[u] == UNCOLORED and c not in seen:
+                seen.add(c)
+                heapq.heappush(heap, (-len(seen), -degree[u], u))
     return colors
 
 
@@ -261,9 +275,10 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
     """Find any proper coloring of g with at most ``budget`` colors.
 
     Backtracking over dynamically most-saturated vertices with new colors
-    introduced in order (color symmetry breaking). Returns None when the
-    search space is exhausted; raises NodeLimitExceeded past the node
-    budget.
+    introduced in order (color symmetry breaking). The search keeps its
+    own stack, one frame per colored vertex, so depth is not bounded by
+    the interpreter's recursion limit. Returns None when the search space
+    is exhausted; raises NodeLimitExceeded past the node budget.
     """
     n = g.n
     if n == 0:
@@ -283,26 +298,33 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
                 best, best_key = u, key
         return best
 
-    def walk(used: int) -> bool:
+    def visit(used: int):
+        """Count one search node; its frame, or None once every vertex is colored."""
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise NodeLimitExceeded(f"gave up after {node_limit} nodes")
         v = pick()
         if v is None:
-            return True
+            return None
         taken = {colors[w] for w in bits(g._adj[v]) if colors[w] != UNCOLORED}
         top = min(used + 1, budget)
-        for c in range(top):
-            if c in taken:
-                continue
-            colors[v] = c
-            if walk(max(used, c + 1)):
-                return True
-            colors[v] = UNCOLORED
-        return False
+        return v, used, iter([c for c in range(top) if c not in taken])
 
-    return colors if walk(0) else None
+    stack = [visit(0)]  # n > 0, so some vertex is uncolored
+    while stack:
+        v, used, choices = stack[-1]
+        c = next(choices, None)
+        if c is None:
+            colors[v] = UNCOLORED
+            stack.pop()
+            continue
+        colors[v] = c
+        frame = visit(max(used, c + 1))
+        if frame is None:
+            return colors
+        stack.append(frame)
+    return None
 
 
 def strong_edge_color(

@@ -332,10 +332,10 @@ class Coloring:
             )
         if not self.is_total():
             return False
-        for u, v in g.edges():
-            if self.colors[u] == self.colors[v]:
-                return False
-        return True
+        classes: dict[int, int] = {}
+        for v, c in enumerate(self.colors):
+            classes[c] = classes.get(c, 0) | 1 << v
+        return not any(g._adj[v] & classes[c] for v, c in enumerate(self.colors))
 
     def compacted(self) -> "Coloring":
         """Renumber the colors actually used to ``0..k-1``, keeping order."""

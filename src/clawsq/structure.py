@@ -326,12 +326,15 @@ def root_graph(g: Graph, partition) -> RootGraph:
     if len(set(edge_of_vertex)) != g.n:
         raise InvalidPartitionError("two vertices share the same pair of cliques")
     f = build_graph(next_aux, edge_of_vertex)
-    for u in range(g.n):
-        eu = set(edge_of_vertex[u])
-        for w in range(u + 1, g.n):
-            shares = bool(eu & set(edge_of_vertex[w]))
-            if shares != g.has_edge(u, w):
-                raise InvalidPartitionError("line graph reconstruction mismatch")
+    # at[x]: the vertices of g whose root edge ends at x. In the line graph
+    # of f, u is adjacent to exactly the others at either end of its edge.
+    at = [0] * next_aux
+    for u, (a, b) in enumerate(edge_of_vertex):
+        at[a] |= 1 << u
+        at[b] |= 1 << u
+    for u, (a, b) in enumerate(edge_of_vertex):
+        if (at[a] | at[b]) & ~(1 << u) != g._adj[u]:
+            raise InvalidPartitionError("line graph reconstruction mismatch")
     return RootGraph(f, tuple(edge_of_vertex))
 
 

@@ -11,7 +11,8 @@ from collections import deque
 from itertools import combinations, product
 
 from clawsq.corpus import gen_line_graph
-from clawsq.graph import bits, build_graph, induced_subgraph
+from clawsq.errors import NodeLimitExceeded
+from clawsq.graph import UNCOLORED, Graph, bits, build_graph, induced_subgraph
 from clawsq.structure import (
     SHAPE_CLIQUE_PAIR,
     SHAPE_CLIQUE_PAIR_PLUS_EDGES,
@@ -270,3 +271,103 @@ def stress_instances():
 def coloring_digest(colors):
     """sha256 of a color sequence written as comma-separated decimals."""
     return hashlib.sha256(",".join(map(str, colors)).encode()).hexdigest()
+
+
+def brute_edge_conflict_graph(f):
+    """Edge conflict graph of f by testing every pair of edges."""
+    edges = tuple(sorted(f.edges()))
+    m = len(edges)
+    reach = []
+    for u, v in edges:
+        reach.append(f._adj[u] | f._adj[v] | (1 << u) | (1 << v))
+    rows = [0] * m
+    count = 0
+    for i in range(m):
+        ui, vi = edges[i]
+        for j in range(i + 1, m):
+            uj, vj = edges[j]
+            if reach[i] >> uj & 1 or reach[i] >> vj & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+                count += 1
+    return Graph(m, tuple(rows), count), edges
+
+
+def brute_dsatur_order_greedy(g):
+    """DSATUR colors by a linear scan for the most saturated vertex at every step."""
+    n = g.n
+    colors = [UNCOLORED] * n
+    neighbor_colors = [set() for _ in range(n)]
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if colors[u] == UNCOLORED),
+            key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
+        )
+        c = 0
+        while c in neighbor_colors[v]:
+            c += 1
+        colors[v] = c
+        for u in bits(g._adj[v]):
+            if colors[u] == UNCOLORED:
+                neighbor_colors[u].add(c)
+    return colors
+
+
+def brute_backtrack_within(g, budget, node_limit):
+    """Recursive most-saturated-first backtracking; the order the library keeps."""
+    n = g.n
+    if n == 0:
+        return []
+    colors = [UNCOLORED] * n
+    nodes = 0
+
+    def pick():
+        best = None
+        best_key = None
+        for u in range(n):
+            if colors[u] != UNCOLORED:
+                continue
+            sat = len({colors[w] for w in bits(g._adj[u]) if colors[w] != UNCOLORED})
+            key = (sat, g.degree(u), -u)
+            if best is None or key > best_key:
+                best, best_key = u, key
+        return best
+
+    def walk(used):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise NodeLimitExceeded(f"gave up after {node_limit} nodes")
+        v = pick()
+        if v is None:
+            return True
+        taken = {colors[w] for w in bits(g._adj[v]) if colors[w] != UNCOLORED}
+        top = min(used + 1, budget)
+        for c in range(top):
+            if c in taken:
+                continue
+            colors[v] = c
+            if walk(max(used, c + 1)):
+                return True
+            colors[v] = UNCOLORED
+        return False
+
+    return colors if walk(0) else None
+
+
+def line_graph_mismatch(g, edge_of_vertex):
+    """True when some pair of vertices shares a root endpoint exactly when not adjacent in g."""
+    for u in range(g.n):
+        eu = set(edge_of_vertex[u])
+        for w in range(u + 1, g.n):
+            shares = bool(eu & set(edge_of_vertex[w]))
+            if shares != g.has_edge(u, w):
+                return True
+    return False
+
+
+def brute_is_proper(g, colors):
+    """Total and proper, by walking every edge of g."""
+    if UNCOLORED in colors:
+        return False
+    return all(colors[u] != colors[v] for u, v in g.edges())

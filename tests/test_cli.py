@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,25 @@ class TestColor:
         code, out, _ = run_cli(capsys, "color", target, "--oracle")
         assert code == 0
         assert json.loads(out)["oracle"]["chi_square"] == 3
+
+    def test_optimized_interpreter(self, tmp_path, stress_family):
+        # python -O strips asserts; the coloring must still be verified.
+        name, d, _, g = stress_family[-1]
+        target = write_graph(tmp_path, f"{name}.col", g)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "clawsq.cli", "color", target],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["verified"] is True
+        assert report["palette"] <= report["bound"] == (10 if d == 3 else 22)
 
     def test_claw_exits_two(self, tmp_path, capsys):
         target = write_graph(tmp_path, "claw.col", claw())

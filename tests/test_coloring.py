@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from clawsq.coloring import (
+    DEFAULT_NODE_LIMIT,
     EngineParams,
     color_icosahedron,
     color_small_omega,
@@ -13,6 +15,8 @@ from clawsq.coloring import (
     strong_edge_color,
     trivial_greedy_square,
     verify_coloring,
+    _backtrack_within,
+    _dsatur_order_greedy,
     _match_distinct,
     _reinsert_vertex,
 )
@@ -27,6 +31,7 @@ from clawsq.corpus import (
 from clawsq.errors import (
     BudgetExhaustedError,
     InvalidPairingError,
+    NodeLimitExceeded,
     NotClawFreeError,
     NotSmallOmegaError,
     SizeMismatchError,
@@ -34,12 +39,45 @@ from clawsq.errors import (
 from clawsq.graph import (
     Coloring,
     build_graph,
+    connected_components,
     delete_vertex,
+    induced_subgraph,
     max_clique,
     square,
 )
 from clawsq.oracle import exact_chromatic
-from clawsq.structure import recognize_icosahedron
+from clawsq.structure import krausz_partition, recognize_icosahedron, root_graph
+
+from helpers import (
+    brute_backtrack_within,
+    brute_dsatur_order_greedy,
+    brute_edge_conflict_graph,
+)
+
+
+def random_graph(rng, n, p):
+    return build_graph(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def search_outcome(search, g, budget):
+    """Result of an exact search and the fewest nodes it runs in, by bisection."""
+    low, high = 0, 1
+    while True:
+        try:
+            result = search(g, budget, high)
+            break
+        except NodeLimitExceeded:
+            low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            search(g, budget, mid)
+            high = mid
+        except NodeLimitExceeded:
+            low = mid
+    return result, high
 
 
 class TestColorSquare:
@@ -203,6 +241,77 @@ class TestStrongEdgeColoring:
                     for b in (x, y)
                 )
                 assert conflict.has_edge(i, j) == (touching or joined)
+
+
+class TestBasePathMatchesReference:
+    """Conflict graphs and DSATUR colors equal the all-pairs and linear-scan versions."""
+
+    def assert_same(self, f):
+        conflict, edges = edge_conflict_graph(f)
+        expected, expected_edges = brute_edge_conflict_graph(f)
+        assert edges == expected_edges
+        assert conflict == expected and conflict.edge_count == expected.edge_count
+        assert _dsatur_order_greedy(f) == brute_dsatur_order_greedy(f)
+        assert _dsatur_order_greedy(conflict) == brute_dsatur_order_greedy(conflict)
+
+    def test_random_graphs(self):
+        rng = random.Random(20)
+        for _ in range(60):
+            n = rng.randint(0, 40)
+            # Dense graphs on many vertices make conflict graphs too big for
+            # the quadratic reference, so density falls as n grows.
+            self.assert_same(random_graph(rng, n, rng.uniform(0.0, min(1.0, 8 / max(n, 1)))))
+        for _ in range(20):
+            self.assert_same(random_graph(rng, rng.randint(0, 14), rng.random()))
+
+    def test_corpus_line_graph_roots(self, corpus):
+        roots = 0
+        for entry in corpus:
+            for comp in connected_components(entry.graph):
+                sub, _ = induced_subgraph(entry.graph, comp)
+                partition = krausz_partition(sub, max_clique(sub)[0])
+                if partition is not None:
+                    self.assert_same(root_graph(sub, partition).f)
+                    roots += 1
+        assert roots > 100
+
+    def test_stress_family(self, stress_family):
+        for _, _, _, g in stress_family:
+            self.assert_same(root_graph(g, krausz_partition(g, max_clique(g)[0])).f)
+
+
+class TestStressFamilyColoring:
+    def test_within_strong_chromatic_index_budget(self, stress_family):
+        for name, d, _, g in stress_family:
+            coloring = color_square(g)
+            assert verify_coloring(g, coloring), name
+            assert coloring.palette_size <= (10 if d == 3 else 22), name
+
+
+class TestBacktrackWithin:
+    def test_deep_path_square_needs_no_recursion(self):
+        # One stack frame per colored vertex used to exceed the interpreter's
+        # recursion limit once the conflict graph had about 1000 vertices.
+        g = square(path(300))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            colors = _backtrack_within(g, 3, DEFAULT_NODE_LIMIT)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert Coloring(colors).is_proper_on(g) and max(colors) == 2
+        assert colors == brute_backtrack_within(g, 3, DEFAULT_NODE_LIMIT)
+
+    def test_matches_recursive_reference(self):
+        # Same colors or None, and the same node count, so NodeLimitExceeded
+        # fires at exactly the same limit.
+        rng = random.Random(1)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.9))
+            for budget in range(2, 6):
+                assert search_outcome(_backtrack_within, g, budget) == search_outcome(
+                    brute_backtrack_within, g, budget
+                )
 
 
 class TestIcosahedronColoring:

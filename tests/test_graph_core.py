@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,13 @@ from clawsq.graph import (
     square_degree,
 )
 
-from helpers import bfs_distances, brute_max_clique, brute_square_degree, greedy_clique
+from helpers import (
+    bfs_distances,
+    brute_is_proper,
+    brute_max_clique,
+    brute_square_degree,
+    greedy_clique,
+)
 
 
 @st.composite
@@ -251,6 +258,27 @@ class TestColoring:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             Coloring([0, 1]).is_proper_on(cycle(5))
+
+    def test_is_proper_on_matches_edge_loop(self):
+        rng = random.Random(40)
+        kinds = set()
+        for _ in range(200):
+            n = rng.randint(0, 30)
+            g = build_graph(
+                n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.3]
+            )
+            colors = [UNCOLORED] * n
+            for v in range(n):  # greedy: proper by construction
+                taken = {colors[u] for u in g.neighbors(v)}
+                colors[v] = min(c for c in range(n + 1) if c not in taken)
+            if n and rng.random() < 0.5:
+                colors[rng.randrange(n)] = rng.choice((UNCOLORED, rng.randrange(3)))
+            if n and rng.random() < 0.2:
+                colors = [rng.randrange(4) for _ in range(n)]
+            expected = brute_is_proper(g, colors)
+            kinds.add(expected)
+            assert Coloring(colors).is_proper_on(g) == expected
+        assert kinds == {True, False}
 
     def test_compaction_keeps_order(self):
         assert Coloring([5, 0, 7, 5]).compacted() == Coloring([1, 0, 2, 1])

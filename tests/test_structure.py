@@ -42,12 +42,20 @@ from clawsq.structure import (
     find_reducible_vertex,
     is_good_vertex,
     krausz_partition,
+    neighbor_degree_cap,
     neighborhood_shape,
     recognize_icosahedron,
+    reduction_threshold,
     root_graph,
 )
+import clawsq.structure as structure
 
-from helpers import bfs_distances, brute_neighborhood_shape
+from helpers import (
+    bfs_distances,
+    brute_neighborhood_shape,
+    girth,
+    line_graph_mismatch,
+)
 from iso_util import is_isomorphic
 
 
@@ -299,6 +307,67 @@ class TestRootGraph:
         g = path(3)
         with pytest.raises(InvalidPartitionError):
             root_graph(g, [frozenset({0, 1})])
+
+
+class TestRootGraphMatchesReference:
+    """root_graph accepts exactly the partitions the pairwise line-graph check accepts."""
+
+    def random_line_graphs(self):
+        rng = random.Random(30)
+        for _ in range(40):
+            g = gen_random_claw_free(rng.randint(3, 40), rng.choice((3, 4)), rng.randrange(10**6))
+            partition = krausz_partition(g, max_clique(g)[0])
+            if partition is not None:
+                yield rng, g, partition
+
+    def test_recovered_roots_pass_the_pairwise_check(self):
+        checked = 0
+        for _, g, partition in self.random_line_graphs():
+            assert not line_graph_mismatch(g, root_graph(g, partition).edge_of_vertex)
+            checked += 1
+        assert checked >= 20
+
+    def test_one_edge_off_raises(self, monkeypatch):
+        for validate in (True, False):
+            if not validate:
+                # Without the partition check up front, the line-graph
+                # comparison itself has to catch the extra or missing edge.
+                monkeypatch.setattr(structure, "_validate_krausz", lambda g, cliques: None)
+            for rng, g, partition in self.random_line_graphs():
+                edge_of_vertex = root_graph(g, partition).edge_of_vertex
+                u, w = sorted(rng.sample(range(g.n), 2))
+                off = build_graph(g.n, set(g.edges()) ^ {(u, w)})
+                assert line_graph_mismatch(off, edge_of_vertex)
+                with pytest.raises(InvalidPartitionError):
+                    root_graph(off, partition)
+
+
+class TestStressFamily:
+    """Line graphs of girth-5 regular roots reach the line-graph base case."""
+
+    def test_roots_have_girth_five(self, stress_family):
+        for name, d, edges, _ in stress_family:
+            n = max(v for e in edges for v in e) + 1
+            assert girth(n, edges) >= 5, name
+            assert len(edges) * 2 == n * d, name
+
+    def test_classified_as_line_graph_with_nothing_reducible(self, stress_family):
+        for name, d, _, g in stress_family:
+            omega = max_clique(g)[0]
+            assert omega == d, name
+            assert (
+                find_reducible_vertex(
+                    g,
+                    reduction_threshold(omega),
+                    neighbor_cap=neighbor_degree_cap(omega),
+                    allow_case_ii=True,
+                )
+                is None
+            ), name
+            outcome = classify(g, omega)
+            assert outcome.kind == "line_graph", name
+            assert max_degree(outcome.root.f) == d, name
+            assert not line_graph_mismatch(g, outcome.root.edge_of_vertex), name
 
 
 class TestFindReducible:
