@@ -1,8 +1,11 @@
 """Brute-force reference implementations the tests check library code against.
 
 Everything here recomputes from first principles (BFS, subset enumeration,
-assignment enumeration) and deliberately shares no code path with the
-library routines it validates.
+assignment enumeration, all-pairs scans) and deliberately shares no code
+path with the library routines it validates. Where the library replaced a
+simple routine with a faster one, the simple one lives on here unchanged.
+Also here: the girth-5 base-case stress family and the coloring digest the
+golden file uses.
 """
 
 import hashlib
@@ -159,6 +162,11 @@ def brute_neighborhood_shape(g, v):
         )
         return NeighborhoodShape(kind, parts)
     return NeighborhoodShape(SHAPE_CLIQUE_PAIR_PLUS_EDGES, parts, crosses)
+
+
+def random_graph(rng, n, p):
+    """G(n, p) drawn from ``rng``."""
+    return build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
 
 
 def girth(n, edges):

@@ -35,6 +35,7 @@ from helpers import (
     brute_max_clique,
     brute_square_degree,
     greedy_clique,
+    random_graph,
 )
 
 
@@ -264,9 +265,7 @@ class TestColoring:
         kinds = set()
         for _ in range(200):
             n = rng.randint(0, 30)
-            g = build_graph(
-                n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.3]
-            )
+            g = random_graph(rng, n, 0.3)
             colors = [UNCOLORED] * n
             for v in range(n):  # greedy: proper by construction
                 taken = {colors[u] for u in g.neighbors(v)}

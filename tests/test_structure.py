@@ -327,19 +327,21 @@ class TestRootGraphMatchesReference:
             checked += 1
         assert checked >= 20
 
+    def assert_one_edge_off_raises(self):
+        for rng, g, partition in self.random_line_graphs():
+            edge_of_vertex = root_graph(g, partition).edge_of_vertex
+            u, w = sorted(rng.sample(range(g.n), 2))
+            off = build_graph(g.n, set(g.edges()) ^ {(u, w)})
+            assert line_graph_mismatch(off, edge_of_vertex)
+            with pytest.raises(InvalidPartitionError):
+                root_graph(off, partition)
+
     def test_one_edge_off_raises(self, monkeypatch):
-        for validate in (True, False):
-            if not validate:
-                # Without the partition check up front, the line-graph
-                # comparison itself has to catch the extra or missing edge.
-                monkeypatch.setattr(structure, "_validate_krausz", lambda g, cliques: None)
-            for rng, g, partition in self.random_line_graphs():
-                edge_of_vertex = root_graph(g, partition).edge_of_vertex
-                u, w = sorted(rng.sample(range(g.n), 2))
-                off = build_graph(g.n, set(g.edges()) ^ {(u, w)})
-                assert line_graph_mismatch(off, edge_of_vertex)
-                with pytest.raises(InvalidPartitionError):
-                    root_graph(off, partition)
+        self.assert_one_edge_off_raises()
+        # Without the partition check up front, the line-graph comparison
+        # itself has to catch the extra or missing edge.
+        monkeypatch.setattr(structure, "_validate_krausz", lambda g, cliques: None)
+        self.assert_one_edge_off_raises()
 
 
 class TestStressFamily:
