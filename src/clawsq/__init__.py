@@ -20,7 +20,6 @@ from .analysis import (
     z_set,
 )
 from .coloring import (
-    EngineParams,
     StrongEdgeColoring,
     color_icosahedron,
     color_small_omega,

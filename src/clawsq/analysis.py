@@ -178,6 +178,10 @@ def check_degree_lemma(g: Graph, omega: int) -> list[LemmaReport]:
     omega inside the neighborhood; no independent triple inside it.
     """
     require_claw_free(g)
+    return _degree_reports(g, omega)
+
+
+def _degree_reports(g: Graph, omega: int) -> list[LemmaReport]:
     r = ramsey_bound(omega)
     reports = []
     for v in range(g.n):
@@ -196,6 +200,10 @@ def check_degree_lemma(g: Graph, omega: int) -> list[LemmaReport]:
 def check_exterior_bounds(g: Graph, omega: int) -> list[LemmaReport]:
     """Per edge (v, w): the exterior of w is a clique of at most omega-1 vertices."""
     require_claw_free(g)
+    return _exterior_reports(g, omega)
+
+
+def _exterior_reports(g: Graph, omega: int) -> list[LemmaReport]:
     reports = []
     for v in range(g.n):
         for w in g.neighbors(v):
@@ -234,6 +242,10 @@ def check_second_neighborhood_bounds(g: Graph, omega: int) -> list[LemmaReport]:
     degree globally.
     """
     require_claw_free(g)
+    return _second_neighborhood_reports(g, omega)
+
+
+def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
     reports = []
     sq = square(g)
     worst_v = 0
@@ -302,9 +314,14 @@ def check_second_neighborhood_bounds(g: Graph, omega: int) -> list[LemmaReport]:
 
 
 def run_lemma_suite(g: Graph, omega: int) -> list[LemmaReport]:
-    """All lemma reports for one graph: degree caps, exteriors, second neighborhoods."""
+    """All lemma reports for one graph: degree caps, exteriors, second neighborhoods.
+
+    Checks claw-freeness once, raising NotClawFreeError with the claw as its
+    witness, and then evaluates the three report families.
+    """
+    require_claw_free(g)
     return (
-        check_degree_lemma(g, omega)
-        + check_exterior_bounds(g, omega)
-        + check_second_neighborhood_bounds(g, omega)
+        _degree_reports(g, omega)
+        + _exterior_reports(g, omega)
+        + _second_neighborhood_reports(g, omega)
     )

@@ -4,8 +4,16 @@ The engine peels reducible vertices off with an explicit stack, colors the
 remaining base components directly (paths and cycles, the icosahedron, or a
 line graph via a strong edge coloring of its root), and then reinserts the
 peeled vertices, recoloring each neighborhood through a system of distinct
-representatives. Every public entry point verifies its own output against
-the square before returning.
+representatives.
+
+:func:`color_square` is the one place a coloring is checked: it verifies
+the final coloring against the square, and each component's palette
+against its bound, whether or not Python runs with ``-O``, and raises
+InternalBoundViolation when either fails. The building blocks it calls
+(:func:`greedy_reduce`, :func:`color_small_omega`,
+:func:`trivial_greedy_square`) return unverified colorings;
+:func:`verify_coloring` checks one. :func:`color_icosahedron` still checks
+the pairing it is handed, because that comes from the caller.
 """
 
 from __future__ import annotations
@@ -15,12 +23,12 @@ from dataclasses import dataclass
 
 from .analysis import require_claw_free
 from .errors import (
+    DEFAULT_NODE_LIMIT,
     BudgetExhaustedError,
     InternalBoundViolation,
     InvalidPairingError,
     NodeLimitExceeded,
     NotSmallOmegaError,
-    SizeMismatchError,
 )
 from .graph import (
     UNCOLORED,
@@ -34,6 +42,7 @@ from .graph import (
     max_clique,
     max_degree,
     square,
+    square_row,
 )
 from .structure import (
     RootGraph,
@@ -42,30 +51,6 @@ from .structure import (
     neighbor_degree_cap,
     reduction_threshold,
 )
-
-DEFAULT_NODE_LIMIT = 50_000_000
-
-
-@dataclass(frozen=True)
-class EngineParams:
-    """Palette and reduction thresholds for one inductive run."""
-
-    K: int
-    Kprime: int
-    omega: int
-
-    def __post_init__(self):
-        if self.Kprime > self.K:
-            raise ValueError("Kprime must not exceed K")
-
-    @classmethod
-    def for_omega(cls, omega: int) -> "EngineParams":
-        if omega == 3:
-            return cls(9, 9, 3)
-        if omega == 4:
-            return cls(21, 19, 4)
-        raise ValueError(f"inductive engine params are defined for omega 3 and 4, not {omega}")
-
 
 def palette_bound(omega: int) -> int:
     """Guaranteed palette size for a claw-free graph of this clique number."""
@@ -80,10 +65,6 @@ def palette_bound(omega: int) -> int:
 
 def verify_coloring(g: Graph, coloring: Coloring) -> bool:
     """True iff the coloring is total and proper on the square of g."""
-    if len(coloring) != g.n:
-        raise SizeMismatchError(
-            f"coloring has {len(coloring)} entries for a {g.n}-vertex graph"
-        )
     return coloring.is_proper_on(square(g))
 
 
@@ -127,7 +108,11 @@ def _cycle_pattern(length: int) -> list[int]:
 
 
 def color_small_omega(g: Graph) -> Coloring:
-    """Color the square of a disjoint union of paths and cycles with at most 5 colors."""
+    """Color the square of a disjoint union of paths and cycles with at most 5 colors.
+
+    Raises NotSmallOmegaError on a triangle or a vertex of degree 3 or more.
+    The coloring is returned unverified.
+    """
     if max_degree(g) > 2:
         raise NotSmallOmegaError("a vertex of degree 3 or more is present")
     colors = [UNCOLORED] * g.n
@@ -161,10 +146,7 @@ def color_small_omega(g: Graph) -> Coloring:
             pattern = _path_pattern(size)
         for pos, local in enumerate(order):
             colors[old[local]] = pattern[pos]
-    result = Coloring(colors)
-    if not verify_coloring(g, result):
-        raise InternalBoundViolation("path/cycle pattern failed verification")
-    return result
+    return Coloring(colors)
 
 
 def color_icosahedron(g: Graph, pairing) -> Coloring:
@@ -377,24 +359,20 @@ def _reinsert_vertex(gr: Graph, v: int, case: str, kprime: int, after: list, K: 
     low-square-degree part S of N(v) with pairwise distinct colors drawn
     from each vertex's available set (a system of distinct
     representatives), then gives v a color unseen in its square
-    neighborhood.
+    neighborhood. Only the square rows of v and N(v) are computed.
     """
     colors = list(after[:v]) + [UNCOLORED] + list(after[v:])
-    sq = square(gr)
-    sq_deg = [sq.degree(x) for x in range(gr.n)]
     threshold = kprime + 2 if case == "ii" else kprime + 1
     nbrs = gr.neighbors(v)
-    s_vertices = [x for x in nbrs if sq_deg[x] <= threshold]
-    s_set = set(s_vertices)
+    rows = {x: square_row(gr, x) for x in (v, *nbrs)}
+    s_vertices = [x for x in nbrs if rows[x].bit_count() <= threshold]
+    s_mask = 1 << v
     for s in s_vertices:
         colors[s] = UNCOLORED
+        s_mask |= 1 << s
     options = []
     for s in s_vertices:
-        banned = {
-            colors[u]
-            for u in sq.neighbors(s)
-            if u != v and u not in s_set
-        }
+        banned = {colors[u] for u in bits(rows[s] & ~s_mask)}
         options.append([c for c in range(K + 1) if c not in banned])
     matched = _match_distinct(s_vertices, options)
     if matched is None:
@@ -404,20 +382,17 @@ def _reinsert_vertex(gr: Graph, v: int, case: str, kprime: int, after: list, K: 
         )
     for s, c in matched.items():
         colors[s] = c
-    taken = {colors[u] for u in sq.neighbors(v)}
+    taken = {colors[u] for u in bits(rows[v])}
     free = next((c for c in range(K + 1) if c not in taken), None)
     if free is None:
         raise InternalBoundViolation(
             f"no color left for vertex {v}; its square degree exceeds the threshold"
         )
     colors[v] = free
-    if __debug__:
-        assert len({matched[s] for s in s_vertices}) == len(s_vertices)
-        assert Coloring(colors).is_proper_on(sq)
     return colors
 
 
-def _component_reduction(cur: Graph, omega_run: int):
+def _component_reduction(cur: Graph):
     """Locate one reducible vertex in some component, or None when all are base."""
     for comp in connected_components(cur):
         if len(comp) <= 2:
@@ -426,10 +401,6 @@ def _component_reduction(cur: Graph, omega_run: int):
         w = max_clique(sub)[0]
         if w <= 2:
             continue
-        if w > omega_run:
-            raise InternalBoundViolation(
-                f"component clique number {w} exceeds the engine's omega {omega_run}"
-            )
         red = find_reducible_vertex(
             sub,
             reduction_threshold(w),
@@ -451,10 +422,7 @@ def _color_line_graph_base(sub: Graph, root: RootGraph, node_limit: int) -> list
             f"with max degree {max_degree(root.f)}: {exc}"
         ) from exc
     index = {e: i for i, e in enumerate(sec.edges)}
-    colors = [sec.colors[index[root.edge_of_vertex[x]]] for x in range(sub.n)]
-    if not Coloring(colors).is_proper_on(square(sub)):
-        raise InternalBoundViolation("pulled-back strong edge coloring is not proper")
-    return colors
+    return [sec.colors[index[root.edge_of_vertex[x]]] for x in range(sub.n)]
 
 
 def _color_base_components(cur: Graph, node_limit: int) -> list:
@@ -480,33 +448,35 @@ def _color_base_components(cur: Graph, node_limit: int) -> list:
 
 
 def greedy_reduce(
-    g: Graph, params: EngineParams, *, node_limit: int = DEFAULT_NODE_LIMIT
+    g: Graph, omega: int, *, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> Coloring:
-    """Inductive square coloring within K+1 colors for claw-free inputs.
+    """Inductive square coloring within palette_bound(omega) colors, unverified.
 
-    Iteratively deletes reducible vertices (explicit stack, no recursion),
-    colors the base remainder per component, then reinserts each vertex in
-    reverse order, recoloring its neighborhood through distinct available
-    colors.
+    For claw-free inputs of clique number at most ``omega``, which must be 3
+    or 4. Iteratively deletes reducible vertices (explicit stack, no
+    recursion), colors the base remainder per component, then reinserts
+    each vertex in reverse order, recoloring its neighborhood through
+    distinct available colors. The result is not checked here;
+    :func:`color_square` checks it.
     """
-    if max_clique(g)[0] > params.omega:
-        raise ValueError("clique number exceeds the engine parameters")
+    if omega not in (3, 4):
+        raise ValueError(f"the inductive engine is defined for omega 3 and 4, not {omega}")
+    if max_clique(g)[0] > omega:
+        raise ValueError(f"clique number exceeds omega {omega}")
     frames = []
     cur = g
     while True:
-        found = _component_reduction(cur, params.omega)
+        found = _component_reduction(cur)
         if found is None:
             break
         v, case, kprime = found
         frames.append((cur, v, case, kprime))
         cur = delete_vertex(cur, v)
     colors = _color_base_components(cur, node_limit)
+    K = palette_bound(omega) - 1
     for gr, v, case, kprime in reversed(frames):
-        colors = _reinsert_vertex(gr, v, case, kprime, colors, params.K)
-    result = Coloring(colors)
-    if result.palette_size > params.K + 1 or not verify_coloring(g, result):
-        raise InternalBoundViolation("inductive coloring failed its own verification")
-    return result
+        colors = _reinsert_vertex(gr, v, case, kprime, colors, K)
+    return Coloring(colors)
 
 
 def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
@@ -515,7 +485,10 @@ def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
     Components are colored independently from a shared palette: paths and
     cycles directly, clique number 3 and 4 through the inductive engine,
     and clique number 5 and up through the greedy square coloring whose
-    palette the maximum square degree caps.
+    palette the maximum square degree caps. Raises NotClawFreeError, with
+    the claw as its witness, on a claw, and InternalBoundViolation when a
+    component's palette exceeds its bound or the final coloring is not
+    proper on the square; these checks do not depend on ``-O``.
     """
     require_claw_free(g)
     colors = [UNCOLORED] * g.n
@@ -525,7 +498,7 @@ def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
         if w <= 2:
             local = color_small_omega(sub)
         elif w <= 4:
-            local = greedy_reduce(sub, EngineParams.for_omega(w), node_limit=node_limit)
+            local = greedy_reduce(sub, w, node_limit=node_limit)
         else:
             local = trivial_greedy_square(sub)
         if local.palette_size > palette_bound(w):

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default node budget."""
+
+# Node budget of the exact searches, in the engine and in the oracle, past
+# which they raise NodeLimitExceeded unless the caller passes another.
+DEFAULT_NODE_LIMIT = 50_000_000
 
 
 class VertexOutOfRangeError(IndexError):

@@ -104,28 +104,26 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(adj), count)
 
 
+def square_row(g: Graph, v: int, avoid: int = 0) -> int:
+    """Neighbors of ``v`` in the square of g minus the vertices in ``avoid``, as a bitmask."""
+    keep = ~avoid
+    first = g._adj[v] & keep
+    row = first
+    for u in bits(first):
+        row |= g._adj[u]
+    return row & keep & ~(1 << v)
+
+
 def square(g: Graph) -> Graph:
     """Graph on the same vertices with edges between pairs at distance 1 or 2."""
-    adj = g._adj
-    rows = []
-    total = 0
-    for v in range(g.n):
-        row = adj[v]
-        for u in bits(adj[v]):
-            row |= adj[u]
-        row &= ~(1 << v)
-        rows.append(row)
-        total += row.bit_count()
-    return Graph(g.n, tuple(rows), total // 2)
+    rows = tuple(square_row(g, v) for v in range(g.n))
+    return Graph(g.n, rows, sum(row.bit_count() for row in rows) // 2)
 
 
 def square_degree(g: Graph, v: int) -> int:
     """Degree of ``v`` in the square: deg(v) plus second neighbors."""
-    row = g.adjacency_mask(v)
-    for u in bits(g._adj[v]):
-        row |= g._adj[u]
-    row &= ~(1 << v)
-    return row.bit_count()
+    g.check_vertex(v)
+    return square_row(g, v).bit_count()
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -11,10 +11,8 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NodeLimitExceeded
+from .errors import DEFAULT_NODE_LIMIT, NodeLimitExceeded
 from .graph import UNCOLORED, Coloring, Graph, bits, build_graph, max_clique, square
-
-DEFAULT_NODE_LIMIT = 50_000_000
 
 
 @dataclass

@@ -27,6 +27,7 @@ from .graph import (
     induced_subgraph,
     max_degree,
     square,
+    square_row,
 )
 
 SHAPE_TWO_DISJOINT_EDGES = "two_disjoint_edges"
@@ -299,21 +300,29 @@ def root_graph(g: Graph, partition) -> RootGraph:
 
     Root vertices are the cliques, plus one fresh endpoint per vertex of g
     that lies in fewer than two cliques (two for isolated vertices). The
-    resulting line graph is checked against g edge for edge.
+    partition is not trusted: once every clique has two or more vertices
+    of g and every vertex lies in at most two cliques, comparing the line
+    graph of the result with g edge for edge rejects a non-edge inside a
+    clique and an edge covered zero times or twice, so exactly the families
+    that are not Krausz partitions raise InvalidPartitionError.
     """
     given = [frozenset(c) for c in partition]
     cliques = sorted(set(given), key=sorted)
     if len(cliques) != len(given):
         raise InvalidPartitionError("duplicate cliques in partition")
-    _validate_krausz(g, cliques)
     membership: list[list[int]] = [[] for _ in range(g.n)]
     for i, c in enumerate(cliques):
+        if len(c) < 2:
+            raise InvalidPartitionError("cliques in the partition need at least two vertices")
         for u in c:
+            g.check_vertex(u)
             membership[u].append(i)
     next_aux = len(cliques)
     edge_of_vertex = []
     for v in range(g.n):
         owners = membership[v]
+        if len(owners) > 2:
+            raise InvalidPartitionError("a vertex belongs to more than two cliques")
         if len(owners) == 2:
             e = (owners[0], owners[1])
         elif len(owners) == 1:
@@ -354,23 +363,13 @@ class Reduction:
     kprime: int
 
 
-def _square_row_without(g: Graph, x: int, v: int) -> int:
-    """Adjacency row of x in the square of g with vertex v deleted."""
-    drop = ~(1 << v)
-    mask = g._adj[x] & drop
-    row = mask
-    for u in bits(mask):
-        row |= g._adj[u] & drop
-    return row & ~(1 << x)
-
-
 def _clique_in_deleted_square(g: Graph, vertices, v: int) -> bool:
     mask = 0
     for x in vertices:
         mask |= 1 << x
     for x in vertices:
         need = mask & ~(1 << x)
-        if _square_row_without(g, x, v) & need != need:
+        if square_row(g, x, 1 << v) & need != need:
             return False
     return True
 

@@ -4,12 +4,14 @@ Everything here recomputes from first principles (BFS, subset enumeration,
 assignment enumeration, all-pairs scans) and deliberately shares no code
 path with the library routines it validates. Where the library replaced a
 simple routine with a faster one, the simple one lives on here unchanged.
-Also here: the girth-5 base-case stress family and the coloring digest the
-golden file uses.
+Also here: the girth-5 base-case stress family, the coloring digest the
+golden file uses, a call recorder for the tests that pin how often a fact
+is checked, and a deliberately broken recoloring step.
 """
 
 import hashlib
 import random
+import sys
 from collections import deque
 from itertools import combinations, product
 
@@ -379,3 +381,41 @@ def brute_is_proper(g, colors):
     if UNCOLORED in colors:
         return False
     return all(colors[u] != colors[v] for u, v in g.edges())
+
+
+def record_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test; returns the list of each call's arguments.
+
+    ``from .graph import square`` gives every importing module its own
+    binding, so a function is wrapped under every name a clawsq module
+    binds it to; a method is wrapped on its class.
+    """
+    original = getattr(owner, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, recorded)
+        return calls
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").partition(".")[0] != "clawsq":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, recorded)
+    return calls
+
+
+def one_color_matching(match):
+    """A broken ``_match_distinct``: every vertex it matches gets the same color."""
+
+    def broken(items, options):
+        matched = match(items, options)
+        if matched is None:
+            return None
+        return dict.fromkeys(matched, min(matched.values(), default=0))
+
+    return broken

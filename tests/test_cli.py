@@ -5,7 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import one_color_matching, record_calls
 
+from clawsq import analysis, coloring
 from clawsq.cli import main
 from clawsq.corpus import (
     claw,
@@ -13,11 +15,13 @@ from clawsq.corpus import (
     cycle,
     default_corpus,
     gen_icosahedron,
+    gen_random_claw_free,
     octahedron,
     path,
     write_corpus,
     write_dimacs,
 )
+from clawsq.errors import InternalBoundViolation
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +40,15 @@ def strip_timings(text):
     report = json.loads(text)
     report.pop("timings", None)
     return report
+
+
+def subprocess_env():
+    """Environment whose PYTHONPATH reaches the package sources and the test helpers."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    paths = (str(here.parent / "src"), str(here), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    return env
 
 
 class TestAnalyze:
@@ -121,14 +134,11 @@ class TestColor:
         # python -O strips asserts; the coloring must still be verified.
         name, d, _, g = stress_family[-1]
         target = write_graph(tmp_path, f"{name}.col", g)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         done = subprocess.run(
             [sys.executable, "-O", "-m", "clawsq.cli", "color", target],
             capture_output=True,
             text=True,
-            env=env,
+            env=subprocess_env(),
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
@@ -142,11 +152,64 @@ class TestColor:
         assert code == 2
         assert json.loads(out)["claw_free"] is False
 
+    def test_one_claw_check_per_run(self, tmp_path, capsys, monkeypatch):
+        calls = record_calls(monkeypatch, analysis, "find_claw")
+        for name, g, expected in (("oct", octahedron(), 0), ("claw", claw(), 2)):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "color", write_graph(tmp_path, f"{name}.col", g))
+            assert code == expected
+            assert len(calls) == 1, name
+
     def test_malformed_input_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.col"
         bad.write_text("p edge 3 9\ne 1 2\n")
         code, _, err = run_cli(capsys, "color", str(bad))
         assert code == 1
+
+
+class TestBrokenRecoloring:
+    """A recoloring step that breaks the coloring exits 3, with or without -O."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return gen_random_claw_free(60, 4, 1)  # omega 4; 54 of its vertices peel
+
+    def test_in_process(self, tmp_path, capsys, monkeypatch, graph):
+        monkeypatch.setattr(
+            coloring, "_match_distinct", one_color_matching(coloring._match_distinct)
+        )
+        with pytest.raises(InternalBoundViolation):
+            coloring.color_square(graph)
+        code, out, err = run_cli(capsys, "color", write_graph(tmp_path, "g.col", graph))
+        assert code == 3 and out == ""
+        assert err.startswith("internal error:")
+
+    def test_optimized_interpreter(self, tmp_path, graph):
+        target = write_graph(tmp_path, "g.col", graph)
+        script = (
+            "import sys\n"
+            "from helpers import one_color_matching\n"
+            "from clawsq import coloring\n"
+            "from clawsq.cli import main\n"
+            "from clawsq.corpus import load_dimacs\n"
+            "from clawsq.errors import InternalBoundViolation\n"
+            "coloring._match_distinct = one_color_matching(coloring._match_distinct)\n"
+            "try:\n"
+            "    coloring.color_square(load_dimacs(sys.argv[1]))\n"
+            "except InternalBoundViolation:\n"
+            "    sys.exit(main(['color', sys.argv[1]]))\n"
+            "sys.exit('color_square returned a broken coloring')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script, target],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("internal error:")
 
 
 class TestVerifyLemmas:
@@ -161,6 +224,17 @@ class TestVerifyLemmas:
         assert report["files"] == 10
         assert report["failures"] == []
         assert report["claw_found"] is False
+
+    def test_one_claw_check_per_row(self, small_manifest, capsys, monkeypatch):
+        directory = small_manifest.parent
+        (directory / "planted.col").write_text(write_dimacs(claw()))
+        rows = json.loads(small_manifest.read_text())
+        rows.append({"id": "planted", "file": "planted.col"})
+        small_manifest.write_text(json.dumps(rows))
+        calls = record_calls(monkeypatch, analysis, "find_claw")
+        code, _, _ = run_cli(capsys, "verify-lemmas", str(small_manifest))
+        assert code == 2
+        assert len(calls) == len(rows) == 11
 
     def test_parallel_jobs_agree(self, small_manifest, capsys):
         code1, out1, _ = run_cli(capsys, "verify-lemmas", str(small_manifest))

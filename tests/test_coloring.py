@@ -5,7 +5,6 @@ import pytest
 
 from clawsq.coloring import (
     DEFAULT_NODE_LIMIT,
-    EngineParams,
     color_icosahedron,
     color_small_omega,
     color_square,
@@ -46,13 +45,14 @@ from clawsq.graph import (
     square,
 )
 from clawsq.oracle import exact_chromatic
-from clawsq.structure import krausz_partition, recognize_icosahedron, root_graph
+from clawsq.structure import classify, krausz_partition, recognize_icosahedron, root_graph
 
 from helpers import (
     brute_backtrack_within,
     brute_dsatur_order_greedy,
     brute_edge_conflict_graph,
     random_graph,
+    record_calls,
 )
 
 
@@ -131,43 +131,55 @@ class TestColorSquare:
             assert coloring.palette_size <= palette_bound(omega)
 
 
+class TestOneVerification:
+    def test_one_properness_check_per_color_square(self, monkeypatch, stress_family):
+        peeling = gen_random_claw_free(60, 4, 1)
+        assert classify(peeling, max_clique(peeling)[0]).kind == "reducible"
+        base = stress_family[0][3]
+        assert classify(base, max_clique(base)[0]).kind == "line_graph"
+        calls = record_calls(monkeypatch, Coloring, "is_proper_on")
+        for g in (peeling, base):
+            calls.clear()
+            color_square(g)
+            assert [sq for _, sq in calls] == [square(g)]
+
+
 class TestGreedyReduce:
     def test_octahedron_matches_oracle(self, octahedron_graph):
-        coloring = greedy_reduce(octahedron_graph, EngineParams.for_omega(3))
+        coloring = greedy_reduce(octahedron_graph, 3)
         assert verify_coloring(octahedron_graph, coloring)
         # The square of the octahedron is K6, so 6 colors are forced.
         assert coloring.palette_size == 6
         assert exact_chromatic(square(octahedron_graph), 10).value == 6
 
     def test_single_vertex(self):
-        coloring = greedy_reduce(build_graph(1, []), EngineParams.for_omega(3))
+        coloring = greedy_reduce(build_graph(1, []), 3)
         assert coloring.colors == (0,)
 
     def test_two_disjoint_edges(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        coloring = greedy_reduce(g, EngineParams.for_omega(3))
+        coloring = greedy_reduce(g, 3)
         assert verify_coloring(g, coloring)
         assert coloring.palette_size == 2
 
     def test_rejects_oversized_clique(self):
         with pytest.raises(ValueError):
-            greedy_reduce(complete(4), EngineParams.for_omega(3))
+            greedy_reduce(complete(4), 3)
 
     def test_omega_four_run(self):
         g, seeds_used = None, 0
         g = gen_random_claw_free(20, 4, 3, strategy="line-graph")
         assert max_clique(g)[0] == 4
-        coloring = greedy_reduce(g, EngineParams.for_omega(4))
+        coloring = greedy_reduce(g, 4)
         assert verify_coloring(g, coloring)
         assert coloring.palette_size <= 22
 
     def test_params_validation(self):
+        # The engine is defined for omega 3 and 4 only.
         with pytest.raises(ValueError):
-            EngineParams(9, 10, 3)
-        assert EngineParams.for_omega(3) == EngineParams(9, 9, 3)
-        assert EngineParams.for_omega(4) == EngineParams(21, 19, 4)
+            greedy_reduce(gen_random_claw_free(20, 5, 0), 5)
         with pytest.raises(ValueError):
-            EngineParams.for_omega(5)
+            greedy_reduce(path(4), 2)
 
 
 class TestReinsert:

@@ -55,6 +55,7 @@ from helpers import (
     brute_neighborhood_shape,
     girth,
     line_graph_mismatch,
+    record_calls,
 )
 from iso_util import is_isomorphic
 
@@ -307,6 +308,29 @@ class TestRootGraph:
         g = path(3)
         with pytest.raises(InvalidPartitionError):
             root_graph(g, [frozenset({0, 1})])
+
+    def test_rejects_bad_families_on_its_own(self, monkeypatch):
+        # root_graph does not call the partition check of krausz_partition.
+        monkeypatch.setattr(structure, "_validate_krausz", None)
+        p3 = path(3)
+        for g, family in (
+            (p3, [{0, 1, 2}]),  # a non-edge inside a clique
+            (p3, [{0, 1}]),  # an uncovered edge
+            (complete(3), [{0, 1, 2}, {0, 1}]),  # an edge covered twice
+            (claw(), [{0, 1}, {0, 2}, {0, 3}]),  # a vertex in three cliques
+            (p3, [{0, 1}, {1, 2}, {2}]),  # a clique of one vertex
+        ):
+            with pytest.raises(InvalidPartitionError):
+                root_graph(g, [frozenset(c) for c in family])
+        with pytest.raises(IndexError):
+            root_graph(p3, [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})])
+
+    def test_one_partition_check_per_classify(self, monkeypatch, line_petersen, stress_family):
+        calls = record_calls(monkeypatch, structure, "_validate_krausz")
+        for g in (line_petersen, stress_family[0][3]):
+            calls.clear()
+            assert classify(g, max_clique(g)[0]).kind == "line_graph"
+            assert len(calls) == 1
 
 
 class TestRootGraphMatchesReference:
