@@ -15,7 +15,7 @@ import sys
 from collections import deque
 from itertools import combinations, product
 
-from clawsq.corpus import gen_line_graph
+from clawsq.corpus import gen_line_graph, gen_random_claw_free, squared_cycle
 from clawsq.errors import NodeLimitExceeded
 from clawsq.graph import UNCOLORED, Graph, bits, build_graph, induced_subgraph
 from clawsq.structure import (
@@ -275,6 +275,21 @@ def stress_instances():
         edges = regular_root_girth5(n, d, seed)
         g, _ = gen_line_graph(build_graph(n, edges))
         out.append((name, d, edges, g))
+    return out
+
+
+def scaling_instances():
+    """(name, graph) for the smallest sizes of the peeling scaling family.
+
+    Random line graphs with clique number 3 and 4 and a squared cycle, each
+    on 200 vertices; every one of them peels through the inductive engine.
+    """
+    out = [
+        (f"random-w{omega}-n200-s{seed}", gen_random_claw_free(200, omega, seed))
+        for omega in (3, 4)
+        for seed in (1, 2)
+    ]
+    out.append(("squared-cycle-n200", squared_cycle(200)))
     return out
 
 
