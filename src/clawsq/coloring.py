@@ -1,10 +1,16 @@
 """Verified square colorings of claw-free graphs within clique-number bounds.
 
-The engine peels reducible vertices off with an explicit stack, colors the
-remaining base components directly (paths and cycles, the icosahedron, or a
-line graph via a strong edge coloring of its root), and then reinserts the
-peeled vertices, recoloring each neighborhood through a system of distinct
-representatives.
+The engine peels reducible vertices off one at a time, colors the remaining
+base components directly (paths and cycles, the icosahedron, or a line
+graph via a strong edge coloring of its root), and then reinserts the
+peeled vertices in reverse order, recoloring each neighborhood through a
+system of distinct representatives.
+
+Peeling is incremental (:func:`_peel`): square rows, live components,
+triangle and K4 membership and the reducible vertices of each case are
+kept across steps and updated only near the deleted vertex, and each step
+records just (vertex, case, kprime). Reinsertion works on the input graph
+with a mask of the vertices present, so no graph is kept per step.
 
 :func:`color_square` is the one place a coloring is checked: it verifies
 the final coloring against the square, and each component's palette
@@ -19,6 +25,7 @@ the pairing it is handed, because that comes from the caller.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
 
 from .analysis import require_claw_free
@@ -47,8 +54,8 @@ from .graph import (
 from .structure import (
     RootGraph,
     classify,
-    find_reducible_vertex,
     neighbor_degree_cap,
+    reduction_case,
     reduction_threshold,
 )
 
@@ -259,26 +266,50 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
     Backtracking over dynamically most-saturated vertices with new colors
     introduced in order (color symmetry breaking). The search keeps its
     own stack, one frame per colored vertex, so depth is not bounded by
-    the interpreter's recursion limit. Returns None when the search space
-    is exhausted; raises NodeLimitExceeded past the node budget.
+    the interpreter's recursion limit. Every vertex keeps a count of its
+    colored neighbors per color and its saturation, the number of colors
+    with a nonzero count, both updated as neighbors are colored and
+    uncolored; uncolored vertices sit in buckets by saturation, so a pick
+    looks only at the fullest non-empty bucket. Returns None when the
+    search space is exhausted; raises NodeLimitExceeded past the node
+    budget.
     """
     n = g.n
     if n == 0:
         return []
+    nbrs = [tuple(bits(row)) for row in g._adj]
+    degree = [len(row) for row in nbrs]
     colors = [UNCOLORED] * n
+    seen = [[0] * budget for _ in range(n)]
+    saturation = [0] * n
+    by_saturation = [set() for _ in range(max(budget, 0) + 1)]
+    by_saturation[0].update(range(n))
     nodes = 0
 
-    def pick():
-        best = None
-        best_key = None
-        for u in range(n):
-            if colors[u] != UNCOLORED:
-                continue
-            sat = len({colors[w] for w in bits(g._adj[u]) if colors[w] != UNCOLORED})
-            key = (sat, g.degree(u), -u)
-            if best is None or key > best_key:
-                best, best_key = u, key
-        return best
+    def shift(u, step):
+        if colors[u] == UNCOLORED:
+            by_saturation[saturation[u]].remove(u)
+            by_saturation[saturation[u] + step].add(u)
+        saturation[u] += step
+
+    def recolor(v, c):
+        """Give v color c, or take its color away when c is UNCOLORED."""
+        old = colors[v]
+        if old == UNCOLORED:
+            by_saturation[saturation[v]].remove(v)
+        else:
+            for u in nbrs[v]:
+                seen[u][old] -= 1
+                if not seen[u][old]:
+                    shift(u, -1)
+        colors[v] = c
+        if c == UNCOLORED:
+            by_saturation[saturation[v]].add(v)
+        else:
+            for u in nbrs[v]:
+                if not seen[u][c]:
+                    shift(u, 1)
+                seen[u][c] += 1
 
     def visit(used: int):
         """Count one search node; its frame, or None once every vertex is colored."""
@@ -286,22 +317,22 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
         nodes += 1
         if nodes > node_limit:
             raise NodeLimitExceeded(f"gave up after {node_limit} nodes")
-        v = pick()
-        if v is None:
+        fullest = next((bucket for bucket in reversed(by_saturation) if bucket), None)
+        if fullest is None:
             return None
-        taken = {colors[w] for w in bits(g._adj[v]) if colors[w] != UNCOLORED}
+        v = max(fullest, key=lambda u: (degree[u], -u))
         top = min(used + 1, budget)
-        return v, used, iter([c for c in range(top) if c not in taken])
+        return v, used, iter([c for c in range(top) if not seen[v][c]])
 
     stack = [visit(0)]  # n > 0, so some vertex is uncolored
     while stack:
         v, used, choices = stack[-1]
         c = next(choices, None)
         if c is None:
-            colors[v] = UNCOLORED
+            recolor(v, UNCOLORED)
             stack.pop()
             continue
-        colors[v] = c
+        recolor(v, c)
         frame = visit(max(used, c + 1))
         if frame is None:
             return colors
@@ -352,19 +383,22 @@ def _match_distinct(items, options):
     return {items[i]: val for val, i in owner.items()}
 
 
-def _reinsert_vertex(gr: Graph, v: int, case: str, kprime: int, after: list, K: int) -> list:
-    """Extend a proper square coloring of gr minus v to all of gr.
+def _reinsert_vertex(
+    g: Graph, alive: int, v: int, case: str, kprime: int, colors: list, K: int
+) -> None:
+    """Extend a proper square coloring of g[alive] minus v to all of g[alive], in place.
 
-    ``after`` is indexed in the deleted graph's labels. Recolors the
-    low-square-degree part S of N(v) with pairwise distinct colors drawn
-    from each vertex's available set (a system of distinct
-    representatives), then gives v a color unseen in its square
+    ``alive`` is a vertex mask of g that holds v, and ``colors`` is indexed
+    by the vertices of g; only its entries in ``alive`` other than v are
+    read. Recolors the low-square-degree part S of N(v) with pairwise
+    distinct colors drawn from each vertex's available set (a system of
+    distinct representatives), then gives v a color unseen in its square
     neighborhood. Only the square rows of v and N(v) are computed.
     """
-    colors = list(after[:v]) + [UNCOLORED] + list(after[v:])
+    avoid = ~alive
     threshold = kprime + 2 if case == "ii" else kprime + 1
-    nbrs = gr.neighbors(v)
-    rows = {x: square_row(gr, x) for x in (v, *nbrs)}
+    nbrs = tuple(bits(g._adj[v] & alive))
+    rows = {x: square_row(g, x, avoid) for x in (v, *nbrs)}
     s_vertices = [x for x in nbrs if rows[x].bit_count() <= threshold]
     s_mask = 1 << v
     for s in s_vertices:
@@ -389,27 +423,167 @@ def _reinsert_vertex(gr: Graph, v: int, case: str, kprime: int, after: list, K: 
             f"no color left for vertex {v}; its square degree exceeds the threshold"
         )
     colors[v] = free
-    return colors
 
 
-def _component_reduction(cur: Graph):
-    """Locate one reducible vertex in some component, or None when all are base."""
-    for comp in connected_components(cur):
-        if len(comp) <= 2:
+def _lowest(mask: int) -> int:
+    return mask & -mask
+
+
+def _in_triangle(adj, x: int) -> bool:
+    row = adj[x]
+    return any(adj[y] & row for y in bits(row))
+
+
+def _in_k4(adj, x: int) -> bool:
+    row = adj[x]
+    for y in bits(row):
+        common = adj[y] & row
+        if any(adj[z] & common for z in bits(common)):
+            return True
+    return False
+
+
+def _pieces(adj, comp: int, nbrs: int) -> list[int]:
+    """Connected pieces of ``comp``, a component that just lost a vertex with neighbors ``nbrs``.
+
+    Every piece holds a neighbor, and neighbors joined inside ``nbrs`` share
+    a piece, so one breadth-first search starts from each component of the
+    neighborhood and all advance a layer at a time: searches that meet
+    merge, one that runs out of frontier has found its piece, and the last
+    one left owns the rest. A connected neighborhood needs no search.
+    """
+    sides = []
+    rest = nbrs
+    while rest:
+        seen = frontier = _lowest(rest)
+        while frontier:
+            reach = 0
+            for x in bits(frontier):
+                reach |= adj[x]
+            frontier = reach & rest & ~seen
+            seen |= frontier
+        sides.append((seen, seen))
+        rest &= ~seen
+    done = []
+    while len(sides) > 1:
+        grown = []
+        for seen, frontier in sides:
+            reach = 0
+            for x in bits(frontier):
+                reach |= adj[x]
+            frontier = reach & ~seen
+            seen |= frontier
+            apart = []
+            for other_seen, other_frontier in grown:
+                if other_seen & seen:
+                    seen |= other_seen
+                    frontier |= other_frontier
+                else:
+                    apart.append((other_seen, other_frontier))
+            grown = apart + [(seen, frontier)]
+        sides = [side for side in grown if side[1]]
+        done += [seen for seen, frontier in grown if not frontier]
+    if sides:
+        covered = 0
+        for piece in done:
+            covered |= piece
+        done.append(comp & ~covered)
+    return done
+
+
+def _peel(g: Graph) -> tuple[Graph, list[int], list[tuple[int, str, int]]]:
+    """Delete reducible vertices until none is left, as the inductive proof does.
+
+    Returns the remaining graph, the original label of each of its
+    vertices, and one frame (original label, case, kprime) per deleted
+    vertex in deletion order. Each step deletes the smallest vertex
+    reducible by case iii, else by case ii, in the component with the
+    smallest member that has one, under the thresholds of that component's
+    clique number.
+
+    The working state is kept in the labels of the current graph ``cur``:
+    square rows, the live components (more than two vertices and clique
+    number 3 or 4, ordered by smallest member), the vertices on a triangle
+    and those on a K4 (the clique number is at most 4, so these give each
+    component's clique number), and the vertices reducible by case iii and
+    by case ii. Deleting v changes square rows beyond bit v, and triangles
+    and K4s, only on N(v); it changes reducibility only within distance 3
+    of v, or on all of a piece whose clique number, and with it the
+    threshold, drops. Only the component that held v can split.
+    """
+    cur = g
+    orig = list(range(g.n))
+    rows = [square_row(g, x) for x in range(g.n)]
+    tri = k4 = iii = ii = 0
+    for x in range(g.n):
+        tri |= _in_triangle(g._adj, x) << x
+        k4 |= _in_k4(g._adj, x) << x
+
+    def omega_of(mask):
+        return 4 if mask & k4 else 3 if mask & tri else 2
+
+    def examine(mask, w):
+        nonlocal iii, ii
+        kprime, cap = reduction_threshold(w), neighbor_degree_cap(w)
+        for x in bits(mask):
+            case = reduction_case(cur, x, rows, kprime, cap)
+            bit = 1 << x
+            iii = iii | bit if case == "iii" else iii & ~bit
+            ii = ii | bit if case == "ii" else ii & ~bit
+
+    comps = []
+    for comp in connected_components(g):
+        mask = 0
+        for x in comp:
+            mask |= 1 << x
+        w = omega_of(mask)
+        if len(comp) > 2 and w > 2:
+            examine(mask, w)
+            comps.append(mask)
+    frames = []
+    while comps:
+        comp = comps[0]
+        found = iii & comp or ii & comp
+        if not found:
+            # Deletions in other components cannot make anything here reducible.
+            del comps[0]
             continue
-        sub, old = induced_subgraph(cur, comp)
-        w = max_clique(sub)[0]
-        if w <= 2:
-            continue
-        red = find_reducible_vertex(
-            sub,
-            reduction_threshold(w),
-            neighbor_cap=neighbor_degree_cap(w),
-            allow_case_ii=True,
+        v = _lowest(found).bit_length() - 1
+        w = omega_of(comp)
+        frames.append((orig[v], "iii" if iii & comp else "ii", reduction_threshold(w)))
+        adj = cur._adj
+        nbrs = adj[v]
+        near = frontier = 1 << v
+        for _ in range(3):
+            reach = 0
+            for x in bits(frontier):
+                reach |= adj[x]
+            frontier = reach & ~near
+            near |= frontier
+
+        cur = delete_vertex(cur, v)
+        low = (1 << v) - 1
+        high = v + 1
+        del orig[v], rows[v]
+        rows = [(m & low) | (m >> high) << v for m in rows]
+        comps = [(m & low) | (m >> high) << v for m in comps[1:]]
+        comp, nbrs, near, tri, k4, iii, ii = (
+            (m & low) | (m >> high) << v for m in (comp, nbrs, near, tri, k4, iii, ii)
         )
-        if red is not None:
-            return old[red.vertex], red.case, red.kprime
-    return None
+        adj = cur._adj
+        for x in bits(nbrs):
+            rows[x] = square_row(cur, x)
+            bit = 1 << x
+            if tri & bit and not _in_triangle(adj, x):
+                tri ^= bit
+            if k4 & bit and not _in_k4(adj, x):
+                k4 ^= bit
+        for piece in _pieces(adj, comp, nbrs):
+            w_piece = omega_of(piece)
+            if piece.bit_count() > 2 and w_piece > 2:
+                examine(piece if w_piece < w else piece & near, w_piece)
+                insort(comps, piece, key=_lowest)
+    return cur, orig, frames
 
 
 def _color_line_graph_base(sub: Graph, root: RootGraph, node_limit: int) -> list:
@@ -463,19 +637,16 @@ def greedy_reduce(
         raise ValueError(f"the inductive engine is defined for omega 3 and 4, not {omega}")
     if max_clique(g)[0] > omega:
         raise ValueError(f"clique number exceeds omega {omega}")
-    frames = []
-    cur = g
-    while True:
-        found = _component_reduction(cur)
-        if found is None:
-            break
-        v, case, kprime = found
-        frames.append((cur, v, case, kprime))
-        cur = delete_vertex(cur, v)
-    colors = _color_base_components(cur, node_limit)
+    cur, orig, frames = _peel(g)
+    colors = [UNCOLORED] * g.n
+    alive = 0
+    for x, c in zip(orig, _color_base_components(cur, node_limit)):
+        colors[x] = c
+        alive |= 1 << x
     K = palette_bound(omega) - 1
-    for gr, v, case, kprime in reversed(frames):
-        colors = _reinsert_vertex(gr, v, case, kprime, colors, K)
+    for v, case, kprime in reversed(frames):
+        alive |= 1 << v
+        _reinsert_vertex(g, alive, v, case, kprime, colors, K)
     return Coloring(colors)
 
 

@@ -374,6 +374,33 @@ def _clique_in_deleted_square(g: Graph, vertices, v: int) -> bool:
     return True
 
 
+def reduction_case(
+    g: Graph, v: int, sq_rows, kprime: int, neighbor_cap: int | None = None
+) -> str | None:
+    """The recoloring case that makes ``v`` reducible in g: "iii", "ii" or None.
+
+    ``sq_rows`` holds the square rows of g. A vertex qualifies when its
+    square degree is at most ``kprime``, every neighbor's square degree is
+    at most ``neighbor_cap`` (when given), and the neighbors above the case
+    threshold form a clique in the square of g with v deleted: above
+    kprime+1 for case iii; above kprime+2 for case ii, which also needs a
+    neighbor of square degree at most kprime+1. Case iii wins when both
+    hold.
+    """
+    if sq_rows[v].bit_count() > kprime:
+        return None
+    nbrs = [(x, sq_rows[x].bit_count()) for x in bits(g._adj[v])]
+    if neighbor_cap is not None and any(d > neighbor_cap for _, d in nbrs):
+        return None
+    if _clique_in_deleted_square(g, [x for x, d in nbrs if d > kprime + 1], v):
+        return "iii"
+    if any(d <= kprime + 1 for _, d in nbrs) and _clique_in_deleted_square(
+        g, [x for x, d in nbrs if d > kprime + 2], v
+    ):
+        return "ii"
+    return None
+
+
 def find_reducible_vertex(
     g: Graph,
     kprime: int,
@@ -383,37 +410,21 @@ def find_reducible_vertex(
 ):
     """Smallest-index reducible vertex, preferring case iii over case ii.
 
-    A vertex qualifies when its square degree is at most ``kprime`` and the
-    neighbors exceeding the case threshold form a clique in the square of
-    the graph with the vertex deleted.  ``neighbor_cap``, when given,
-    additionally requires every neighbor's square degree to stay at or
-    below it.
+    Applies :func:`reduction_case` to every vertex: the first case-iii
+    vertex wins, otherwise the first case-ii one when ``allow_case_ii``.
     """
-    sq = square(g)
-    sq_deg = [sq.degree(v) for v in range(g.n)]
-
-    def candidates():
-        for v in range(g.n):
-            if sq_deg[v] > kprime:
-                continue
-            nbrs = g.neighbors(v)
-            if neighbor_cap is not None and any(sq_deg[x] > neighbor_cap for x in nbrs):
-                continue
-            yield v, nbrs
-
-    for v, nbrs in candidates():
-        b = [x for x in nbrs if sq_deg[x] > kprime + 1]
-        if _clique_in_deleted_square(g, b, v):
+    sq_rows = square(g)._adj
+    first_ii = None
+    for v in range(g.n):
+        case = reduction_case(g, v, sq_rows, kprime, neighbor_cap)
+        if case == "iii":
             return Reduction(v, "iii", None, kprime)
-    if allow_case_ii:
-        for v, nbrs in candidates():
-            xstars = [x for x in nbrs if sq_deg[x] <= kprime + 1]
-            if not xstars:
-                continue
-            b = [x for x in nbrs if sq_deg[x] > kprime + 2]
-            if _clique_in_deleted_square(g, b, v):
-                return Reduction(v, "ii", xstars[0], kprime)
-    return None
+        if case == "ii" and first_ii is None:
+            first_ii = v
+    if first_ii is None or not allow_case_ii:
+        return None
+    xstar = next(x for x in bits(g._adj[first_ii]) if sq_rows[x].bit_count() <= kprime + 1)
+    return Reduction(first_ii, "ii", xstar, kprime)
 
 
 def reduction_threshold(omega: int) -> int:

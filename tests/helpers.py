@@ -4,9 +4,10 @@ Everything here recomputes from first principles (BFS, subset enumeration,
 assignment enumeration, all-pairs scans) and deliberately shares no code
 path with the library routines it validates. Where the library replaced a
 simple routine with a faster one, the simple one lives on here unchanged.
-Also here: the girth-5 base-case stress family, the coloring digest the
-golden file uses, a call recorder for the tests that pin how often a fact
-is checked, and a deliberately broken recoloring step.
+Also here: the girth-5 base-case stress family, the peeling scaling
+family, relabelings and disjoint unions, the coloring digest the golden
+file uses, a call recorder for the tests that pin how often a fact is
+checked, and a deliberately broken recoloring step.
 """
 
 import hashlib
@@ -15,9 +16,21 @@ import sys
 from collections import deque
 from itertools import combinations, product
 
+from clawsq import graph
+from clawsq.coloring import _color_base_components, _match_distinct, palette_bound
 from clawsq.corpus import gen_line_graph, gen_random_claw_free, squared_cycle
-from clawsq.errors import NodeLimitExceeded
-from clawsq.graph import UNCOLORED, Graph, bits, build_graph, induced_subgraph
+from clawsq.errors import DEFAULT_NODE_LIMIT, InternalBoundViolation, NodeLimitExceeded
+from clawsq.graph import (
+    UNCOLORED,
+    Coloring,
+    Graph,
+    bits,
+    build_graph,
+    connected_components,
+    induced_subgraph,
+    max_clique,
+    square_row,
+)
 from clawsq.structure import (
     SHAPE_CLIQUE_PAIR,
     SHAPE_CLIQUE_PAIR_PLUS_EDGES,
@@ -25,6 +38,9 @@ from clawsq.structure import (
     SHAPE_OTHER,
     SHAPE_TWO_DISJOINT_EDGES,
     NeighborhoodShape,
+    find_reducible_vertex,
+    neighbor_degree_cap,
+    reduction_threshold,
 )
 
 
@@ -398,18 +414,22 @@ def brute_is_proper(g, colors):
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
-def record_calls(monkeypatch, owner, name):
+def record_calls(monkeypatch, owner, name, log=None):
     """Wrap ``owner.name`` for the test; returns the list of each call's arguments.
 
     ``from .graph import square`` gives every importing module its own
     binding, so a function is wrapped under every name a clawsq module
-    binds it to; a method is wrapped on its class.
+    binds it to; a method is wrapped on its class. When ``log`` is given,
+    each call also appends ``name`` to it, so several recorders sharing one
+    log show the order of calls across functions.
     """
     original = getattr(owner, name)
     calls = []
 
     def recorded(*args, **kwargs):
         calls.append(args)
+        if log is not None:
+            log.append(name)
         return original(*args, **kwargs)
 
     if isinstance(owner, type):
@@ -434,3 +454,109 @@ def one_color_matching(match):
         return dict.fromkeys(matched, min(matched.values(), default=0))
 
     return broken
+
+
+def relabel(g, perm):
+    """g with vertex v renamed perm[v]."""
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def disjoint_union(graphs, rng=None):
+    """Disjoint union of the graphs, each after the previous; labels shuffled by ``rng`` when given."""
+    edges = []
+    n = 0
+    for part in graphs:
+        edges += [(n + u, n + v) for u, v in part.edges()]
+        n += part.n
+    union = build_graph(n, edges)
+    if rng is None:
+        return union
+    return relabel(union, rng.sample(range(n), n))
+
+
+def _brute_component_reduction(cur):
+    """Locate one reducible vertex in some component, or None when all are base."""
+    for comp in connected_components(cur):
+        if len(comp) <= 2:
+            continue
+        sub, old = induced_subgraph(cur, comp)
+        w = max_clique(sub)[0]
+        if w <= 2:
+            continue
+        red = find_reducible_vertex(
+            sub,
+            reduction_threshold(w),
+            neighbor_cap=neighbor_degree_cap(w),
+            allow_case_ii=True,
+        )
+        if red is not None:
+            return old[red.vertex], red.case, red.kprime
+    return None
+
+
+def brute_reinsert_vertex(gr, v, case, kprime, after, K):
+    """Reinsertion on the graph v was deleted from, with ``after`` in the deleted graph's labels."""
+    colors = list(after[:v]) + [UNCOLORED] + list(after[v:])
+    threshold = kprime + 2 if case == "ii" else kprime + 1
+    nbrs = gr.neighbors(v)
+    rows = {x: square_row(gr, x) for x in (v, *nbrs)}
+    s_vertices = [x for x in nbrs if rows[x].bit_count() <= threshold]
+    s_mask = 1 << v
+    for s in s_vertices:
+        colors[s] = UNCOLORED
+        s_mask |= 1 << s
+    options = []
+    for s in s_vertices:
+        banned = {colors[u] for u in bits(rows[s] & ~s_mask)}
+        options.append([c for c in range(K + 1) if c not in banned])
+    matched = _match_distinct(s_vertices, options)
+    if matched is None:
+        raise InternalBoundViolation(
+            f"no distinct-representative recoloring for N({v}); this contradicts "
+            "the reduction guarantee"
+        )
+    for s, c in matched.items():
+        colors[s] = c
+    taken = {colors[u] for u in bits(rows[v])}
+    free = next((c for c in range(K + 1) if c not in taken), None)
+    if free is None:
+        raise InternalBoundViolation(
+            f"no color left for vertex {v}; its square degree exceeds the threshold"
+        )
+    colors[v] = free
+    return colors
+
+
+def brute_peel(g):
+    """Peel by recomputing components, cliques and squares at every step.
+
+    Returns the remaining graph and one (graph, vertex, case, kprime) frame
+    per peel. ``delete_vertex`` is looked up on ``clawsq.graph`` at each
+    call, so ``record_calls`` sees the reference's calls as it sees the
+    engine's.
+    """
+    frames = []
+    cur = g
+    while True:
+        found = _brute_component_reduction(cur)
+        if found is None:
+            break
+        v, case, kprime = found
+        frames.append((cur, v, case, kprime))
+        cur = graph.delete_vertex(cur, v)
+    return cur, frames
+
+
+def brute_greedy_reduce(g, omega, node_limit=DEFAULT_NODE_LIMIT):
+    """The inductive engine with one graph copy and a full recomputation per peel.
+
+    The base coloring, the distinct-representative matching and the
+    reducibility test are the library's; the peel loop and the
+    reinsertion are the ones the incremental engine replaced.
+    """
+    cur, frames = brute_peel(g)
+    colors = _color_base_components(cur, node_limit)
+    K = palette_bound(omega) - 1
+    for gr, v, case, kprime in reversed(frames):
+        colors = brute_reinsert_vertex(gr, v, case, kprime, colors, K)
+    return Coloring(colors)

@@ -21,11 +21,14 @@ from clawsq.coloring import (
 )
 from clawsq.corpus import (
     claw,
+    cocktail_party,
     complete,
     cycle,
     gen_icosahedron,
+    gen_line_graph,
     gen_random_claw_free,
     path,
+    squared_cycle,
 )
 from clawsq.errors import (
     BudgetExhaustedError,
@@ -35,7 +38,9 @@ from clawsq.errors import (
     NotSmallOmegaError,
     SizeMismatchError,
 )
+from clawsq import graph
 from clawsq.graph import (
+    UNCOLORED,
     Coloring,
     build_graph,
     connected_components,
@@ -51,8 +56,13 @@ from helpers import (
     brute_backtrack_within,
     brute_dsatur_order_greedy,
     brute_edge_conflict_graph,
+    brute_greedy_reduce,
+    brute_peel,
+    disjoint_union,
     random_graph,
     record_calls,
+    regular_root_girth5,
+    relabel,
 )
 
 
@@ -182,17 +192,132 @@ class TestGreedyReduce:
             greedy_reduce(path(4), 2)
 
 
+class TestPeelMatchesReference:
+    """The incremental engine deletes the same vertices, in the same graphs, as
+    the engine that recomputes everything per peel, and colors the same."""
+
+    @pytest.fixture
+    def same_as_reference(self, monkeypatch):
+        calls = record_calls(monkeypatch, graph, "delete_vertex")
+
+        def check(g, omega):
+            calls.clear()
+            coloring = greedy_reduce(g, omega)
+            engine_calls = list(calls)
+            calls.clear()
+            assert coloring == brute_greedy_reduce(g, omega)
+            assert engine_calls == calls
+            return len(calls)
+
+        return check
+
+    def test_corpus_components(self, corpus, same_as_reference):
+        components = peeled = 0
+        for entry in corpus:
+            for comp in connected_components(entry.graph):
+                sub, _ = induced_subgraph(entry.graph, comp)
+                omega = max_clique(sub)[0]
+                if omega in (3, 4):
+                    peeled += same_as_reference(sub, omega)
+                    components += 1
+        assert components > 250 and peeled > 1000
+
+    def test_random_line_graphs_and_blowups(self, same_as_reference):
+        rng = random.Random(5)
+        for i in range(60):
+            strategy = "line-graph" if i % 2 == 0 else "blowup"
+            g = gen_random_claw_free(rng.randint(10, 120), rng.choice((3, 4)), rng.randrange(10**6), strategy)
+            same_as_reference(g, max(3, max_clique(g)[0]))
+
+    def test_clique_number_drop_rethresholds_the_whole_component(self, same_as_reference):
+        # A pendant edge at root vertex 0 makes the edges there the only K4.
+        # The first peel deletes one of them, so the component's clique number
+        # falls to 3 and every vertex, near or far, must meet the lower threshold.
+        edges = regular_root_girth5(30, 3, 1) + [(0, 30)]
+        g, _ = gen_line_graph(build_graph(31, edges))
+        assert len(connected_components(g)) == 1 and max_clique(g)[0] == 4
+        kprimes = [kprime for _, _, _, kprime in brute_peel(g)[1]]
+        assert kprimes[0] == 19 and set(kprimes[1:]) == {9}
+        assert same_as_reference(g, 4) == len(kprimes)
+
+    def test_squared_cycles(self, same_as_reference):
+        for n in (*range(7, 30), 64, 101):
+            assert same_as_reference(squared_cycle(n), 3) > 0
+
+    def test_disjoint_unions_with_interleaved_labels(self, same_as_reference):
+        rng = random.Random(6)
+        for _ in range(20):
+            parts = [
+                gen_random_claw_free(rng.randint(5, 40), rng.choice((3, 4)), rng.randrange(10**6))
+                for _ in range(rng.randint(2, 3))
+            ]
+            g = disjoint_union(parts, rng)
+            same_as_reference(g, max(3, max_clique(g)[0]))
+
+    def test_no_whole_graph_work_between_peels(self, monkeypatch):
+        log = []
+        for name in ("delete_vertex", "square", "induced_subgraph", "connected_components", "max_clique"):
+            record_calls(monkeypatch, graph, name, log=log)
+        greedy_reduce(gen_random_claw_free(150, 4, 1), 4)
+        first = log.index("delete_vertex")
+        last = len(log) - 1 - log[::-1].index("delete_vertex")
+        assert last - first > 100
+        assert set(log[first : last + 1]) == {"delete_vertex"}
+
+
+def component_kinds(g):
+    kinds = []
+    for comp in connected_components(g):
+        sub, _ = induced_subgraph(g, comp)
+        kinds.append(classify(sub, max_clique(sub)[0]).kind)
+    return sorted(kinds)
+
+
+def claw_free_samples(rng, count):
+    """Seeded claw-free graphs of clique number 2 to 5, some disconnected."""
+    fixed = [gen_icosahedron(), squared_cycle(rng.randint(7, 40)), cycle(9), path(7), cocktail_party(3)]
+    drawn = [
+        gen_random_claw_free(
+            rng.randint(5, 60), rng.choice((3, 4, 5)), rng.randrange(10**6),
+            rng.choice(("line-graph", "blowup")),
+        )
+        for _ in range(count)
+    ]
+    return fixed + drawn
+
+
+class TestMetamorphic:
+    def test_relabeled_input_same_bound_and_kinds(self):
+        rng = random.Random(11)
+        for g in claw_free_samples(rng, 40):
+            h = relabel(g, rng.sample(range(g.n), g.n))
+            coloring = color_square(h)
+            assert verify_coloring(h, coloring)
+            assert coloring.palette_size <= palette_bound(max_clique(g)[0])
+            assert component_kinds(h) == component_kinds(g)
+
+    def test_disjoint_union_within_largest_part_bound(self):
+        rng = random.Random(12)
+        samples = claw_free_samples(rng, 30)
+        for _ in range(25):
+            parts = rng.sample(samples, rng.randint(2, 3))
+            g = disjoint_union(parts, rng if rng.random() < 0.5 else None)
+            coloring = color_square(g)
+            assert verify_coloring(g, coloring)
+            assert coloring.palette_size <= max(palette_bound(max_clique(p)[0]) for p in parts)
+
+
 class TestReinsert:
     def test_case_ii_path_recolors_neighborhood(self, octahedron_graph):
         g = octahedron_graph
-        after = list(color_square(delete_vertex(g, 0)).colors)
-        colors = _reinsert_vertex(g, 0, "ii", 9, after, 9)
+        colors = [UNCOLORED, *color_square(delete_vertex(g, 0)).colors]
+        _reinsert_vertex(g, (1 << g.n) - 1, 0, "ii", 9, colors, 9)
         assert Coloring(colors).is_proper_on(square(g))
 
     def test_case_iii_path(self, octahedron_graph):
         g = octahedron_graph
-        after = list(color_square(delete_vertex(g, 0)).colors)
-        colors = _reinsert_vertex(g, 0, "iii", 9, after, 9)
+        colors = [UNCOLORED, *color_square(delete_vertex(g, 0)).colors]
+        _reinsert_vertex(g, (1 << g.n) - 1, 0, "iii", 9, colors, 9)
         assert Coloring(colors).is_proper_on(square(g))
         neighborhood = [colors[x] for x in g.neighbors(0)]
         assert len(set(neighborhood)) == len(neighborhood)
