@@ -286,7 +286,7 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
     by_saturation[0].update(range(n))
     nodes = 0
 
-    def shift(u, step):
+    def resaturate(u, step):
         if colors[u] == UNCOLORED:
             by_saturation[saturation[u]].remove(u)
             by_saturation[saturation[u] + step].add(u)
@@ -301,14 +301,14 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
             for u in nbrs[v]:
                 seen[u][old] -= 1
                 if not seen[u][old]:
-                    shift(u, -1)
+                    resaturate(u, -1)
         colors[v] = c
         if c == UNCOLORED:
             by_saturation[saturation[v]].add(v)
         else:
             for u in nbrs[v]:
                 if not seen[u][c]:
-                    shift(u, 1)
+                    resaturate(u, 1)
                 seen[u][c] += 1
 
     def visit(used: int):
@@ -438,7 +438,8 @@ def _in_k4(adj, x: int) -> bool:
     row = adj[x]
     for y in bits(row):
         common = adj[y] & row
-        if any(adj[z] & common for z in bits(common)):
+        # An edge inside N(x) & N(y) needs two vertices there.
+        if common & (common - 1) and any(adj[z] & common for z in bits(common)):
             return True
     return False
 
@@ -491,8 +492,8 @@ def _pieces(adj, comp: int, nbrs: int) -> list[int]:
     return done
 
 
-def _peel(g: Graph) -> tuple[Graph, list[int], list[tuple[int, str, int]]]:
-    """Delete reducible vertices until none is left, as the inductive proof does.
+def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, int]]]:
+    """Delete reducible vertices of g, of clique number ``omega``, until none is left.
 
     Returns the remaining graph, the original label of each of its
     vertices, and one frame (original label, case, kprime) per deleted
@@ -516,8 +517,10 @@ def _peel(g: Graph) -> tuple[Graph, list[int], list[tuple[int, str, int]]]:
     rows = [square_row(g, x) for x in range(g.n)]
     tri = k4 = iii = ii = 0
     for x in range(g.n):
-        tri |= _in_triangle(g._adj, x) << x
-        k4 |= _in_k4(g._adj, x) << x
+        if omega > 2 and _in_triangle(g._adj, x):
+            tri |= 1 << x
+            if omega > 3 and _in_k4(g._adj, x):
+                k4 |= 1 << x
 
     def omega_of(mask):
         return 4 if mask & k4 else 3 if mask & tri else 2
@@ -635,9 +638,10 @@ def greedy_reduce(
     """
     if omega not in (3, 4):
         raise ValueError(f"the inductive engine is defined for omega 3 and 4, not {omega}")
-    if max_clique(g)[0] > omega:
+    clique_number = max_clique(g)[0]
+    if clique_number > omega:
         raise ValueError(f"clique number exceeds omega {omega}")
-    cur, orig, frames = _peel(g)
+    cur, orig, frames = _peel(g, clique_number)
     colors = [UNCOLORED] * g.n
     alive = 0
     for x, c in zip(orig, _color_base_components(cur, node_limit)):
