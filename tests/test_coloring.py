@@ -226,7 +226,8 @@ class TestPeelMatchesReference:
         rng = random.Random(5)
         for i in range(60):
             strategy = "line-graph" if i % 2 == 0 else "blowup"
-            g = gen_random_claw_free(rng.randint(10, 120), rng.choice((3, 4)), rng.randrange(10**6), strategy)
+            n, omega, seed = rng.randint(10, 120), rng.choice((3, 4)), rng.randrange(10**6)
+            g = gen_random_claw_free(n, omega, seed, strategy)
             same_as_reference(g, max(3, max_clique(g)[0]))
 
     def test_clique_number_drop_rethresholds_the_whole_component(self, same_as_reference):
@@ -256,7 +257,8 @@ class TestPeelMatchesReference:
 
     def test_no_whole_graph_work_between_peels(self, monkeypatch):
         log = []
-        for name in ("delete_vertex", "square", "induced_subgraph", "connected_components", "max_clique"):
+        watched = ("delete_vertex", "square", "induced_subgraph", "connected_components", "max_clique")
+        for name in watched:
             record_calls(monkeypatch, graph, name, log=log)
         greedy_reduce(gen_random_claw_free(150, 4, 1), 4)
         first = log.index("delete_vertex")
@@ -275,7 +277,13 @@ def component_kinds(g):
 
 def claw_free_samples(rng, count):
     """Seeded claw-free graphs of clique number 2 to 5, some disconnected."""
-    fixed = [gen_icosahedron(), squared_cycle(rng.randint(7, 40)), cycle(9), path(7), cocktail_party(3)]
+    fixed = [
+        gen_icosahedron(),
+        squared_cycle(rng.randint(7, 40)),
+        cycle(9),
+        path(7),
+        cocktail_party(3),
+    ]
     drawn = [
         gen_random_claw_free(
             rng.randint(5, 60), rng.choice((3, 4, 5)), rng.randrange(10**6),
