@@ -556,6 +556,7 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
         frames.append((orig[v], "iii" if iii & comp else "ii", reduction_threshold(w)))
         adj = cur._adj
         nbrs = adj[v]
+        # near: the vertices within distance 3 of v, where reducibility can change.
         near = frontier = 1 << v
         for _ in range(3):
             reach = 0
@@ -563,7 +564,6 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
                 reach |= adj[x]
             frontier = reach & ~near
             near |= frontier
-
         cur = delete_vertex(cur, v)
         low = (1 << v) - 1
         high = v + 1
