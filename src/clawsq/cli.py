@@ -188,7 +188,7 @@ def cmd_color(args) -> int:
     return EXIT_OK
 
 
-def _verify_one_file(task) -> dict:
+def _verify_manifest_row(task) -> dict:
     base, row = task
     entry_path = Path(base) / row["file"]
     out = {"id": row.get("id", row["file"]), "file": row["file"]}
@@ -228,9 +228,9 @@ def cmd_verify_lemmas(args) -> int:
     tasks = [(str(manifest_path.parent), row) for row in rows]
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_one_file, tasks))
+            results = list(pool.map(_verify_manifest_row, tasks))
     else:
-        results = [_verify_one_file(t) for t in tasks]
+        results = [_verify_manifest_row(t) for t in tasks]
     claw_hit = any("claw" in r for r in results)
     failures = [
         {"id": r["id"], **f}
@@ -379,7 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-limit",
         type=int,
         default=DEFAULT_NODE_LIMIT,
-        help="backtracking node budget for exact searches (default %(default)s)",
+        help=(
+            "node budget of each exact search; the strong edge coloring's one "
+            "saturation search counts every node, its greedy first descent "
+            "included (default %(default)s)"
+        ),
     )
     p.set_defaults(func=cmd_color)
 

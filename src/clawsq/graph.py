@@ -194,16 +194,6 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     return all(g._adj[v] & mask == mask & ~(1 << v) for v in vs)
 
 
-def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
-    """True when no two of the given vertices are adjacent."""
-    vs = list(set(vertices))
-    mask = 0
-    for v in vs:
-        g.check_vertex(v)
-        mask |= 1 << v
-    return all(g._adj[v] & mask == 0 for v in vs)
-
-
 def distance(g: Graph, u: int, v: int) -> int | None:
     """BFS distance between ``u`` and ``v``, or None when disconnected."""
     g.check_vertex(u)
@@ -283,10 +273,6 @@ def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
 
     expand(0, 0, (1 << n) - 1)
     return best_size, frozenset(bits(best_mask))
-
-
-def clique_number(g: Graph) -> int:
-    return max_clique(g)[0]
 
 
 class Coloring:

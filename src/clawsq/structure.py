@@ -237,10 +237,10 @@ def krausz_partition(g: Graph, omega: int) -> list[frozenset[int]] | None:
     Designates, for every vertex, the union of the vertex with each of its
     two covering cliques (cross edges stay out of the designated cliques
     and are emitted as 2-cliques when no designated clique covers them).
-    Verifies the partition properties rather than assuming them: every edge
-    in exactly one clique, every vertex in at most two, all cliques of at
-    most omega vertices. Returns None if construction or verification
-    fails.
+    Verifies the result rather than assuming it: every clique has at most
+    omega vertices, and :func:`root_graph` accepts the family, which holds
+    exactly when every edge lies in one clique and every vertex in at most
+    two. Returns None if construction or verification fails.
     """
     designated = set()
     for v in range(g.n):
@@ -257,7 +257,7 @@ def krausz_partition(g: Graph, omega: int) -> list[frozenset[int]] | None:
     extra = {frozenset(e) for e in g.edges() if e not in covered}
     cliques = sorted(designated | extra, key=sorted)
     try:
-        _validate_krausz(g, cliques)
+        root_graph(g, cliques)
     except InvalidPartitionError:
         return None
     return cliques
@@ -269,30 +269,6 @@ class RootGraph:
 
     f: Graph
     edge_of_vertex: tuple[tuple[int, int], ...]
-
-
-def _validate_krausz(g: Graph, cliques) -> None:
-    cover: dict[tuple[int, int], int] = {}
-    membership = [0] * g.n
-    for c in cliques:
-        members = sorted(c)
-        if len(members) < 2:
-            raise InvalidPartitionError("cliques in the partition need at least two vertices")
-        for u in members:
-            g.check_vertex(u)
-            membership[u] += 1
-        for i, u in enumerate(members):
-            for w in members[i + 1 :]:
-                if not g.has_edge(u, w):
-                    raise InvalidPartitionError(f"({u}, {w}) is not an edge")
-                cover[(u, w)] = cover.get((u, w), 0) + 1
-    for e in g.edges():
-        if cover.get(e, 0) != 1:
-            raise InvalidPartitionError(f"edge {e} covered {cover.get(e, 0)} times")
-    if len(cover) != g.edge_count:
-        raise InvalidPartitionError("partition covers a non-edge")
-    if any(count > 2 for count in membership):
-        raise InvalidPartitionError("a vertex belongs to more than two cliques")
 
 
 def root_graph(g: Graph, partition) -> RootGraph:

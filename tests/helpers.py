@@ -407,6 +407,26 @@ def line_graph_mismatch(g, edge_of_vertex):
     return False
 
 
+def brute_is_strong_edge_coloring(sec, f):
+    """Definition check of a strong edge coloring of f, over all edge pairs.
+
+    ``sec`` must list exactly the edges of f, and any two edges that share
+    an endpoint or are joined by an edge of f must carry distinct colors.
+    """
+    if sorted(sec.edges) != sorted(f.edges()):
+        return False
+    m = len(sec.edges)
+    for i in range(m):
+        u, v = sec.edges[i]
+        for j in range(i + 1, m):
+            x, y = sec.edges[j]
+            touching = len({u, v} & {x, y}) > 0
+            joined = f.has_edge(u, x) or f.has_edge(u, y) or f.has_edge(v, x) or f.has_edge(v, y)
+            if (touching or joined) and sec.colors[i] == sec.colors[j]:
+                return False
+    return True
+
+
 def brute_is_proper(g, colors):
     """Total and proper, by walking every edge of g."""
     if UNCOLORED in colors:

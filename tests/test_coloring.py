@@ -15,7 +15,6 @@ from clawsq.coloring import (
     trivial_greedy_square,
     verify_coloring,
     _backtrack_within,
-    _dsatur_order_greedy,
     _match_distinct,
     _reinsert_vertex,
 )
@@ -47,6 +46,7 @@ from clawsq.graph import (
     delete_vertex,
     induced_subgraph,
     max_clique,
+    max_degree,
     square,
 )
 from clawsq.oracle import exact_chromatic
@@ -57,6 +57,7 @@ from helpers import (
     brute_dsatur_order_greedy,
     brute_edge_conflict_graph,
     brute_greedy_reduce,
+    brute_is_strong_edge_coloring,
     brute_peel,
     disjoint_union,
     random_graph,
@@ -344,13 +345,13 @@ class TestStrongEdgeColoring:
     def test_star_needs_three(self):
         sec = strong_edge_color(claw(), 10)
         assert sec.palette_size == 3
-        assert sec.verify_on(claw())
+        assert brute_is_strong_edge_coloring(sec, claw())
 
     def test_k4_all_edges_distinct(self):
         sec = strong_edge_color(complete(4), 6)
         assert sec.palette_size == 6
         assert len(set(sec.colors)) == 6
-        assert sec.verify_on(complete(4))
+        assert brute_is_strong_edge_coloring(sec, complete(4))
 
     def test_k4_budget_five_is_infeasible(self):
         with pytest.raises(BudgetExhaustedError):
@@ -362,12 +363,20 @@ class TestStrongEdgeColoring:
         f = gen_blowup_c5(BlowupSpec((2, 2, 2, 2, 2)))
         sec = strong_edge_color(f, 20)
         assert sec.palette_size == 20
-        assert sec.verify_on(f)
+        assert brute_is_strong_edge_coloring(sec, f)
 
     def test_petersen_within_ten(self, petersen_graph):
         sec = strong_edge_color(petersen_graph, 10)
         assert sec.palette_size <= 10
-        assert sec.verify_on(petersen_graph)
+        assert brute_is_strong_edge_coloring(sec, petersen_graph)
+
+    def test_node_limit_counts_the_greedy_descent(self, petersen_graph):
+        # The Petersen graph's 15 edges fit 10 colors on the first descent,
+        # which takes 16 nodes: one per colored edge plus the closing one.
+        expected = strong_edge_color(petersen_graph, 10)
+        assert strong_edge_color(petersen_graph, 10, node_limit=16) == expected
+        with pytest.raises(NodeLimitExceeded):
+            strong_edge_color(petersen_graph, 10, node_limit=15)
 
     def test_conflict_graph_matches_definition(self, petersen_graph):
         conflict, edges = edge_conflict_graph(petersen_graph)
@@ -384,15 +393,18 @@ class TestStrongEdgeColoring:
 
 
 class TestBasePathMatchesReference:
-    """Conflict graphs and DSATUR colors equal the all-pairs and linear-scan versions."""
+    """Conflict graphs equal the all-pairs version; the search's first descent is DSATUR."""
 
     def assert_same(self, f):
         conflict, edges = edge_conflict_graph(f)
         expected, expected_edges = brute_edge_conflict_graph(f)
         assert edges == expected_edges
         assert conflict == expected and conflict.edge_count == expected.edge_count
-        assert _dsatur_order_greedy(f) == brute_dsatur_order_greedy(f)
-        assert _dsatur_order_greedy(conflict) == brute_dsatur_order_greedy(conflict)
+        # A budget of max degree + 1 colors never binds, so the search returns
+        # its first descent, the greedy DSATUR coloring.
+        for x in (f, conflict):
+            first_descent = _backtrack_within(x, max_degree(x) + 1, x.n + 1)
+            assert first_descent == brute_dsatur_order_greedy(x)
 
     def test_random_graphs(self):
         rng = random.Random(20)

@@ -22,7 +22,6 @@ from clawsq.graph import (
     distance,
     induced_subgraph,
     is_clique,
-    is_independent,
     max_clique,
     max_degree,
     square,
@@ -231,8 +230,6 @@ class TestSmallHelpers:
         g = octahedron()
         assert is_clique(g, {0, 2, 4})
         assert not is_clique(g, {0, 1, 2})
-        assert is_independent(g, {0, 1})
-        assert not is_independent(g, {0, 2})
 
     def test_max_degree(self):
         assert max_degree(path(4)) == 2

@@ -309,9 +309,7 @@ class TestRootGraph:
         with pytest.raises(InvalidPartitionError):
             root_graph(g, [frozenset({0, 1})])
 
-    def test_rejects_bad_families_on_its_own(self, monkeypatch):
-        # root_graph does not call the partition check of krausz_partition.
-        monkeypatch.setattr(structure, "_validate_krausz", None)
+    def test_rejects_bad_families_on_its_own(self):
         p3 = path(3)
         for g, family in (
             (p3, [{0, 1, 2}]),  # a non-edge inside a clique
@@ -326,11 +324,15 @@ class TestRootGraph:
             root_graph(p3, [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})])
 
     def test_one_partition_check_per_classify(self, monkeypatch, line_petersen, stress_family):
-        calls = record_calls(monkeypatch, structure, "_validate_krausz")
+        # krausz_partition checks its partition through root_graph, and
+        # classify then builds the root it returns.
+        log = []
+        for name in ("krausz_partition", "root_graph"):
+            record_calls(monkeypatch, structure, name, log=log)
         for g in (line_petersen, stress_family[0][3]):
-            calls.clear()
+            log.clear()
             assert classify(g, max_clique(g)[0]).kind == "line_graph"
-            assert len(calls) == 1
+            assert log == ["krausz_partition", "root_graph", "root_graph"]
 
 
 class TestRootGraphMatchesReference:
@@ -351,7 +353,7 @@ class TestRootGraphMatchesReference:
             checked += 1
         assert checked >= 20
 
-    def assert_one_edge_off_raises(self):
+    def test_one_edge_off_raises(self):
         for rng, g, partition in self.random_line_graphs():
             edge_of_vertex = root_graph(g, partition).edge_of_vertex
             u, w = sorted(rng.sample(range(g.n), 2))
@@ -359,13 +361,6 @@ class TestRootGraphMatchesReference:
             assert line_graph_mismatch(off, edge_of_vertex)
             with pytest.raises(InvalidPartitionError):
                 root_graph(off, partition)
-
-    def test_one_edge_off_raises(self, monkeypatch):
-        self.assert_one_edge_off_raises()
-        # Without the partition check up front, the line-graph comparison
-        # itself has to catch the extra or missing edge.
-        monkeypatch.setattr(structure, "_validate_krausz", lambda g, cliques: None)
-        self.assert_one_edge_off_raises()
 
 
 class TestStressFamily:
