@@ -155,15 +155,15 @@ def q_value(g: Graph, v: int, w: int) -> int:
 
     Neighborhoods are Ramsey-bounded, so an exhaustive matching search
     (with memoization on vertex masks) beats carrying a blossom
-    implementation around.
+    implementation around. The search runs on the complement rows of the
+    common neighborhood, kept as masks of g's own vertices.
     """
     if not g.has_edge(v, w):
         raise NotNeighborError(f"{w} is not a neighbor of {v}")
-    common = sorted(bits(g._adj[v] & g._adj[w]))
-    sub, _ = induced_subgraph(g, common)
-    comp = complement(sub)
-    full = (1 << comp.n) - 1
-    return _max_matching_mask(comp._adj, full, {})
+    adj = g._adj
+    common = adj[v] & adj[w]
+    anti = {u: common & ~adj[u] & ~(1 << u) for u in bits(common)}
+    return _max_matching_mask(anti, common, {})
 
 
 def independence_number(g: Graph) -> int:

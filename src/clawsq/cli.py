@@ -9,6 +9,7 @@ commands: 0 success, 1 input error, 2 claw-free precondition violated,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -349,7 +350,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and reused by every main call."""
     parser = _Parser(
         prog="clawsq",
         description=(

@@ -118,42 +118,31 @@ def _cycle_pattern(length: int) -> list[int]:
 def color_small_omega(g: Graph) -> Coloring:
     """Color the square of a disjoint union of paths and cycles with at most 5 colors.
 
-    Raises NotSmallOmegaError on a triangle or a vertex of degree 3 or more.
-    The coloring is returned unverified.
+    Each component is walked in g's own labels: a cycle (degree sum twice
+    its size) from its lowest vertex toward that vertex's lower neighbor, a
+    path from its lowest end. Raises NotSmallOmegaError on a triangle or a
+    vertex of degree 3 or more. The coloring is returned unverified.
     """
     if max_degree(g) > 2:
         raise NotSmallOmegaError("a vertex of degree 3 or more is present")
+    adj = g._adj
     colors = [UNCOLORED] * g.n
     for comp in connected_components(g):
-        members = sorted(comp)
-        sub, old = induced_subgraph(g, members)
-        size = sub.n
-        if sub.edge_count == size and size > 0:
+        size = len(comp)
+        if sum(adj[u].bit_count() for u in comp) == 2 * size:
             if size == 3:
                 raise NotSmallOmegaError("a triangle is present")
-            # walk the cycle starting at the lowest vertex, toward its
-            # lower-numbered neighbor
-            start = 0
-            prev, cur = start, min(sub.neighbors(start))
-            order = [start]
-            while cur != start:
-                order.append(cur)
-                a, b = sub.neighbors(cur)
-                prev, cur = cur, (b if a == prev else a)
+            cur = min(comp)
             pattern = _cycle_pattern(size)
         else:
-            ends = [v for v in range(size) if sub.degree(v) <= 1]
-            start = min(ends)
-            order = [start]
-            prev = None
-            cur = start
-            while len(order) < size:
-                nxt = [u for u in sub.neighbors(cur) if u != prev]
-                prev, cur = cur, nxt[0]
-                order.append(cur)
+            cur = min(u for u in comp if adj[u].bit_count() <= 1)
             pattern = _path_pattern(size)
-        for pos, local in enumerate(order):
-            colors[old[local]] = pattern[pos]
+        came_from = 0
+        for c in pattern:
+            colors[cur] = c
+            step = adj[cur] & ~came_from
+            came_from = 1 << cur
+            cur = (step & -step).bit_length() - 1
     return Coloring(colors)
 
 

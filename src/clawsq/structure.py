@@ -22,9 +22,6 @@ from .graph import (
     Graph,
     bits,
     build_graph,
-    connected_components,
-    distance,
-    induced_subgraph,
     max_degree,
     square,
     square_row,
@@ -60,26 +57,26 @@ class NeighborhoodShape:
         return tuple(sorted(len(p) for p in self.parts))
 
 
-def _is_five_cycle(g: Graph) -> bool:
-    return (
-        g.n == 5
-        and g.edge_count == 5
-        and all(g.degree(v) == 2 for v in range(5))
-        and len(connected_components(g)) == 1
-    )
+def _is_five_cycle(adj, mask: int) -> bool:
+    """Whether the vertices in ``mask`` induce a five-cycle, with ``adj`` the rows of g.
 
-
-def _complement_sides(sub: Graph) -> list[tuple[int, int]] | None:
-    """Color classes of each component of the complement of ``sub``, as bitmasks.
-
-    Components come in order of their lowest vertex, each with that vertex
-    in its first class, so vertex 0 leads the first class of the first one.
-    None when some component is not bipartite.
+    Five vertices that each have exactly two neighbors among them suffice:
+    a simple 2-regular graph is a union of cycles of length at least 3, and
+    on five vertices that leaves only the five-cycle.
     """
-    full = (1 << sub.n) - 1
-    anti = [full & ~row & ~(1 << i) for i, row in enumerate(sub._adj)]
+    return mask.bit_count() == 5 and all((adj[u] & mask).bit_count() == 2 for u in bits(mask))
+
+
+def _complement_sides(adj, mask: int) -> list[tuple[int, int]] | None:
+    """Color classes of each component of the complement of g[mask], as bitmasks of g.
+
+    ``adj`` holds the rows of g. Components come in order of their lowest
+    vertex, each with that vertex in its first class, so the lowest vertex
+    of ``mask`` leads the first class of the first one. None when some
+    component is not bipartite.
+    """
     sides = []
-    unseen = full
+    unseen = mask
     while unseen:
         frontier = unseen & -unseen
         classes = [frontier, 0]
@@ -88,7 +85,7 @@ def _complement_sides(sub: Graph) -> list[tuple[int, int]] | None:
         while frontier:
             reach = 0
             for u in bits(frontier):
-                reach |= anti[u]
+                reach |= mask & ~(adj[u] | 1 << u)
             # Edges leave a BFS layer only for its own or a neighboring
             # layer, so an edge into the current class closes an odd cycle.
             if reach & classes[parity]:
@@ -113,22 +110,24 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     A unique split with the fewest cross edges, at most two of them and
     non-incident when there are two, yields a tagged decomposition;
     anything else is ``five_cycle`` or ``other``, with ``ambiguous`` set
-    when several splits tie for the fewest cross edges.
+    when several splits tie for the fewest cross edges. Everything is
+    computed on masks of g's own rows, so parts and cross edges come out
+    in g's labels.
     """
-    nbrs = g.neighbors(v)
-    h = len(nbrs)
+    adj = g._adj
+    nbrs = g.adjacency_mask(v)
+    h = nbrs.bit_count()
     if h == 0:
         return NeighborhoodShape(SHAPE_CLIQUE_PAIR, (frozenset(), frozenset()))
-    sub, old = induced_subgraph(g, nbrs)
-    if _is_five_cycle(sub):
+    if _is_five_cycle(adj, nbrs):
         return NeighborhoodShape(SHAPE_FIVE_CYCLE, None)
-    sides = _complement_sides(sub)
+    sides = _complement_sides(adj, nbrs)
     if sides is None:
         return NeighborhoodShape(SHAPE_OTHER, None)
 
     # Bit a of once[i] is set when some orientation of components 0..i puts
-    # a vertices in A, with vertex 0 kept in A; bit a of twice when at least
-    # two orientations of all components do.
+    # a vertices in A, with the lowest neighbor kept in A; bit a of twice
+    # when at least two orientations of all components do.
     once = [1 << sides[0][0].bit_count()]
     twice = 0
     for x_side, y_side in sides[1:]:
@@ -140,7 +139,8 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     ties = [a for a in {size, h - size} if once[-1] >> a & 1]
     if len(ties) > 1 or twice >> ties[0] & 1:
         return NeighborhoodShape(SHAPE_OTHER, None, ambiguous=True)
-    best_k = size * (h - size) - (h * (h - 1) // 2 - sub.edge_count)
+    inner_edges = sum((adj[u] & nbrs).bit_count() for u in bits(nbrs)) // 2
+    best_k = size * (h - size) - (h * (h - 1) // 2 - inner_edges)
     if best_k > 2:
         return NeighborhoodShape(SHAPE_OTHER, None)
 
@@ -153,27 +153,20 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
         pick = x_side if a_size >= x and once[i - 1] >> (a_size - x) & 1 else y_side
         a_mask |= pick
         a_size -= pick.bit_count()
-    b_mask = ((1 << h) - 1) ^ a_mask
+    b_mask = nbrs ^ a_mask
     crosses = tuple(
-        sorted(
-            tuple(sorted((old[i], old[j])))
-            for i in bits(a_mask)
-            for j in bits(sub._adj[i] & b_mask)
-        )
+        sorted(tuple(sorted((i, j))) for i in bits(a_mask) for j in bits(adj[i] & b_mask))
     )
     if best_k == 2:
         (p1, q1), (p2, q2) = crosses
         if {p1, q1} & {p2, q2}:
             return NeighborhoodShape(SHAPE_OTHER, None)
-    part_a = frozenset(old[i] for i in bits(a_mask))
-    part_b = frozenset(old[i] for i in bits(b_mask))
+    part_a = frozenset(bits(a_mask))
+    part_b = frozenset(bits(b_mask))
     parts = tuple(sorted((part_a, part_b), key=lambda p: (len(p), sorted(p))))
     if best_k == 0:
-        kind = (
-            SHAPE_TWO_DISJOINT_EDGES
-            if (len(part_a), len(part_b)) in ((2, 2),)
-            else SHAPE_CLIQUE_PAIR
-        )
+        pair_of_edges = len(part_a) == len(part_b) == 2
+        kind = SHAPE_TWO_DISJOINT_EDGES if pair_of_edges else SHAPE_CLIQUE_PAIR
         return NeighborhoodShape(kind, parts)
     return NeighborhoodShape(SHAPE_CLIQUE_PAIR_PLUS_EDGES, parts, crosses)
 
@@ -206,41 +199,34 @@ def is_good_vertex(g: Graph, v: int, omega: int) -> bool:
 def recognize_icosahedron(g: Graph):
     """Antipodal pairing when g is the icosahedron, else None.
 
-    The icosahedron is the unique connected graph in which every
-    neighborhood induces a five-cycle; each vertex then has exactly one
-    vertex at distance 3.
+    Every connected graph whose neighborhoods all induce five-cycles is the
+    icosahedron, so on 12 vertices that test alone forces g to be one
+    icosahedron: 5-regular with 30 edges and connected, which therefore go
+    unchecked. Each vertex then has one antipode, at distance 3: the one
+    vertex outside its closed square neighborhood.
     """
-    if g.n != 12 or g.edge_count != 30:
+    if g.n != 12 or not all(_is_five_cycle(g._adj, row) for row in g._adj):
         return None
-    if any(g.degree(v) != 5 for v in range(12)):
-        return None
-    if len(connected_components(g)) != 1:
-        return None
+    everyone = (1 << 12) - 1
+    pairs = []
     for v in range(12):
-        sub, _ = induced_subgraph(g, g.neighbors(v))
-        if not _is_five_cycle(sub):
-            return None
-    antipode = {}
-    for v in range(12):
-        far = [u for u in range(12) if distance(g, v, u) == 3]
-        if len(far) != 1:
-            return None
-        antipode[v] = far[0]
-    if any(antipode[antipode[v]] != v for v in range(12)):
-        return None
-    return tuple(sorted((v, antipode[v]) for v in range(12) if v < antipode[v]))
+        far = everyone & ~(square_row(g, v) | 1 << v)
+        antipode = far.bit_length() - 1
+        if v < antipode:
+            pairs.append((v, antipode))
+    return tuple(pairs)
 
 
-def krausz_partition(g: Graph, omega: int) -> list[frozenset[int]] | None:
-    """Edge clique partition certifying that g is a line graph, or None.
+def _krausz_root(g: Graph, omega: int):
+    """(cliques, root) when the designated cliques of g form a Krausz partition, else None.
 
     Designates, for every vertex, the union of the vertex with each of its
     two covering cliques (cross edges stay out of the designated cliques
     and are emitted as 2-cliques when no designated clique covers them).
-    Verifies the result rather than assuming it: every clique has at most
-    omega vertices, and :func:`root_graph` accepts the family, which holds
-    exactly when every edge lies in one clique and every vertex in at most
-    two. Returns None if construction or verification fails.
+    None when some neighborhood has no covering pair, a clique would exceed
+    omega vertices, or :func:`root_graph` rejects the family, which happens
+    exactly when some edge is not in one clique or some vertex is in more
+    than two.
     """
     designated = set()
     for v in range(g.n):
@@ -257,10 +243,19 @@ def krausz_partition(g: Graph, omega: int) -> list[frozenset[int]] | None:
     extra = {frozenset(e) for e in g.edges() if e not in covered}
     cliques = sorted(designated | extra, key=sorted)
     try:
-        root_graph(g, cliques)
+        return cliques, root_graph(g, cliques)
     except InvalidPartitionError:
         return None
-    return cliques
+
+
+def krausz_partition(g: Graph, omega: int) -> list[frozenset[int]] | None:
+    """Edge clique partition certifying that g is a line graph, or None.
+
+    The cliques of :func:`_krausz_root`, which verifies them by building
+    the root graph rather than assuming them.
+    """
+    found = _krausz_root(g, omega)
+    return None if found is None else found[0]
 
 
 @dataclass(frozen=True)
@@ -377,17 +372,11 @@ def reduction_case(
     return None
 
 
-def find_reducible_vertex(
-    g: Graph,
-    kprime: int,
-    *,
-    neighbor_cap: int | None = None,
-    allow_case_ii: bool = True,
-):
+def find_reducible_vertex(g: Graph, kprime: int, *, neighbor_cap: int | None = None):
     """Smallest-index reducible vertex, preferring case iii over case ii.
 
     Applies :func:`reduction_case` to every vertex: the first case-iii
-    vertex wins, otherwise the first case-ii one when ``allow_case_ii``.
+    vertex wins, otherwise the first case-ii one.
     """
     sq_rows = square(g)._adj
     first_ii = None
@@ -397,7 +386,7 @@ def find_reducible_vertex(
             return Reduction(v, "iii", None, kprime)
         if case == "ii" and first_ii is None:
             first_ii = v
-    if first_ii is None or not allow_case_ii:
+    if first_ii is None:
         return None
     xstar = next(x for x in bits(g._adj[first_ii]) if sq_rows[x].bit_count() <= kprime + 1)
     return Reduction(first_ii, "ii", xstar, kprime)
@@ -439,8 +428,9 @@ class Classification:
 def classify(g: Graph, omega: int, *, check_claw_free: bool = True) -> Classification:
     """Dispatch a connected claw-free graph into its structural case.
 
-    Prefers a reducible vertex; falls back to icosahedron recognition
-    (omega 3 only) and then to line-graph recognition. Raises
+    Prefers a reducible vertex (from omega 5 up only by case iii); falls
+    back to icosahedron recognition (omega 3 only) and then to line-graph
+    recognition, which builds the root graph once. Raises
     UnclassifiableGraphError when nothing applies, which signals a bug or a
     violated precondition.
     """
@@ -449,22 +439,18 @@ def classify(g: Graph, omega: int, *, check_claw_free: bool = True) -> Classific
     if omega <= 2:
         return Classification("small_omega", omega)
     red = find_reducible_vertex(
-        g,
-        reduction_threshold(omega),
-        neighbor_cap=neighbor_degree_cap(omega),
-        allow_case_ii=omega <= 4,
+        g, reduction_threshold(omega), neighbor_cap=neighbor_degree_cap(omega)
     )
-    if red is not None:
+    # A case-ii result means no vertex is reducible by case iii.
+    if red is not None and (red.case == "iii" or omega <= 4):
         return Classification("reducible", omega, reduction=red)
     if omega == 3:
         pairing = recognize_icosahedron(g)
         if pairing is not None:
             return Classification("icosahedron", omega, antipodal_pairs=pairing)
-    partition = krausz_partition(g, omega)
-    if partition is not None:
-        root = root_graph(g, partition)
-        if max_degree(root.f) <= omega:
-            return Classification("line_graph", omega, root=root)
+    found = _krausz_root(g, omega)
+    if found is not None and max_degree(found[1].f) <= omega:
+        return Classification("line_graph", omega, root=found[1])
     raise UnclassifiableGraphError(
         f"no structural case applies (n={g.n}, omega={omega}); "
         "the input may contain a claw, or this is a bug"

@@ -17,18 +17,33 @@ from collections import deque
 from itertools import combinations, product
 
 from clawsq import graph
-from clawsq.coloring import _color_base_components, _match_distinct, palette_bound
+from clawsq.analysis import _max_matching_mask
+from clawsq.coloring import (
+    _color_base_components,
+    _cycle_pattern,
+    _match_distinct,
+    _path_pattern,
+    palette_bound,
+)
 from clawsq.corpus import gen_line_graph, gen_random_claw_free, squared_cycle
-from clawsq.errors import DEFAULT_NODE_LIMIT, InternalBoundViolation, NodeLimitExceeded
+from clawsq.errors import (
+    DEFAULT_NODE_LIMIT,
+    InternalBoundViolation,
+    NodeLimitExceeded,
+    NotNeighborError,
+    NotSmallOmegaError,
+)
 from clawsq.graph import (
     UNCOLORED,
     Coloring,
     Graph,
     bits,
     build_graph,
+    complement,
     connected_components,
     induced_subgraph,
     max_clique,
+    max_degree,
     square_row,
 )
 from clawsq.structure import (
@@ -434,6 +449,66 @@ def brute_is_proper(g, colors):
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
+# The subgraph-building q_value the library replaced. It shares the library's
+# matching search, so comparing the two checks the coordinates, not the search.
+def brute_q_value(g: Graph, v: int, w: int) -> int:
+    """Matching number of the complement of w's neighborhood inside N(v).
+
+    Neighborhoods are Ramsey-bounded, so an exhaustive matching search
+    (with memoization on vertex masks) beats carrying a blossom
+    implementation around.
+    """
+    if not g.has_edge(v, w):
+        raise NotNeighborError(f"{w} is not a neighbor of {v}")
+    common = sorted(bits(g._adj[v] & g._adj[w]))
+    sub, _ = induced_subgraph(g, common)
+    comp = complement(sub)
+    full = (1 << comp.n) - 1
+    return _max_matching_mask(comp._adj, full, {})
+
+
+def brute_color_small_omega(g: Graph) -> Coloring:
+    """Color the square of a disjoint union of paths and cycles with at most 5 colors.
+
+    Raises NotSmallOmegaError on a triangle or a vertex of degree 3 or more.
+    The coloring is returned unverified.
+    """
+    if max_degree(g) > 2:
+        raise NotSmallOmegaError("a vertex of degree 3 or more is present")
+    colors = [UNCOLORED] * g.n
+    for comp in connected_components(g):
+        members = sorted(comp)
+        sub, old = induced_subgraph(g, members)
+        size = sub.n
+        if sub.edge_count == size and size > 0:
+            if size == 3:
+                raise NotSmallOmegaError("a triangle is present")
+            # walk the cycle starting at the lowest vertex, toward its
+            # lower-numbered neighbor
+            start = 0
+            prev, cur = start, min(sub.neighbors(start))
+            order = [start]
+            while cur != start:
+                order.append(cur)
+                a, b = sub.neighbors(cur)
+                prev, cur = cur, (b if a == prev else a)
+            pattern = _cycle_pattern(size)
+        else:
+            ends = [v for v in range(size) if sub.degree(v) <= 1]
+            start = min(ends)
+            order = [start]
+            prev = None
+            cur = start
+            while len(order) < size:
+                nxt = [u for u in sub.neighbors(cur) if u != prev]
+                prev, cur = cur, nxt[0]
+                order.append(cur)
+            pattern = _path_pattern(size)
+        for pos, local in enumerate(order):
+            colors[old[local]] = pattern[pos]
+    return Coloring(colors)
+
+
 def record_calls(monkeypatch, owner, name, log=None):
     """Wrap ``owner.name`` for the test; returns the list of each call's arguments.
 
@@ -507,7 +582,6 @@ def _brute_component_reduction(cur):
             sub,
             reduction_threshold(w),
             neighbor_cap=neighbor_degree_cap(w),
-            allow_case_ii=True,
         )
         if red is not None:
             return old[red.vertex], red.case, red.kprime

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from clawsq.errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaEr
 from clawsq.graph import build_graph, is_clique, max_clique
 from clawsq.oracle import brute_force_claw_free
 
-from helpers import has_claw_triples
+from helpers import brute_q_value, has_claw_triples, random_graph
 
 
 class TestFindClaw:
@@ -191,6 +192,15 @@ class TestQValue:
                 z = z_set(g, v)
                 for w in g.neighbors(v):
                     assert (q_value(g, v, w) >= 1) == (w in z)
+
+    def test_matches_reference(self, corpus):
+        rng = random.Random(71)
+        graphs = [entry.graph for entry in corpus] + [
+            random_graph(rng, rng.randint(2, 20), rng.random()) for _ in range(100)
+        ]
+        for g in graphs:
+            for v, w in g.edges():
+                assert q_value(g, v, w) == brute_q_value(g, v, w), (g, v, w)
 
 
 class TestSecondNeighborhoodBounds:

@@ -5,9 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import one_color_matching, record_calls
+from helpers import disjoint_union, one_color_matching, record_calls
 
-from clawsq import analysis, coloring
+from clawsq import analysis, coloring, graph
 from clawsq.cli import main
 from clawsq.corpus import (
     claw,
@@ -15,9 +15,11 @@ from clawsq.corpus import (
     cycle,
     default_corpus,
     gen_icosahedron,
+    gen_line_graph,
     gen_random_claw_free,
     octahedron,
     path,
+    petersen,
     write_corpus,
     write_dimacs,
 )
@@ -95,6 +97,19 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", target)
         assert code == 0
         assert json.loads(out)["ambiguous_neighborhoods"] == list(range(2 * k))
+
+    def test_one_induced_subgraph_per_component(self, tmp_path, capsys, monkeypatch):
+        # Neighborhoods, q values and the icosahedron test read g's own rows;
+        # only the classification of each component builds a subgraph.
+        line_petersen, _ = gen_line_graph(petersen())
+        g = disjoint_union([gen_icosahedron(), line_petersen, octahedron(), cycle(7), path(3)])
+        target = write_graph(tmp_path, "union.col", g)
+        calls = record_calls(monkeypatch, graph, "induced_subgraph")
+        code, out, _ = run_cli(capsys, "analyze", target)
+        assert code == 0
+        kinds = [c["kind"] for c in json.loads(out)["classification"]]
+        assert kinds == ["icosahedron", "line_graph", "reducible", "small_omega", "small_omega"]
+        assert len(calls) == 5
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/g.col")
@@ -336,6 +351,23 @@ class TestGenerate:
     def test_bad_subcommand_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "generate", "nonsense")
         assert code == 1
+
+    def test_calls_in_one_process_behave_as_alone(self, capsys):
+        # main reuses one parser: a failed parse must leave nothing behind.
+        runs = (["generate", "random", "--n", "x"], ["generate", "random", "--seed", "3"])
+        alone = []
+        for argv in runs:
+            done = subprocess.run(
+                [sys.executable, "-m", "clawsq.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=subprocess_env(),
+                timeout=60,
+            )
+            alone.append((done.returncode, done.stdout, done.stderr))
+        together = [run_cli(capsys, *argv) for argv in runs]
+        assert together == alone
+        assert [code for code, _, _ in together] == [1, 0]
 
 
 class TestDeterminism:

@@ -54,6 +54,7 @@ from clawsq.structure import classify, krausz_partition, recognize_icosahedron, 
 
 from helpers import (
     brute_backtrack_within,
+    brute_color_small_omega,
     brute_dsatur_order_greedy,
     brute_edge_conflict_graph,
     brute_greedy_reduce,
@@ -534,6 +535,21 @@ class TestSmallOmega:
     def test_rejects_degree_three(self):
         with pytest.raises(NotSmallOmegaError):
             color_small_omega(claw())
+
+    def test_matches_reference_on_shuffled_unions(self):
+        rng = random.Random(72)
+        for _ in range(100):
+            parts = [
+                cycle(rng.randint(4, 13)) if rng.random() < 0.5 else path(rng.randint(1, 13))
+                for _ in range(rng.randint(1, 5))
+            ]
+            g = disjoint_union(parts, rng)
+            assert color_small_omega(g).colors == brute_color_small_omega(g).colors
+        for bad in ([path(4), cycle(3)], [cycle(5), claw()]):
+            g = disjoint_union(bad, rng)
+            for color in (color_small_omega, brute_color_small_omega):
+                with pytest.raises(NotSmallOmegaError):
+                    color(g)
 
 
 class TestTrivialGreedy:

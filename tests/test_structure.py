@@ -56,6 +56,7 @@ from helpers import (
     girth,
     line_graph_mismatch,
     record_calls,
+    relabel,
 )
 from iso_util import is_isomorphic
 
@@ -240,6 +241,19 @@ class TestRecognizeIcosahedron:
         assert all(g.degree(v) == 5 for v in range(12))
         assert recognize_icosahedron(g) is None
 
+    def test_relabelings_and_one_moved_edge(self, icosahedron):
+        pairing = recognize_icosahedron(icosahedron)
+        rng = random.Random(73)
+        for _ in range(20):
+            perm = rng.sample(range(12), 12)
+            g = relabel(icosahedron, perm)
+            expected = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in pairing))
+            assert recognize_icosahedron(g) == expected
+            edges = set(g.edges())
+            gone = rng.choice(sorted(edges))
+            added = rng.choice(sorted(set(combinations(range(12), 2)) - edges))
+            assert recognize_icosahedron(build_graph(12, (edges - {gone}) | {added})) is None
+
 
 class TestKrausz:
     def test_line_petersen_ten_triangles(self, line_petersen):
@@ -324,15 +338,14 @@ class TestRootGraph:
             root_graph(p3, [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})])
 
     def test_one_partition_check_per_classify(self, monkeypatch, line_petersen, stress_family):
-        # krausz_partition checks its partition through root_graph, and
-        # classify then builds the root it returns.
+        # classify builds the root once; that build is the partition check.
         log = []
         for name in ("krausz_partition", "root_graph"):
             record_calls(monkeypatch, structure, name, log=log)
         for g in (line_petersen, stress_family[0][3]):
             log.clear()
             assert classify(g, max_clique(g)[0]).kind == "line_graph"
-            assert log == ["krausz_partition", "root_graph", "root_graph"]
+            assert log == ["root_graph"]
 
 
 class TestRootGraphMatchesReference:
@@ -381,7 +394,6 @@ class TestStressFamily:
                     g,
                     reduction_threshold(omega),
                     neighbor_cap=neighbor_degree_cap(omega),
-                    allow_case_ii=True,
                 )
                 is None
             ), name
@@ -455,6 +467,20 @@ class TestClassify:
         # Dense line graph: every square degree is 9, far below 19.
         outcome = classify(line_k5(), 4)
         assert outcome.kind == "reducible"
+
+    def test_case_ii_reduces_only_below_omega_five(self, monkeypatch):
+        # In L(K_{5,5}) (omega 5) and L(K5) (omega 4) every vertex is
+        # reducible by case iii; with every vertex reported as case ii
+        # instead, classify keeps the case-ii vertex at omega 4 and passes
+        # over it at omega 5, where L(K_{5,5}) is then a line graph.
+        rook, _ = gen_line_graph(build_graph(10, [(i, 5 + j) for i in range(5) for j in range(5)]))
+        assert max_clique(rook)[0] == 5
+        assert classify(rook, 5).reduction.case == "iii"
+        monkeypatch.setattr(structure, "reduction_case", lambda *args: "ii")
+        kprime, cap = reduction_threshold(5), neighbor_degree_cap(5)
+        assert find_reducible_vertex(rook, kprime, neighbor_cap=cap).case == "ii"
+        assert classify(rook, 5).kind == "line_graph"
+        assert classify(line_k5(), 4).reduction.case == "ii"
 
     def test_squared_cycles_classify(self):
         for n in range(7, 15):
