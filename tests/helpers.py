@@ -5,9 +5,10 @@ assignment enumeration, all-pairs scans) and deliberately shares no code
 path with the library routines it validates. Where the library replaced a
 simple routine with a faster one, the simple one lives on here unchanged.
 Also here: the girth-5 base-case stress family, the peeling scaling
-family, relabelings and disjoint unions, the coloring digest the golden
-file uses, a call recorder for the tests that pin how often a fact is
-checked, and a deliberately broken recoloring step.
+family, the omega sweep of the lemma suite, relabelings and disjoint
+unions, the coloring digest the golden file uses, a call recorder for the
+tests that pin how often a fact is checked, and a deliberately broken
+recoloring step.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from clawsq.coloring import (
     _path_pattern,
     palette_bound,
 )
-from clawsq.corpus import gen_line_graph, gen_random_claw_free, squared_cycle
+from clawsq.corpus import cocktail_party, gen_line_graph, gen_random_claw_free, squared_cycle
 from clawsq.errors import (
     DEFAULT_NODE_LIMIT,
     InternalBoundViolation,
@@ -322,6 +323,23 @@ def scaling_instances():
     ]
     out.append(("squared-cycle-n200", squared_cycle(200)))
     return out
+
+
+def lemma_sweep_instances():
+    """(name, graph, omega) for the lemma suite at every omega from 2 to the clique number.
+
+    Seeded random line graphs with clique number 5 and the cocktail parties
+    K_{k x 2} for k <= 10. At its own clique number no vertex of these
+    graphs reaches degree 2*omega - 1, so the smaller omegas are what run the
+    saturation, half-degree, matching-weighted and square-degree-cap reports.
+    """
+    graphs = [(f"random-w5-n60-s{seed}", gen_random_claw_free(60, 5, seed)) for seed in (1, 2, 3)]
+    graphs += [(f"cocktail-{k}x2", cocktail_party(k)) for k in range(2, 11)]
+    return [
+        (f"{name}-omega{omega}", g, omega)
+        for name, g in graphs
+        for omega in range(2, max_clique(g)[0] + 1)
+    ]
 
 
 def coloring_digest(colors):

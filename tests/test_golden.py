@@ -1,21 +1,39 @@
-"""Square colorings pinned by digest, so rewrites of hot code keep their output.
+"""Outputs pinned by digest, so rewrites of hot code keep them.
 
 ``golden_colorings.json`` holds ``coloring_digest(color_square(g).colors)``
 for every corpus entry, every stress-family instance and the 200-vertex
-members of the peeling scaling family. A change that alters a coloring on
-purpose regenerates the file with
+members of the peeling scaling family. ``golden_reports.json`` holds the
+sha256 of the ``as_dict`` list that ``run_lemma_suite`` returns for every
+corpus entry and every stress-family instance (at the graph's clique
+number, at least 2) and for every case of the omega sweep, and the sha256
+of every corpus entry's ``clawsq analyze`` report without ``timings`` and
+with ``input`` cut to the file name. A change that alters any of these on
+purpose regenerates both files with
 ``PYTHONPATH=src:tests python tests/test_golden.py`` and says why.
 """
 
+import hashlib
+import io
 import json
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
-from helpers import coloring_digest, scaling_instances, stress_instances
+from helpers import (
+    coloring_digest,
+    lemma_sweep_instances,
+    scaling_instances,
+    stress_instances,
+)
 
+from clawsq.analysis import run_lemma_suite
+from clawsq.cli import main
 from clawsq.coloring import color_square
-from clawsq.corpus import default_corpus
+from clawsq.corpus import default_corpus, write_corpus
+from clawsq.graph import max_clique
 
 GOLDEN = Path(__file__).with_name("golden_colorings.json")
+GOLDEN_REPORTS = Path(__file__).with_name("golden_reports.json")
 
 
 def current_digests(corpus, stress, scaling):
@@ -28,15 +46,72 @@ def current_digests(corpus, stress, scaling):
     }
 
 
+def text_digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def lemma_digest(g, omega):
+    return text_digest(json.dumps([r.as_dict() for r in run_lemma_suite(g, omega)]))
+
+
+def lemma_digests(corpus, stress, sweep):
+    return {
+        "corpus": {e.id: lemma_digest(e.graph, max(e.known["omega"], 2)) for e in corpus},
+        "stress": {
+            name: lemma_digest(g, max(max_clique(g)[0], 2)) for name, _, _, g in stress
+        },
+        "sweep": {name: lemma_digest(g, omega) for name, g, omega in sweep},
+    }
+
+
+def analyze_digests(corpus, directory):
+    write_corpus(corpus, directory)
+    out = {}
+    for entry in corpus:
+        name = f"{entry.id}.col"
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(["analyze", str(Path(directory) / name)]) == 0
+        report = json.loads(buf.getvalue())
+        del report["timings"]
+        report["input"] = name
+        out[entry.id] = text_digest(json.dumps(report, sort_keys=True, indent=2))
+    return out
+
+
+def assert_same_digests(current, golden):
+    changed = sorted(k for k, v in current.items() if golden.get(k) != v)
+    assert not changed and current.keys() == golden.keys(), changed[:10]
+
+
 def test_colorings_match_golden(corpus, stress_family):
     golden = json.loads(GOLDEN.read_text())
     current = current_digests(corpus, stress_family, scaling_instances())
     assert current["stress"] == golden["stress"]
     assert current["scaling"] == golden["scaling"]
-    changed = sorted(k for k, v in current["corpus"].items() if golden["corpus"].get(k) != v)
-    assert not changed and current["corpus"].keys() == golden["corpus"].keys()
+    assert_same_digests(current["corpus"], golden["corpus"])
+
+
+def test_lemma_reports_match_golden(corpus, stress_family):
+    golden = json.loads(GOLDEN_REPORTS.read_text())["lemmas"]
+    current = lemma_digests(corpus, stress_family, lemma_sweep_instances())
+    assert current["stress"] == golden["stress"]
+    assert_same_digests(current["sweep"], golden["sweep"])
+    assert_same_digests(current["corpus"], golden["corpus"])
+
+
+def test_analyze_reports_match_golden(corpus, tmp_path):
+    golden = json.loads(GOLDEN_REPORTS.read_text())["analyze"]
+    assert_same_digests(analyze_digests(corpus, tmp_path), golden)
 
 
 if __name__ == "__main__":
-    digests = current_digests(default_corpus(), stress_instances(), scaling_instances())
+    corpus, stress = default_corpus(), stress_instances()
+    digests = current_digests(corpus, stress, scaling_instances())
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as directory:
+        reports = {
+            "analyze": analyze_digests(corpus, directory),
+            "lemmas": lemma_digests(corpus, stress, lemma_sweep_instances()),
+        }
+    GOLDEN_REPORTS.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
