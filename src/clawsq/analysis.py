@@ -3,7 +3,10 @@
 Every inequality is exposed twice: as a plain computation (sets, counts,
 matching numbers) and as a :class:`LemmaReport` that records both sides of
 the bound exactly. Right-hand sides stay rational (`fractions.Fraction`),
-never floating point, so "holds" is never a tolerance question.
+never floating point, so "holds" is never a tolerance question. The report
+families compute on masks of the adjacency rows: clique and stability
+numbers of N(v) by one clique search, exteriors by popcounts, and q once
+per edge, since it is symmetric and Z(v) is where it is positive.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaError
-from .graph import Graph, bits, complement, induced_subgraph, max_clique, square
+from .graph import Graph, bits, max_clique_within, square_row
 
 # Exact values of the Ramsey numbers R(k, 3) for small k; past the table the
 # binomial upper bound C(k+1, 2) is used, which keeps every bound valid.
@@ -54,9 +57,7 @@ class LemmaReport:
 
 
 def _report(lemma_id, vertex, neighbor, lhs, rhs) -> LemmaReport:
-    lhs = Fraction(lhs)
-    rhs = Fraction(rhs)
-    return LemmaReport(lemma_id, vertex, neighbor, lhs, rhs, lhs <= rhs)
+    return LemmaReport(lemma_id, vertex, neighbor, Fraction(lhs), Fraction(rhs), lhs <= rhs)
 
 
 def find_claw(g: Graph) -> ClawWitness | None:
@@ -153,10 +154,13 @@ def _max_matching_mask(adj_masks, mask, memo):
 def q_value(g: Graph, v: int, w: int) -> int:
     """Matching number of the complement of w's neighborhood inside N(v).
 
-    Neighborhoods are Ramsey-bounded, so an exhaustive matching search
-    (with memoization on vertex masks) beats carrying a blossom
-    implementation around. The search runs on the complement rows of the
-    common neighborhood, kept as masks of g's own vertices.
+    That neighborhood is N(v) ∩ N(w), so q depends on the edge alone and
+    q(v, w) = q(w, v); it is positive iff N(v) ∩ N(w) is not a clique, so
+    ``z_set(g, v)`` = {w : q(v, w) >= 1}. Neighborhoods are Ramsey-bounded,
+    so an exhaustive matching search (with memoization on vertex masks)
+    beats carrying a blossom implementation around. The search runs on the
+    complement rows of the common neighborhood, kept as masks of g's own
+    vertices.
     """
     if not g.has_edge(v, w):
         raise NotNeighborError(f"{w} is not a neighbor of {v}")
@@ -166,9 +170,15 @@ def q_value(g: Graph, v: int, w: int) -> int:
     return _max_matching_mask(anti, common, {})
 
 
-def independence_number(g: Graph) -> int:
-    """Size of a largest independent set (max clique of the complement)."""
-    return max_clique(complement(g))[0]
+def q_rows(g: Graph) -> list[dict[int, int]]:
+    """``rows[v][w] = q_value(g, v, w)`` for every edge, each row in increasing w.
+
+    q is symmetric, so each edge's value is computed once and put in both rows.
+    """
+    rows = [{} for _ in range(g.n)]
+    for v, w in g.edges():
+        rows[v][w] = rows[w][v] = q_value(g, v, w)
+    return rows
 
 
 def check_degree_lemma(g: Graph, omega: int) -> list[LemmaReport]:
@@ -183,17 +193,16 @@ def check_degree_lemma(g: Graph, omega: int) -> list[LemmaReport]:
 
 def _degree_reports(g: Graph, omega: int) -> list[LemmaReport]:
     r = ramsey_bound(omega)
+    adj = g._adj
+    full = (1 << g.n) - 1
+    anti = [full & ~(row | 1 << u) for u, row in enumerate(adj)]
     reports = []
-    for v in range(g.n):
-        deg = g.degree(v)
-        reports.append(_report("degree-below-ramsey", v, None, deg, r - 1))
-        sub, _ = induced_subgraph(g, g.neighbors(v))
-        reports.append(
-            _report("neighborhood-clique-cap", v, None, max_clique(sub)[0], omega - 1)
-        )
-        reports.append(
-            _report("neighborhood-stability-cap", v, None, independence_number(sub), 2)
-        )
+    for v, nv in enumerate(adj):
+        reports.append(_report("degree-below-ramsey", v, None, nv.bit_count(), r - 1))
+        clique = max_clique_within(adj, nv)[0]
+        reports.append(_report("neighborhood-clique-cap", v, None, clique, omega - 1))
+        stable = max_clique_within(anti, nv)[0]
+        reports.append(_report("neighborhood-stability-cap", v, None, stable, 2))
     return reports
 
 
@@ -204,17 +213,17 @@ def check_exterior_bounds(g: Graph, omega: int) -> list[LemmaReport]:
 
 
 def _exterior_reports(g: Graph, omega: int) -> list[LemmaReport]:
+    adj = g._adj
     reports = []
-    for v in range(g.n):
-        for w in g.neighbors(v):
-            ext = exterior_neighbors(g, v, w)
-            reports.append(_report("exterior-size", v, w, len(ext), omega - 1))
-            nonedges = sum(
-                1
-                for x in ext
-                for y in ext
-                if x < y and not g.has_edge(x, y)
-            )
+    for v, nv in enumerate(adj):
+        outside = ~(nv | 1 << v)
+        for w in bits(nv):
+            ext = adj[w] & outside
+            size = ext.bit_count()
+            # every edge inside the exterior is seen once from each end
+            inner = sum((adj[x] & ext).bit_count() for x in bits(ext))
+            reports.append(_report("exterior-size", v, w, size, omega - 1))
+            nonedges = (size * (size - 1) - inner) // 2
             reports.append(_report("exterior-nonedges", v, w, nonedges, 0))
     return reports
 
@@ -246,46 +255,36 @@ def check_second_neighborhood_bounds(g: Graph, omega: int) -> list[LemmaReport]:
 
 
 def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
+    adj = g._adj
+    cap = _second_degree_cap(omega) if omega >= 4 else None
+    qs = q_rows(g)
     reports = []
-    sq = square(g)
     worst_v = 0
     worst = 0
-    for v in range(g.n):
-        deg = g.degree(v)
-        sqd = sq.degree(v)
+    for v, nv in enumerate(adj):
+        deg = nv.bit_count()
+        sqd = square_row(g, v).bit_count()
         if sqd > worst:
             worst, worst_v = sqd, v
         snn = sqd - deg
-        nbrs = g.neighbors(v)
-        z = z_set(g, v)
-        ext = {w: len(exterior_neighbors(g, v, w)) for w in nbrs}
-        zsum = sum(
-            (Fraction(ext[w], 2) if w in z else Fraction(ext[w])) for w in nbrs
-        )
+        outside = ~(nv | 1 << v)
+        counts = {}  # q -> how many neighbors w have q(v, w) = q
+        exts = {}  # q -> the exterior sizes of those neighbors, summed
+        for w, q in qs[v].items():
+            counts[q] = counts.get(q, 0) + 1
+            exts[q] = exts.get(q, 0) + (adj[w] & outside).bit_count()
+        z_size = deg - counts.get(0, 0)
+        # Z(v) is where q >= 1, and its members' exteriors count half
+        zsum = Fraction(sum(exts.values()) + exts.get(0, 0), 2)
         reports.append(_report("second-neighborhood-z-sum", v, None, snn, zsum))
-        reports.append(
-            _report(
-                "second-neighborhood-z",
-                v,
-                None,
-                snn,
-                (Fraction(deg) - Fraction(len(z), 2)) * (omega - 1),
-            )
-        )
-        qs = {w: q_value(g, v, w) for w in nbrs}
-        qsum = sum(Fraction(ext[w], qs[w] + 1) for w in nbrs)
+        zbound = Fraction((2 * deg - z_size) * (omega - 1), 2)
+        reports.append(_report("second-neighborhood-z", v, None, snn, zbound))
+        qsum = sum(Fraction(ext, q + 1) for q, ext in exts.items())
         reports.append(_report("second-neighborhood-q-sum", v, None, snn, qsum))
-        reports.append(
-            _report(
-                "second-neighborhood-q",
-                v,
-                None,
-                snn,
-                (omega - 1) * sum(Fraction(1, qs[w] + 1) for w in nbrs),
-            )
-        )
+        qbound = (omega - 1) * sum(Fraction(c, q + 1) for q, c in counts.items())
+        reports.append(_report("second-neighborhood-q", v, None, snn, qbound))
         if deg >= 2 * omega - 1:
-            reports.append(_report("z-covers-neighborhood", v, None, deg, len(z)))
+            reports.append(_report("z-covers-neighborhood", v, None, deg, z_size))
             reports.append(
                 _report(
                     "half-degree-bound", v, None, snn, Fraction(deg * (omega - 1), 2)
@@ -302,11 +301,7 @@ def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
                         Fraction(deg * (omega - 1), denom),
                     )
                 )
-                reports.append(
-                    _report(
-                        "square-degree-cap", v, None, sqd, _second_degree_cap(omega)
-                    )
-                )
+                reports.append(_report("square-degree-cap", v, None, sqd, cap))
     reports.append(
         _report("max-square-degree", worst_v, None, worst, 2 * omega * (omega - 1))
     )

@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .analysis import find_claw, q_value, run_lemma_suite, z_set
+from .analysis import find_claw, q_rows, run_lemma_suite
 from .coloring import color_square, palette_bound
 from .corpus import (
     BlowupSpec,
@@ -108,6 +108,7 @@ def cmd_analyze(args) -> int:
     g = load_dimacs(args.path)
     witness = find_claw(g)
     sq = square(g)
+    qs = q_rows(g)
     report = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -120,10 +121,9 @@ def cmd_analyze(args) -> int:
         if witness is None
         else {"center": witness.center, "leaves": list(witness.leaves)},
         "square_degrees": [sq.degree(v) for v in range(g.n)],
-        "z_sets": {str(v): sorted(z_set(g, v)) for v in range(g.n)},
+        "z_sets": {str(v): [w for w, q in row.items() if q] for v, row in enumerate(qs)},
         "q_values": {
-            str(v): {str(w): q_value(g, v, w) for w in g.neighbors(v)}
-            for v in range(g.n)
+            str(v): {str(w): q for w, q in row.items()} for v, row in enumerate(qs)
         },
         "classification": None,
         "ambiguous_neighborhoods": [

@@ -224,15 +224,19 @@ def complement(g: Graph) -> Graph:
 
 
 def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
-    """Exact maximum clique size with one witness.
+    """Exact maximum clique size with one witness."""
+    size, witness = max_clique_within(g._adj, (1 << g.n) - 1)
+    return size, frozenset(bits(witness))
+
+
+def max_clique_within(rows, mask: int) -> tuple[int, int]:
+    """Exact maximum clique inside ``mask`` of the graph with adjacency ``rows``.
 
     Branch and bound over bitmask candidate sets with a greedy coloring
-    bound; deterministic, so the witness is stable across runs.
+    bound; returns the size and one witness as a mask. Deterministic, so
+    the witness is stable across runs. ``rows`` are any symmetric loop-free
+    bitmask rows, such as a graph's own or its complement's.
     """
-    n = g.n
-    if n == 0:
-        return 0, frozenset()
-    adj = g._adj
     best_size = 0
     best_mask = 0
 
@@ -249,7 +253,7 @@ def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
             while cand:
                 low = cand & -cand
                 v = low.bit_length() - 1
-                cand &= ~(adj[v] | low)
+                cand &= ~(rows[v] | low)
                 rest ^= low
                 order.append(v)
                 bounds.append(color)
@@ -268,11 +272,11 @@ def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
                 return
             v = order[i]
             vb = 1 << v
-            expand(r_size + 1, r_mask | vb, p_mask & adj[v])
+            expand(r_size + 1, r_mask | vb, p_mask & rows[v])
             p_mask &= ~vb
 
-    expand(0, 0, (1 << n) - 1)
-    return best_size, frozenset(bits(best_mask))
+    expand(0, 0, mask)
+    return best_size, best_mask
 
 
 class Coloring:

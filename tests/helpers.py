@@ -15,10 +15,20 @@ import hashlib
 import random
 import sys
 from collections import deque
+from fractions import Fraction
 from itertools import combinations, product
 
 from clawsq import graph
-from clawsq.analysis import _max_matching_mask
+from clawsq.analysis import (
+    LemmaReport,
+    _max_matching_mask,
+    _report,
+    _second_degree_cap,
+    exterior_neighbors,
+    q_value,
+    ramsey_bound,
+    z_set,
+)
 from clawsq.coloring import (
     _color_base_components,
     _cycle_pattern,
@@ -45,6 +55,7 @@ from clawsq.graph import (
     induced_subgraph,
     max_clique,
     max_degree,
+    square,
     square_row,
 )
 from clawsq.structure import (
@@ -483,6 +494,110 @@ def brute_q_value(g: Graph, v: int, w: int) -> int:
     comp = complement(sub)
     full = (1 << comp.n) - 1
     return _max_matching_mask(comp._adj, full, {})
+
+
+# The subgraph-building lemma report families the library replaced, which
+# evaluate every quantity once per (vertex, neighbor) orientation. They share
+# max_clique's search and q_value with the library, so comparing the two
+# checks the masks and the grouped sums, not the searches.
+def brute_degree_reports(g: Graph, omega: int) -> list[LemmaReport]:
+    r = ramsey_bound(omega)
+    reports = []
+    for v in range(g.n):
+        deg = g.degree(v)
+        reports.append(_report("degree-below-ramsey", v, None, deg, r - 1))
+        sub, _ = induced_subgraph(g, g.neighbors(v))
+        reports.append(
+            _report("neighborhood-clique-cap", v, None, max_clique(sub)[0], omega - 1)
+        )
+        reports.append(
+            _report("neighborhood-stability-cap", v, None, max_clique(complement(sub))[0], 2)
+        )
+    return reports
+
+
+def brute_exterior_reports(g: Graph, omega: int) -> list[LemmaReport]:
+    reports = []
+    for v in range(g.n):
+        for w in g.neighbors(v):
+            ext = exterior_neighbors(g, v, w)
+            reports.append(_report("exterior-size", v, w, len(ext), omega - 1))
+            nonedges = sum(
+                1
+                for x in ext
+                for y in ext
+                if x < y and not g.has_edge(x, y)
+            )
+            reports.append(_report("exterior-nonedges", v, w, nonedges, 0))
+    return reports
+
+
+def brute_second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
+    reports = []
+    sq = square(g)
+    worst_v = 0
+    worst = 0
+    for v in range(g.n):
+        deg = g.degree(v)
+        sqd = sq.degree(v)
+        if sqd > worst:
+            worst, worst_v = sqd, v
+        snn = sqd - deg
+        nbrs = g.neighbors(v)
+        z = z_set(g, v)
+        ext = {w: len(exterior_neighbors(g, v, w)) for w in nbrs}
+        zsum = sum(
+            (Fraction(ext[w], 2) if w in z else Fraction(ext[w])) for w in nbrs
+        )
+        reports.append(_report("second-neighborhood-z-sum", v, None, snn, zsum))
+        reports.append(
+            _report(
+                "second-neighborhood-z",
+                v,
+                None,
+                snn,
+                (Fraction(deg) - Fraction(len(z), 2)) * (omega - 1),
+            )
+        )
+        qs = {w: q_value(g, v, w) for w in nbrs}
+        qsum = sum(Fraction(ext[w], qs[w] + 1) for w in nbrs)
+        reports.append(_report("second-neighborhood-q-sum", v, None, snn, qsum))
+        reports.append(
+            _report(
+                "second-neighborhood-q",
+                v,
+                None,
+                snn,
+                (omega - 1) * sum(Fraction(1, qs[w] + 1) for w in nbrs),
+            )
+        )
+        if deg >= 2 * omega - 1:
+            reports.append(_report("z-covers-neighborhood", v, None, deg, len(z)))
+            reports.append(
+                _report(
+                    "half-degree-bound", v, None, snn, Fraction(deg * (omega - 1), 2)
+                )
+            )
+            if omega >= 4:
+                denom = (deg + 2) // 2 + 2 - omega  # ceil((deg+1)/2) + 2 - omega
+                reports.append(
+                    _report(
+                        "matching-weighted-degree-bound",
+                        v,
+                        None,
+                        snn,
+                        Fraction(deg * (omega - 1), denom),
+                    )
+                )
+                reports.append(
+                    _report(
+                        "square-degree-cap", v, None, sqd, _second_degree_cap(omega)
+                    )
+                )
+    reports.append(
+        _report("max-square-degree", worst_v, None, worst, 2 * omega * (omega - 1))
+    )
+    return reports
 
 
 def brute_color_small_omega(g: Graph) -> Coloring:

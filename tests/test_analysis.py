@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from clawsq import analysis, graph
 from clawsq.analysis import (
     check_degree_lemma,
     check_exterior_bounds,
@@ -16,6 +17,7 @@ from clawsq.analysis import (
 )
 from clawsq.corpus import (
     claw,
+    cocktail_party,
     complete,
     cycle,
     gen_random_claw_free,
@@ -24,7 +26,17 @@ from clawsq.errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaEr
 from clawsq.graph import build_graph, is_clique, max_clique
 from clawsq.oracle import brute_force_claw_free
 
-from helpers import brute_q_value, has_claw_triples, random_graph
+from helpers import (
+    brute_degree_reports,
+    brute_exterior_reports,
+    brute_q_value,
+    brute_second_neighborhood_reports,
+    has_claw_triples,
+    lemma_sweep_instances,
+    random_graph,
+    record_calls,
+    relabel,
+)
 
 
 class TestFindClaw:
@@ -270,3 +282,75 @@ class TestLemmaSuite:
         report = run_lemma_suite(octahedron_graph, 3)[0]
         d = report.as_dict()
         assert set(d) == {"lemma", "vertex", "neighbor", "lhs", "rhs", "holds"}
+
+
+@pytest.fixture(scope="module")
+def reference_reports(corpus):
+    """(graph, omega, degree, exterior, second-neighborhood reports) from the references.
+
+    Every corpus entry, 100 seeded random line graphs with clique number at
+    most 3, 4 or 5, a relabelled copy of each of those, and the omega sweep.
+    """
+    rng = random.Random(89)
+    randoms = [
+        gen_random_claw_free(rng.randint(8, 40), (3, 4, 5)[seed % 3], seed)
+        for seed in range(100)
+    ]
+    randoms += [relabel(g, rng.sample(range(g.n), g.n)) for g in randoms]
+    cases = [(e.graph, max(e.known["omega"], 2)) for e in corpus]
+    cases += [(g, max(max_clique(g)[0], 2)) for g in randoms]
+    cases += [(g, omega) for _, g, omega in lemma_sweep_instances()]
+    return [
+        (
+            g,
+            omega,
+            brute_degree_reports(g, omega),
+            brute_exterior_reports(g, omega),
+            brute_second_neighborhood_reports(g, omega),
+        )
+        for g, omega in cases
+    ]
+
+
+class TestReportsMatchReference:
+    @pytest.mark.parametrize(
+        "check, family",
+        [
+            (check_degree_lemma, 2),
+            (check_exterior_bounds, 3),
+            (check_second_neighborhood_bounds, 4),
+        ],
+    )
+    def test_family(self, reference_reports, check, family):
+        for case in reference_reports:
+            g, omega = case[:2]
+            assert check(g, omega) == case[family], (g, omega)
+
+    def test_families_on_graphs_with_claws(self):
+        # Claw-free inputs keep every exterior a clique and every stability
+        # number at most 2; the evaluators behind the checks must count
+        # non-edges and independent sets right anyway.
+        rng = random.Random(97)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 16), rng.random())
+            omega = max(max_clique(g)[0], 2)
+            assert analysis._degree_reports(g, omega) == brute_degree_reports(g, omega)
+            assert analysis._exterior_reports(g, omega) == brute_exterior_reports(g, omega)
+            second = analysis._second_neighborhood_reports(g, omega)
+            assert second == brute_second_neighborhood_reports(g, omega)
+
+    def test_suite(self, reference_reports):
+        for g, omega, degree, exterior, second in reference_reports:
+            assert run_lemma_suite(g, omega) == degree + exterior + second, (g, omega)
+
+
+class TestLemmaSuiteCalls:
+    def test_no_subgraphs_and_one_q_value_per_edge(self, monkeypatch, corpus):
+        subgraphs = record_calls(monkeypatch, graph, "induced_subgraph")
+        complements = record_calls(monkeypatch, graph, "complement")
+        qs = record_calls(monkeypatch, analysis, "q_value")
+        for g in [entry.graph for entry in corpus[::25]] + [cocktail_party(6)]:
+            qs.clear()
+            run_lemma_suite(g, max(max_clique(g)[0], 2))
+            assert sorted(tuple(sorted(args[1:])) for args in qs) == sorted(g.edges())
+        assert subgraphs == [] and complements == []

@@ -111,6 +111,18 @@ class TestAnalyze:
         assert kinds == ["icosahedron", "line_graph", "reducible", "small_omega", "small_omega"]
         assert len(calls) == 5
 
+    def test_one_q_value_per_edge(self, tmp_path, capsys, monkeypatch):
+        # q is symmetric, so analyze computes it once per edge and mirrors it.
+        g = disjoint_union([gen_icosahedron(), gen_random_claw_free(40, 4, 5), cycle(7)])
+        target = write_graph(tmp_path, "union.col", g)
+        calls = record_calls(monkeypatch, analysis, "q_value")
+        code, out, _ = run_cli(capsys, "analyze", target)
+        assert code == 0
+        assert sorted(tuple(sorted(args[1:])) for args in calls) == sorted(g.edges())
+        q = json.loads(out)["q_values"]
+        assert all(q[v][w] == q[w][v] for v in q for w in q[v])
+        assert sum(len(row) for row in q.values()) == 2 * g.edge_count
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/g.col")
         assert code == 1
