@@ -56,8 +56,20 @@ class LemmaReport:
         }
 
 
-def _report(lemma_id, vertex, neighbor, lhs, rhs) -> LemmaReport:
-    return LemmaReport(lemma_id, vertex, neighbor, Fraction(lhs), Fraction(rhs), lhs <= rhs)
+def _report(lemma_id, vertex, neighbor, lhs: Fraction, rhs: Fraction) -> LemmaReport:
+    return LemmaReport(lemma_id, vertex, neighbor, lhs, rhs, lhs <= rhs)
+
+
+class _Exact(dict):
+    """The Fraction of each integer looked up, built on its first lookup.
+
+    A report family makes one per call, so reports with equal integer sides
+    share one immutable Fraction instead of each building its own.
+    """
+
+    def __missing__(self, value: int) -> Fraction:
+        exact = self[value] = Fraction(value)
+        return exact
 
 
 def find_claw(g: Graph) -> ClawWitness | None:
@@ -192,17 +204,20 @@ def check_degree_lemma(g: Graph, omega: int) -> list[LemmaReport]:
 
 
 def _degree_reports(g: Graph, omega: int) -> list[LemmaReport]:
-    r = ramsey_bound(omega)
+    exact = _Exact()
+    degree_cap = exact[ramsey_bound(omega) - 1]
+    clique_cap = exact[omega - 1]
+    stability_cap = exact[2]
     adj = g._adj
     full = (1 << g.n) - 1
     anti = [full & ~(row | 1 << u) for u, row in enumerate(adj)]
     reports = []
     for v, nv in enumerate(adj):
-        reports.append(_report("degree-below-ramsey", v, None, nv.bit_count(), r - 1))
-        clique = max_clique_within(adj, nv)[0]
-        reports.append(_report("neighborhood-clique-cap", v, None, clique, omega - 1))
-        stable = max_clique_within(anti, nv)[0]
-        reports.append(_report("neighborhood-stability-cap", v, None, stable, 2))
+        reports.append(_report("degree-below-ramsey", v, None, exact[nv.bit_count()], degree_cap))
+        clique = exact[max_clique_within(adj, nv)[0]]
+        reports.append(_report("neighborhood-clique-cap", v, None, clique, clique_cap))
+        stable = exact[max_clique_within(anti, nv)[0]]
+        reports.append(_report("neighborhood-stability-cap", v, None, stable, stability_cap))
     return reports
 
 
@@ -213,6 +228,9 @@ def check_exterior_bounds(g: Graph, omega: int) -> list[LemmaReport]:
 
 
 def _exterior_reports(g: Graph, omega: int) -> list[LemmaReport]:
+    exact = _Exact()
+    size_cap = exact[omega - 1]
+    zero = exact[0]
     adj = g._adj
     reports = []
     for v, nv in enumerate(adj):
@@ -222,9 +240,9 @@ def _exterior_reports(g: Graph, omega: int) -> list[LemmaReport]:
             size = ext.bit_count()
             # every edge inside the exterior is seen once from each end
             inner = sum((adj[x] & ext).bit_count() for x in bits(ext))
-            reports.append(_report("exterior-size", v, w, size, omega - 1))
+            reports.append(_report("exterior-size", v, w, exact[size], size_cap))
             nonedges = (size * (size - 1) - inner) // 2
-            reports.append(_report("exterior-nonedges", v, w, nonedges, 0))
+            reports.append(_report("exterior-nonedges", v, w, exact[nonedges], zero))
     return reports
 
 
@@ -255,6 +273,8 @@ def check_second_neighborhood_bounds(g: Graph, omega: int) -> list[LemmaReport]:
 
 
 def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
+    exact = _Exact()
+    zero = exact[0]
     adj = g._adj
     cap = _second_degree_cap(omega) if omega >= 4 else None
     qs = q_rows(g)
@@ -266,7 +286,7 @@ def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
         sqd = square_row(g, v).bit_count()
         if sqd > worst:
             worst, worst_v = sqd, v
-        snn = sqd - deg
+        snn = exact[sqd - deg]
         outside = ~(nv | 1 << v)
         counts = {}  # q -> how many neighbors w have q(v, w) = q
         exts = {}  # q -> the exterior sizes of those neighbors, summed
@@ -279,12 +299,14 @@ def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
         reports.append(_report("second-neighborhood-z-sum", v, None, snn, zsum))
         zbound = Fraction((2 * deg - z_size) * (omega - 1), 2)
         reports.append(_report("second-neighborhood-z", v, None, snn, zbound))
-        qsum = sum(Fraction(ext, q + 1) for q, ext in exts.items())
+        qsum = sum((Fraction(ext, q + 1) for q, ext in exts.items()), zero)
         reports.append(_report("second-neighborhood-q-sum", v, None, snn, qsum))
-        qbound = (omega - 1) * sum(Fraction(c, q + 1) for q, c in counts.items())
+        qbound = (omega - 1) * sum((Fraction(c, q + 1) for q, c in counts.items()), zero)
         reports.append(_report("second-neighborhood-q", v, None, snn, qbound))
         if deg >= 2 * omega - 1:
-            reports.append(_report("z-covers-neighborhood", v, None, deg, z_size))
+            reports.append(
+                _report("z-covers-neighborhood", v, None, exact[deg], exact[z_size])
+            )
             reports.append(
                 _report(
                     "half-degree-bound", v, None, snn, Fraction(deg * (omega - 1), 2)
@@ -301,9 +323,11 @@ def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
                         Fraction(deg * (omega - 1), denom),
                     )
                 )
-                reports.append(_report("square-degree-cap", v, None, sqd, cap))
+                reports.append(_report("square-degree-cap", v, None, exact[sqd], cap))
     reports.append(
-        _report("max-square-degree", worst_v, None, worst, 2 * omega * (omega - 1))
+        _report(
+            "max-square-degree", worst_v, None, exact[worst], exact[2 * omega * (omega - 1)]
+        )
     )
     return reports
 

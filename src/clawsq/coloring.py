@@ -11,8 +11,11 @@ whose node budget counts every node, that descent included.
 Peeling is incremental (:func:`_peel`): square rows, live components,
 triangle and K4 membership and the reducible vertices of each case are
 kept across steps and updated only near the deleted vertex, and each step
-records just (vertex, case, kprime). Reinsertion works on the input graph
-with a mask of the vertices present, so no graph is kept per step.
+records just (vertex, case, kprime). The base step colors all triangle-free
+leftover components with one call. Reinsertion works on the input graph
+with a mask of the vertices present, so no graph is kept per step, and
+with one vertex mask per color (a color class), so a color is free for a
+vertex exactly when its class misses the vertex's square row.
 
 :func:`color_square` is the one place a coloring is checked: it verifies
 the final coloring against the square, and each component's palette
@@ -322,31 +325,42 @@ def _match_distinct(items, options):
 
 
 def _reinsert_vertex(
-    g: Graph, alive: int, v: int, case: str, kprime: int, colors: list, K: int
+    g: Graph, alive: int, v: int, case: str, kprime: int, colors: list, classes: list
 ) -> None:
     """Extend a proper square coloring of g[alive] minus v to all of g[alive], in place.
 
     ``alive`` is a vertex mask of g that holds v, and ``colors`` is indexed
     by the vertices of g; only its entries in ``alive`` other than v are
-    read. Recolors the low-square-degree part S of N(v) with pairwise
+    read. ``classes[c]`` is the mask of the vertices of ``alive`` colored c,
+    one entry per color of the palette, and is kept equal to ``colors`` on
+    ``alive``. Recolors the low-square-degree part S of N(v) with pairwise
     distinct colors drawn from each vertex's available set (a system of
     distinct representatives), then gives v a color unseen in its square
-    neighborhood. Only the square rows of v and N(v) are computed.
+    neighborhood. One pass over N(v) computes the square row of each
+    neighbor, picks S and gathers v's square row; a color is free for a
+    vertex when its class misses the vertex's square row.
     """
-    avoid = ~alive
+    adj = g._adj
     threshold = kprime + 2 if case == "ii" else kprime + 1
-    nbrs = tuple(bits(g._adj[v] & alive))
-    rows = {x: square_row(g, x, avoid) for x in (v, *nbrs)}
-    s_vertices = [x for x in nbrs if rows[x].bit_count() <= threshold]
-    s_mask = 1 << v
-    for s in s_vertices:
+    nbrs = adj[v] & alive
+    v_row = nbrs
+    s_rows = {}
+    for x in bits(nbrs):
+        first = adj[x] & alive
+        v_row |= first
+        row = first
+        for u in bits(first):
+            row |= adj[u]
+        row &= alive & ~(1 << x)
+        if row.bit_count() <= threshold:
+            s_rows[x] = row
+    v_row &= ~(1 << v)
+    for s in s_rows:
+        classes[colors[s]] &= ~(1 << s)
         colors[s] = UNCOLORED
-        s_mask |= 1 << s
-    options = []
-    for s in s_vertices:
-        banned = {colors[u] for u in bits(rows[s] & ~s_mask)}
-        options.append([c for c in range(K + 1) if c not in banned])
-    matched = _match_distinct(s_vertices, options)
+    palette = range(len(classes))
+    options = [[c for c in palette if not row & classes[c]] for row in s_rows.values()]
+    matched = _match_distinct(list(s_rows), options)
     if matched is None:
         raise InternalBoundViolation(
             f"no distinct-representative recoloring for N({v}); this contradicts "
@@ -354,13 +368,14 @@ def _reinsert_vertex(
         )
     for s, c in matched.items():
         colors[s] = c
-    taken = {colors[u] for u in bits(rows[v])}
-    free = next((c for c in range(K + 1) if c not in taken), None)
+        classes[c] |= 1 << s
+    free = next((c for c in palette if not v_row & classes[c]), None)
     if free is None:
         raise InternalBoundViolation(
             f"no color left for vertex {v}; its square degree exceeds the threshold"
         )
     colors[v] = free
+    classes[free] |= 1 << v
 
 
 def _lowest(mask: int) -> int:
@@ -541,23 +556,35 @@ def _color_line_graph_base(sub: Graph, root: RootGraph, node_limit: int) -> list
 
 
 def _color_base_components(cur: Graph, node_limit: int) -> list:
+    """Colors of the base remainder ``cur``, indexed by its vertices.
+
+    The components without a triangle (paths, cycles, edges and single
+    vertices) are colored together by one :func:`color_small_omega` call on
+    the subgraph their union induces; that subgraph keeps their vertex order,
+    so each is colored as it would be alone. Each component with a triangle
+    is classified and colored on its own.
+    """
+    adj = cur._adj
     colors = [UNCOLORED] * cur.n
+    small = []
     for comp in connected_components(cur):
+        if not any(_in_triangle(adj, x) for x in comp):
+            small += comp
+            continue
         sub, old = induced_subgraph(cur, comp)
         w = max_clique(sub)[0]
-        if w <= 2:
-            local = list(color_small_omega(sub).colors)
+        outcome = classify(sub, w, check_claw_free=False)
+        if outcome.kind == "icosahedron":
+            local = color_icosahedron(sub, outcome.antipodal_pairs).colors
+        elif outcome.kind == "line_graph":
+            local = _color_line_graph_base(sub, outcome.root, node_limit)
         else:
-            outcome = classify(sub, w, check_claw_free=False)
-            if outcome.kind == "icosahedron":
-                local = list(color_icosahedron(sub, outcome.antipodal_pairs).colors)
-            elif outcome.kind == "line_graph":
-                local = _color_line_graph_base(sub, outcome.root, node_limit)
-            else:
-                raise InternalBoundViolation(
-                    "a reducible component survived to the base step"
-                )
+            raise InternalBoundViolation("a reducible component survived to the base step")
         for i, c in enumerate(local):
+            colors[old[i]] = c
+    if small:
+        sub, old = induced_subgraph(cur, small)
+        for i, c in enumerate(color_small_omega(sub).colors):
             colors[old[i]] = c
     return colors
 
@@ -571,7 +598,8 @@ def greedy_reduce(
     or 4. Iteratively deletes reducible vertices (explicit stack, no
     recursion), colors the base remainder per component, then reinserts
     each vertex in reverse order, recoloring its neighborhood through
-    distinct available colors. The result is not checked here;
+    distinct available colors; one vertex mask per color, updated on every
+    assignment, gives the colors available. The result is not checked here;
     :func:`color_square` checks it.
     """
     if omega not in (3, 4):
@@ -581,14 +609,15 @@ def greedy_reduce(
         raise ValueError(f"clique number exceeds omega {omega}")
     cur, orig, frames = _peel(g, clique_number)
     colors = [UNCOLORED] * g.n
+    classes = [0] * palette_bound(omega)
     alive = 0
     for x, c in zip(orig, _color_base_components(cur, node_limit)):
         colors[x] = c
+        classes[c] |= 1 << x
         alive |= 1 << x
-    K = palette_bound(omega) - 1
     for v, case, kprime in reversed(frames):
         alive |= 1 << v
-        _reinsert_vertex(g, alive, v, case, kprime, colors, K)
+        _reinsert_vertex(g, alive, v, case, kprime, colors, classes)
     return Coloring(colors)
 
 

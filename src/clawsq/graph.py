@@ -145,19 +145,17 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
-    """Graph with ``v`` removed and higher indices shifted down by one."""
+    """Graph with ``v`` removed and higher indices shifted down by one.
+
+    Every row is shifted in one pass and v's own row dropped; the edge count
+    falls by deg(v), so it is taken from g's rather than recounted.
+    """
     g.check_vertex(v)
-    low_mask = (1 << v) - 1
-    rows = []
-    total = 0
-    for u in range(g.n):
-        if u == v:
-            continue
-        mask = g._adj[u]
-        row = (mask & low_mask) | (mask >> (v + 1)) << v
-        rows.append(row)
-        total += row.bit_count()
-    return Graph(g.n - 1, tuple(rows), total // 2)
+    low = (1 << v) - 1
+    high = v + 1
+    rows = [(mask & low) | (mask >> high) << v for mask in g._adj]
+    del rows[v]
+    return Graph(g.n - 1, tuple(rows), g.edge_count - g._adj[v].bit_count())
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

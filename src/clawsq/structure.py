@@ -334,14 +334,19 @@ class Reduction:
     kprime: int
 
 
-def _clique_in_deleted_square(g: Graph, vertices, v: int) -> bool:
-    mask = 0
-    for x in vertices:
-        mask |= 1 << x
-    for x in vertices:
-        need = mask & ~(1 << x)
-        if square_row(g, x, 1 << v) & need != need:
-            return False
+def _clique_in_deleted_square(adj, mask: int, v: int) -> bool:
+    """Whether the neighbors of v in ``mask`` are pairwise within distance 2 in g - v.
+
+    ``adj`` holds the rows of g. Two neighbors of v are within distance 2
+    in g - v iff they are adjacent or share a neighbor other than v, so
+    only the non-adjacent pairs are tested, each by one AND of rows.
+    """
+    keep = ~(1 << v)
+    for x in bits(mask):
+        row = adj[x] & keep
+        for y in bits(mask >> (x + 1) << (x + 1) & ~row):
+            if not adj[y] & row:
+                return False
     return True
 
 
@@ -356,18 +361,28 @@ def reduction_case(
     threshold form a clique in the square of g with v deleted: above
     kprime+1 for case iii; above kprime+2 for case ii, which also needs a
     neighbor of square degree at most kprime+1. Case iii wins when both
-    hold.
+    hold. One pass over N(v) sorts the neighbors into the masks above each
+    threshold; the clique tests then work on pairs of rows of g.
     """
     if sq_rows[v].bit_count() > kprime:
         return None
-    nbrs = [(x, sq_rows[x].bit_count()) for x in bits(g._adj[v])]
-    if neighbor_cap is not None and any(d > neighbor_cap for _, d in nbrs):
-        return None
-    if _clique_in_deleted_square(g, [x for x, d in nbrs if d > kprime + 1], v):
+    adj = g._adj
+    above_iii = above_ii = 0
+    has_low = False
+    for x in bits(adj[v]):
+        d = sq_rows[x].bit_count()
+        if neighbor_cap is not None and d > neighbor_cap:
+            return None
+        if d > kprime + 2:
+            above_ii |= 1 << x
+            above_iii |= 1 << x
+        elif d > kprime + 1:
+            above_iii |= 1 << x
+        else:
+            has_low = True
+    if _clique_in_deleted_square(adj, above_iii, v):
         return "iii"
-    if any(d <= kprime + 1 for _, d in nbrs) and _clique_in_deleted_square(
-        g, [x for x, d in nbrs if d > kprime + 2], v
-    ):
+    if has_low and _clique_in_deleted_square(adj, above_ii, v):
         return "ii"
     return None
 

@@ -22,7 +22,6 @@ from clawsq import graph
 from clawsq.analysis import (
     LemmaReport,
     _max_matching_mask,
-    _report,
     _second_degree_cap,
     exterior_neighbors,
     q_value,
@@ -496,6 +495,11 @@ def brute_q_value(g: Graph, v: int, w: int) -> int:
     return _max_matching_mask(comp._adj, full, {})
 
 
+def brute_report(lemma_id, vertex, neighbor, lhs, rhs) -> LemmaReport:
+    """A report from plain numbers, each side wrapped in a new Fraction."""
+    return LemmaReport(lemma_id, vertex, neighbor, Fraction(lhs), Fraction(rhs), lhs <= rhs)
+
+
 # The subgraph-building lemma report families the library replaced, which
 # evaluate every quantity once per (vertex, neighbor) orientation. They share
 # max_clique's search and q_value with the library, so comparing the two
@@ -505,13 +509,13 @@ def brute_degree_reports(g: Graph, omega: int) -> list[LemmaReport]:
     reports = []
     for v in range(g.n):
         deg = g.degree(v)
-        reports.append(_report("degree-below-ramsey", v, None, deg, r - 1))
+        reports.append(brute_report("degree-below-ramsey", v, None, deg, r - 1))
         sub, _ = induced_subgraph(g, g.neighbors(v))
         reports.append(
-            _report("neighborhood-clique-cap", v, None, max_clique(sub)[0], omega - 1)
+            brute_report("neighborhood-clique-cap", v, None, max_clique(sub)[0], omega - 1)
         )
         reports.append(
-            _report("neighborhood-stability-cap", v, None, max_clique(complement(sub))[0], 2)
+            brute_report("neighborhood-stability-cap", v, None, max_clique(complement(sub))[0], 2)
         )
     return reports
 
@@ -521,14 +525,14 @@ def brute_exterior_reports(g: Graph, omega: int) -> list[LemmaReport]:
     for v in range(g.n):
         for w in g.neighbors(v):
             ext = exterior_neighbors(g, v, w)
-            reports.append(_report("exterior-size", v, w, len(ext), omega - 1))
+            reports.append(brute_report("exterior-size", v, w, len(ext), omega - 1))
             nonedges = sum(
                 1
                 for x in ext
                 for y in ext
                 if x < y and not g.has_edge(x, y)
             )
-            reports.append(_report("exterior-nonedges", v, w, nonedges, 0))
+            reports.append(brute_report("exterior-nonedges", v, w, nonedges, 0))
     return reports
 
 
@@ -549,9 +553,9 @@ def brute_second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]
         zsum = sum(
             (Fraction(ext[w], 2) if w in z else Fraction(ext[w])) for w in nbrs
         )
-        reports.append(_report("second-neighborhood-z-sum", v, None, snn, zsum))
+        reports.append(brute_report("second-neighborhood-z-sum", v, None, snn, zsum))
         reports.append(
-            _report(
+            brute_report(
                 "second-neighborhood-z",
                 v,
                 None,
@@ -561,9 +565,9 @@ def brute_second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]
         )
         qs = {w: q_value(g, v, w) for w in nbrs}
         qsum = sum(Fraction(ext[w], qs[w] + 1) for w in nbrs)
-        reports.append(_report("second-neighborhood-q-sum", v, None, snn, qsum))
+        reports.append(brute_report("second-neighborhood-q-sum", v, None, snn, qsum))
         reports.append(
-            _report(
+            brute_report(
                 "second-neighborhood-q",
                 v,
                 None,
@@ -572,16 +576,16 @@ def brute_second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]
             )
         )
         if deg >= 2 * omega - 1:
-            reports.append(_report("z-covers-neighborhood", v, None, deg, len(z)))
+            reports.append(brute_report("z-covers-neighborhood", v, None, deg, len(z)))
             reports.append(
-                _report(
+                brute_report(
                     "half-degree-bound", v, None, snn, Fraction(deg * (omega - 1), 2)
                 )
             )
             if omega >= 4:
                 denom = (deg + 2) // 2 + 2 - omega  # ceil((deg+1)/2) + 2 - omega
                 reports.append(
-                    _report(
+                    brute_report(
                         "matching-weighted-degree-bound",
                         v,
                         None,
@@ -590,12 +594,12 @@ def brute_second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]
                     )
                 )
                 reports.append(
-                    _report(
+                    brute_report(
                         "square-degree-cap", v, None, sqd, _second_degree_cap(omega)
                     )
                 )
     reports.append(
-        _report("max-square-degree", worst_v, None, worst, 2 * omega * (omega - 1))
+        brute_report("max-square-degree", worst_v, None, worst, 2 * omega * (omega - 1))
     )
     return reports
 
@@ -700,6 +704,63 @@ def disjoint_union(graphs, rng=None):
     if rng is None:
         return union
     return relabel(union, rng.sample(range(n), n))
+
+
+# The reducibility test the library replaced: the square row of each
+# neighbor of v in g - v, compared against the mask of the others.
+def _brute_clique_in_deleted_square(g: Graph, vertices, v: int) -> bool:
+    mask = 0
+    for x in vertices:
+        mask |= 1 << x
+    for x in vertices:
+        need = mask & ~(1 << x)
+        if square_row(g, x, 1 << v) & need != need:
+            return False
+    return True
+
+
+def brute_reduction_case(
+    g: Graph, v: int, sq_rows, kprime: int, neighbor_cap: int | None = None
+) -> str | None:
+    """The recoloring case that makes ``v`` reducible in g: "iii", "ii" or None.
+
+    ``sq_rows`` holds the square rows of g. A vertex qualifies when its
+    square degree is at most ``kprime``, every neighbor's square degree is
+    at most ``neighbor_cap`` (when given), and the neighbors above the case
+    threshold form a clique in the square of g with v deleted: above
+    kprime+1 for case iii; above kprime+2 for case ii, which also needs a
+    neighbor of square degree at most kprime+1. Case iii wins when both
+    hold.
+    """
+    if sq_rows[v].bit_count() > kprime:
+        return None
+    nbrs = [(x, sq_rows[x].bit_count()) for x in bits(g._adj[v])]
+    if neighbor_cap is not None and any(d > neighbor_cap for _, d in nbrs):
+        return None
+    if _brute_clique_in_deleted_square(g, [x for x, d in nbrs if d > kprime + 1], v):
+        return "iii"
+    if any(d <= kprime + 1 for _, d in nbrs) and _brute_clique_in_deleted_square(
+        g, [x for x, d in nbrs if d > kprime + 2], v
+    ):
+        return "ii"
+    return None
+
+
+# The row-by-row deletion the library replaced, recounting every edge.
+def brute_delete_vertex(g: Graph, v: int) -> Graph:
+    """Graph with ``v`` removed and higher indices shifted down by one."""
+    g.check_vertex(v)
+    low_mask = (1 << v) - 1
+    rows = []
+    total = 0
+    for u in range(g.n):
+        if u == v:
+            continue
+        mask = g._adj[u]
+        row = (mask & low_mask) | (mask >> (v + 1)) << v
+        rows.append(row)
+        total += row.bit_count()
+    return Graph(g.n - 1, tuple(rows), total // 2)
 
 
 def _brute_component_reduction(cur):

@@ -22,6 +22,25 @@ def load_tracer():
     return module
 
 
+def test_tracer_counts_one_peel_per_frame():
+    # The benchmark counts peels by delete_vertex calls under greedy_reduce,
+    # so the engine must delete exactly once per frame it records.
+    tracer = load_tracer()
+    mods = {ns: importlib.import_module("clawsq" + ns) for ns in tracer.NAMESPACES}
+    lib = mods[""]
+    g = lib.gen_random_claw_free(60, 4, 1)
+    omega = lib.max_clique(g)[0]
+    frames = mods[".coloring"]._peel(g, omega)[2]
+    tr = tracer.Tracer(mods)
+    tr.install()
+    try:
+        lib.greedy_reduce(g, omega)
+    finally:
+        tr.remove()
+    assert len(frames) > 0
+    assert tr.op_counts()["peeled"] == len(frames)
+
+
 def test_tracer_counts_peels_and_line_graph_bases(stress_family):
     tracer = load_tracer()
     mods = {ns: importlib.import_module("clawsq" + ns) for ns in tracer.NAMESPACES}

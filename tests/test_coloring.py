@@ -50,7 +50,13 @@ from clawsq.graph import (
     square,
 )
 from clawsq.oracle import exact_chromatic
-from clawsq.structure import classify, krausz_partition, recognize_icosahedron, root_graph
+from clawsq.structure import (
+    classify,
+    krausz_partition,
+    recognize_icosahedron,
+    reduction_case,
+    root_graph,
+)
 
 from helpers import (
     brute_backtrack_within,
@@ -317,20 +323,51 @@ class TestMetamorphic:
             assert coloring.palette_size <= max(palette_bound(max_clique(p)[0]) for p in parts)
 
 
+def color_classes(colors, size):
+    """One vertex mask per color of a palette of ``size`` colors."""
+    classes = [0] * size
+    for x, c in enumerate(colors):
+        if c != UNCOLORED:
+            classes[c] |= 1 << x
+    return classes
+
+
 class TestReinsert:
     def test_case_ii_path_recolors_neighborhood(self, octahedron_graph):
         g = octahedron_graph
         colors = [UNCOLORED, *color_square(delete_vertex(g, 0)).colors]
-        _reinsert_vertex(g, (1 << g.n) - 1, 0, "ii", 9, colors, 9)
+        _reinsert_vertex(g, (1 << g.n) - 1, 0, "ii", 9, colors, color_classes(colors, 10))
         assert Coloring(colors).is_proper_on(square(g))
 
     def test_case_iii_path(self, octahedron_graph):
         g = octahedron_graph
         colors = [UNCOLORED, *color_square(delete_vertex(g, 0)).colors]
-        _reinsert_vertex(g, (1 << g.n) - 1, 0, "iii", 9, colors, 9)
+        _reinsert_vertex(g, (1 << g.n) - 1, 0, "iii", 9, colors, color_classes(colors, 10))
         assert Coloring(colors).is_proper_on(square(g))
         neighborhood = [colors[x] for x in g.neighbors(0)]
         assert len(set(neighborhood)) == len(neighborhood)
+
+    def test_classes_follow_colors(self):
+        # Reinsert each reducible vertex into a coloring of the graph without
+        # it, and compare the class masks kept in place with those rebuilt
+        # from the colors; some neighbors must change color on the way.
+        g = gen_random_claw_free(40, 4, 3)
+        sq = square(g)
+        everyone = (1 << g.n) - 1
+        recolored = 0
+        for v in range(g.n):
+            case = reduction_case(g, v, sq._adj, 19)
+            if case is None:
+                continue
+            colors = list(color_square(delete_vertex(g, v)).colors)
+            colors.insert(v, UNCOLORED)
+            before = list(colors)
+            classes = color_classes(colors, palette_bound(4))
+            _reinsert_vertex(g, everyone, v, case, 19, colors, classes)
+            assert classes == color_classes(colors, palette_bound(4))
+            assert Coloring(colors).is_proper_on(sq)
+            recolored += sum(a != b for a, b in zip(before, colors)) - 1
+        assert recolored > 0
 
     def test_match_distinct_infeasible(self):
         assert _match_distinct([0, 1], [[3], [3]]) is None

@@ -30,6 +30,7 @@ from clawsq.graph import (
 
 from helpers import (
     bfs_distances,
+    brute_delete_vertex,
     brute_is_proper,
     brute_max_clique,
     brute_square_degree,
@@ -157,6 +158,16 @@ class TestInducedAndDelete:
     def test_delete_out_of_range(self):
         with pytest.raises(VertexOutOfRangeError):
             delete_vertex(cycle(5), 5)
+
+    def test_delete_matches_row_by_row_reference(self):
+        # Graph equality ignores edge_count, so it is compared on its own.
+        rng = random.Random(17)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 30), rng.uniform(0.0, 0.6))
+            for v in range(g.n):
+                got, want = delete_vertex(g, v), brute_delete_vertex(g, v)
+                assert (got.n, got._adj) == (want.n, want._adj)
+                assert got.edge_count == want.edge_count
 
     def test_square_does_not_commute_with_deletion(self):
         # Deleting a cycle vertex loses distance-2 paths through it, so the

@@ -45,6 +45,7 @@ from clawsq.structure import (
     neighbor_degree_cap,
     neighborhood_shape,
     recognize_icosahedron,
+    reduction_case,
     reduction_threshold,
     root_graph,
 )
@@ -53,8 +54,10 @@ import clawsq.structure as structure
 from helpers import (
     bfs_distances,
     brute_neighborhood_shape,
+    brute_reduction_case,
     girth,
     line_graph_mismatch,
+    random_graph,
     record_calls,
     relabel,
 )
@@ -428,6 +431,54 @@ class TestFindReducible:
         deleted_sq = square(delete_vertex(octahedron_graph, red.vertex))
         shifted = [x if x < red.vertex else x - 1 for x in bad]
         assert is_clique(deleted_sq, shifted)
+
+
+class TestReductionCaseMatchesReference:
+    """The mask-based reducibility test decides as the square-row one does, on
+    every vertex of the corpus, the stress family and random graphs that need
+    not be claw-free, under both thresholds, with and without a neighbor cap."""
+
+    SETTINGS = [(kprime, cap) for kprime in (9, 19) for cap in (None, kprime + 2)]
+
+    @pytest.fixture(scope="class")
+    def expected(self, corpus, stress_family):
+        rng = random.Random(23)
+        graphs = [entry.graph for entry in corpus] + [g for *_, g in stress_family]
+        graphs += [
+            random_graph(rng, rng.randint(3, 40), rng.uniform(0.05, 0.5)) for _ in range(100)
+        ]
+        out = []
+        for g in graphs:
+            sq_rows = square(g)._adj
+            for kprime, cap in self.SETTINGS:
+                for v in range(g.n):
+                    found = brute_reduction_case(g, v, sq_rows, kprime, cap)
+                    out.append((g, sq_rows, v, kprime, cap, found))
+        return out
+
+    @staticmethod
+    def mismatches(expected):
+        return sum(
+            reduction_case(g, v, sq_rows, kprime, cap) != found
+            for g, sq_rows, v, kprime, cap, found in expected
+        )
+
+    def test_same_case_everywhere(self, expected):
+        assert self.mismatches(expected) == 0
+        # Each case occurs both with and without the neighbor cap.
+        outcomes = {(cap is None, found) for *_, cap, found in expected}
+        assert outcomes == {(u, case) for u in (True, False) for case in ("iii", "ii", None)}
+
+    def test_deleted_vertex_is_not_a_shared_neighbor(self, expected, monkeypatch):
+        # Every pair of neighbors of v shares v itself; a test that forgets
+        # to exclude it calls every neighborhood a clique of the deleted square.
+        original = structure._clique_in_deleted_square
+        monkeypatch.setattr(
+            structure,
+            "_clique_in_deleted_square",
+            lambda adj, mask, v: original(adj, mask, len(adj)),
+        )
+        assert self.mismatches(expected) > 0
 
 
 class TestClassify:
