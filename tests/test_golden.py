@@ -6,9 +6,9 @@ members of the peeling scaling family. ``golden_reports.json`` holds the
 sha256 of the ``as_dict`` list that ``run_lemma_suite`` returns for every
 corpus entry and every stress-family instance (at the graph's clique
 number, at least 2) and for every case of the omega sweep, and the sha256
-of every corpus entry's ``clawsq analyze`` report without ``timings`` and
-with ``input`` cut to the file name. A change that alters any of these on
-purpose regenerates both files with
+of every corpus entry's ``clawsq analyze`` and ``clawsq color`` reports
+without ``timings`` and with ``input`` cut to the file name. A change that
+alters any of these on purpose regenerates both files with
 ``PYTHONPATH=src:tests python tests/test_golden.py`` and says why.
 """
 
@@ -64,16 +64,21 @@ def lemma_digests(corpus, stress, sweep):
     }
 
 
-def analyze_digests(corpus, directory):
+def report_digests(command, corpus, directory):
+    """Digest of each corpus entry's ``clawsq COMMAND`` report, corpus written to directory.
+
+    ``color`` exits 2 on an entry with a claw; its report is pinned all the same.
+    """
     write_corpus(corpus, directory)
     out = {}
     for entry in corpus:
         name = f"{entry.id}.col"
         buf = io.StringIO()
         with redirect_stdout(buf):
-            assert main(["analyze", str(Path(directory) / name)]) == 0
+            status = main([command, str(Path(directory) / name)])
+        assert status == 0 or (command == "color" and status == 2), (entry.id, status)
         report = json.loads(buf.getvalue())
-        del report["timings"]
+        report.pop("timings", None)
         report["input"] = name
         out[entry.id] = text_digest(json.dumps(report, sort_keys=True, indent=2))
     return out
@@ -102,7 +107,12 @@ def test_lemma_reports_match_golden(corpus, stress_family):
 
 def test_analyze_reports_match_golden(corpus, tmp_path):
     golden = json.loads(GOLDEN_REPORTS.read_text())["analyze"]
-    assert_same_digests(analyze_digests(corpus, tmp_path), golden)
+    assert_same_digests(report_digests("analyze", corpus, tmp_path), golden)
+
+
+def test_color_reports_match_golden(corpus, tmp_path):
+    golden = json.loads(GOLDEN_REPORTS.read_text())["color"]
+    assert_same_digests(report_digests("color", corpus, tmp_path), golden)
 
 
 if __name__ == "__main__":
@@ -111,7 +121,8 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     with tempfile.TemporaryDirectory() as directory:
         reports = {
-            "analyze": analyze_digests(corpus, directory),
+            "analyze": report_digests("analyze", corpus, directory),
+            "color": report_digests("color", corpus, directory),
             "lemmas": lemma_digests(corpus, stress, lemma_sweep_instances()),
         }
     GOLDEN_REPORTS.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
