@@ -199,7 +199,7 @@ def _verify_manifest_row(task) -> dict:
         out["error"] = f"input: {exc}"
         return out
     omega = max_clique(g)[0]
-    known = row.get("known") or {}
+    known = row.get("known", {})
     mismatches = []
     if "omega" in known and known["omega"] != omega:
         mismatches.append(f"omega recorded {known['omega']}, computed {omega}")
@@ -226,6 +226,11 @@ def cmd_verify_lemmas(args) -> int:
         raise CliUsageError("manifest must be a JSON array")
     if not rows:
         print("warning: empty manifest, nothing to verify", file=sys.stderr)
+    for index, row in enumerate(rows):
+        if not isinstance(row, dict) or not isinstance(row.get("file"), str):
+            raise CliUsageError(f'manifest row {index}: not an object with a "file" string')
+        if not isinstance(row.get("known", {}), dict):
+            raise CliUsageError(f'manifest row {index}: "known" is not an object')
     tasks = [(str(manifest_path.parent), row) for row in rows]
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -269,6 +274,13 @@ _NAMED_ROOTS = {
 }
 
 
+def _natural(text: str, what: str) -> int:
+    """``text`` read as a non-negative decimal integer, or CliUsageError."""
+    if not (text.isascii() and text.isdigit()):
+        raise CliUsageError(f"{what} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _root_for(name: str) -> Graph:
     if name in _NAMED_ROOTS:
         return _NAMED_ROOTS[name]()
@@ -282,9 +294,9 @@ def _root_for(name: str) -> Graph:
             "squared-cycle": squared_cycle,
         }
         if kind in makers:
-            return makers[kind](int(arg))
+            return makers[kind](_natural(arg, f"the {kind} size"))
         if kind == "blowup":
-            sizes = tuple(int(s) for s in arg.split(","))
+            sizes = tuple(_natural(s, "a class size") for s in arg.split(","))
             return gen_blowup_c5(BlowupSpec(sizes))
         raise CliUsageError(f"unknown root family {kind!r}")
     return load_dimacs(name)
@@ -310,7 +322,7 @@ def cmd_generate(args) -> int:
     if args.kind == "blowup-c5":
         if not args.sizes:
             raise CliUsageError("generate blowup-c5 requires --sizes a,b,c,d,e")
-        sizes = tuple(int(s) for s in args.sizes.split(","))
+        sizes = tuple(_natural(s, "a class size") for s in args.sizes.split(","))
         g = gen_blowup_c5(BlowupSpec(sizes))
         params = {"sizes": list(sizes)}
     elif args.kind == "icosahedron":

@@ -11,11 +11,13 @@ whose node budget counts every node, that descent included.
 Peeling is incremental (:func:`_peel`): square rows, live components,
 triangle and K4 membership and the reducible vertices of each case are
 kept across steps and updated only near the deleted vertex, and each step
-records just (vertex, case, kprime). The base step colors all triangle-free
-leftover components with one call. Reinsertion works on the input graph
-with a mask of the vertices present, so no graph is kept per step, and
-with one vertex mask per color (a color class), so a color is free for a
-vertex exactly when its class misses the vertex's square row.
+records just (vertex, case, kprime); as the graph is claw-free, a deletion
+splits its component into at most two pieces (:func:`_pieces`). The base
+step colors all triangle-free leftover components with one call.
+Reinsertion works on the input graph with a mask of the vertices present,
+so no graph is kept per step, and with one vertex mask per color (a color
+class), so a color is free for a vertex exactly when its class misses the
+vertex's square row.
 
 :func:`color_square` is the one place a coloring is checked: it verifies
 the final coloring against the square, and each component's palette
@@ -103,7 +105,8 @@ def _path_pattern(length: int) -> list[int]:
 
 def _cycle_pattern(length: int) -> list[int]:
     # Squares of cycles: 3 colors when the length is a multiple of 3, all 5
-    # distinct for the 5-cycle, otherwise 4 via blocks of 012 and 0123.
+    # distinct for the 5-cycle, otherwise 4 via blocks of 012 and 0123. Every
+    # other length is at least 4, and at least 8 when it is 2 mod 3.
     if length == 5:
         return [0, 1, 2, 3, 4]
     if length % 3 == 0:
@@ -111,8 +114,6 @@ def _cycle_pattern(length: int) -> list[int]:
     if length % 3 == 1:
         triples = (length - 4) // 3
     else:
-        if length < 8:
-            raise NotSmallOmegaError(f"no simple cycle of length {length}")
         triples = (length - 8) // 3
     quads = (length - 3 * triples) // 4
     return [0, 1, 2] * triples + [0, 1, 2, 3] * quads
@@ -398,51 +399,37 @@ def _in_k4(adj, x: int) -> bool:
 
 
 def _pieces(adj, comp: int, nbrs: int) -> list[int]:
-    """Connected pieces of ``comp``, a component that just lost a vertex with neighbors ``nbrs``.
+    """Connected pieces of ``comp``, a component that just lost a vertex v with neighbors ``nbrs``.
 
-    Every piece holds a neighbor, and neighbors joined inside ``nbrs`` share
-    a piece, so one breadth-first search starts from each component of the
-    neighborhood and all advance a layer at a time: searches that meet
-    merge, one that runs out of frontier has found its piece, and the last
-    one left owns the rest. A connected neighborhood needs no search.
+    The graph must be claw-free, so the neighbors that miss the lowest
+    neighbor a are pairwise adjacent: two that are not form a claw at v with
+    a. N(v) is then connected, and needs no search, unless B = N(v) - N[a]
+    is non-empty with no edge to A = N[a] & N(v). Otherwise one search grows
+    from each side a layer at a time, A first, claiming vertices neither has
+    seen: when one reaches what the other holds, ``comp`` is one piece; when
+    one runs out of frontier first, it holds a piece and the rest of
+    ``comp`` is the other.
     """
-    sides = []
-    rest = nbrs
-    while rest:
-        seen = frontier = _lowest(rest)
-        while frontier:
+    low = _lowest(nbrs)
+    side_a = adj[low.bit_length() - 1] & nbrs | low
+    side_b = nbrs & ~side_a
+    if not side_b or any(adj[x] & side_a for x in bits(side_b)):
+        return [comp]
+    held = [side_a, side_b]
+    frontiers = [side_a, side_b]
+    seen = nbrs
+    while True:
+        for i in (0, 1):
             reach = 0
-            for x in bits(frontier):
+            for x in bits(frontiers[i]):
                 reach |= adj[x]
-            frontier = reach & rest & ~seen
-            seen |= frontier
-        sides.append((seen, seen))
-        rest &= ~seen
-    done = []
-    while len(sides) > 1:
-        grown = []
-        for seen, frontier in sides:
-            reach = 0
-            for x in bits(frontier):
-                reach |= adj[x]
-            frontier = reach & ~seen
-            seen |= frontier
-            apart = []
-            for other_seen, other_frontier in grown:
-                if other_seen & seen:
-                    seen |= other_seen
-                    frontier |= other_frontier
-                else:
-                    apart.append((other_seen, other_frontier))
-            grown = apart + [(seen, frontier)]
-        sides = [side for side in grown if side[1]]
-        done += [seen for seen, frontier in grown if not frontier]
-    if sides:
-        covered = 0
-        for piece in done:
-            covered |= piece
-        done.append(comp & ~covered)
-    return done
+            if reach & held[1 - i]:
+                return [comp]
+            frontiers[i] = reach & ~seen
+            if not frontiers[i]:
+                return [held[i], comp & ~held[i]]
+            seen |= frontiers[i]
+            held[i] |= frontiers[i]
 
 
 def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, int]]]:
@@ -594,13 +581,14 @@ def greedy_reduce(
 ) -> Coloring:
     """Inductive square coloring within palette_bound(omega) colors, unverified.
 
-    For claw-free inputs of clique number at most ``omega``, which must be 3
-    or 4. Iteratively deletes reducible vertices (explicit stack, no
-    recursion), colors the base remainder per component, then reinserts
+    For claw-free inputs, where a deletion splits a component into at most
+    two pieces (:func:`_pieces`), of clique number at most ``omega``, which
+    must be 3 or 4. Iteratively deletes reducible vertices (explicit stack,
+    no recursion), colors the base remainder per component, then reinserts
     each vertex in reverse order, recoloring its neighborhood through
     distinct available colors; one vertex mask per color, updated on every
-    assignment, gives the colors available. The result is not checked here;
-    :func:`color_square` checks it.
+    assignment, gives the colors available. Neither claw-freeness nor the
+    result is checked here; :func:`color_square` checks both.
     """
     if omega not in (3, 4):
         raise ValueError(f"the inductive engine is defined for omega 3 and 4, not {omega}")

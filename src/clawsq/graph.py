@@ -104,14 +104,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(adj), count)
 
 
-def square_row(g: Graph, v: int, avoid: int = 0) -> int:
-    """Neighbors of ``v`` in the square of g minus the vertices in ``avoid``, as a bitmask."""
-    keep = ~avoid
-    first = g._adj[v] & keep
+def square_row(g: Graph, v: int) -> int:
+    """Neighbors of ``v`` in the square of g, as a bitmask."""
+    first = g._adj[v]
     row = first
     for u in bits(first):
         row |= g._adj[u]
-    return row & keep & ~(1 << v)
+    return row & ~(1 << v)
 
 
 def square(g: Graph) -> Graph:

@@ -31,6 +31,7 @@ from clawsq.analysis import (
 from clawsq.coloring import (
     _color_base_components,
     _cycle_pattern,
+    _lowest,
     _match_distinct,
     _path_pattern,
     palette_bound,
@@ -712,9 +713,13 @@ def _brute_clique_in_deleted_square(g: Graph, vertices, v: int) -> bool:
     mask = 0
     for x in vertices:
         mask |= 1 << x
+    keep = ~(1 << v)
     for x in vertices:
         need = mask & ~(1 << x)
-        if square_row(g, x, 1 << v) & need != need:
+        row = first = g._adj[x] & keep
+        for u in bits(first):
+            row |= g._adj[u]
+        if row & keep & need != need:
             return False
     return True
 
@@ -848,3 +853,53 @@ def brute_greedy_reduce(g, omega, node_limit=DEFAULT_NODE_LIMIT):
     for gr, v, case, kprime in reversed(frames):
         colors = brute_reinsert_vertex(gr, v, case, kprime, colors, K)
     return Coloring(colors)
+
+
+# The split the library replaced: a general merge of one layer-synchronous
+# search per component of N(v), written for any number of sides.
+def brute_pieces(adj, comp: int, nbrs: int) -> list[int]:
+    """Connected pieces of ``comp``, a component that just lost a vertex with neighbors ``nbrs``.
+
+    Every piece holds a neighbor, and neighbors joined inside ``nbrs`` share
+    a piece, so one breadth-first search starts from each component of the
+    neighborhood and all advance a layer at a time: searches that meet
+    merge, one that runs out of frontier has found its piece, and the last
+    one left owns the rest. A connected neighborhood needs no search.
+    """
+    sides = []
+    rest = nbrs
+    while rest:
+        seen = frontier = _lowest(rest)
+        while frontier:
+            reach = 0
+            for x in bits(frontier):
+                reach |= adj[x]
+            frontier = reach & rest & ~seen
+            seen |= frontier
+        sides.append((seen, seen))
+        rest &= ~seen
+    done = []
+    while len(sides) > 1:
+        grown = []
+        for seen, frontier in sides:
+            reach = 0
+            for x in bits(frontier):
+                reach |= adj[x]
+            frontier = reach & ~seen
+            seen |= frontier
+            apart = []
+            for other_seen, other_frontier in grown:
+                if other_seen & seen:
+                    seen |= other_seen
+                    frontier |= other_frontier
+                else:
+                    apart.append((other_seen, other_frontier))
+            grown = apart + [(seen, frontier)]
+        sides = [side for side in grown if side[1]]
+        done += [seen for seen, frontier in grown if not frontier]
+    if sides:
+        covered = 0
+        for piece in done:
+            covered |= piece
+        done.append(comp & ~covered)
+    return done

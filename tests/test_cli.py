@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from helpers import disjoint_union, one_color_matching, record_calls
 
-from clawsq import analysis, coloring, graph
+from clawsq import analysis, cli, coloring, graph
 from clawsq.cli import main
 from clawsq.corpus import (
     claw,
@@ -303,6 +303,31 @@ class TestVerifyLemmas:
         code, _, err = run_cli(capsys, "verify-lemmas", str(manifest))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ({"id": "nofile"}, 'not an object with a "file" string'),
+            ({"file": 7}, 'not an object with a "file" string'),
+            (["planted.col"], 'not an object with a "file" string'),
+            ("planted.col", 'not an object with a "file" string'),
+            ({"file": "planted.col", "known": [2]}, '"known" is not an object'),
+            ({"file": "planted.col", "known": None}, '"known" is not an object'),
+        ],
+    )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_row_rejected_before_dispatch(
+        self, small_manifest, capsys, monkeypatch, row, problem, jobs
+    ):
+        rows = json.loads(small_manifest.read_text())
+        small_manifest.write_text(json.dumps(rows[:2] + [row] + rows[2:]))
+        calls = record_calls(monkeypatch, cli, "_verify_manifest_row")
+        code, out, err = run_cli(
+            capsys, "verify-lemmas", str(small_manifest), "--jobs", jobs
+        )
+        assert code == 1 and out == "" and calls == []
+        assert err.startswith("error: manifest row 2: " + problem)
+        assert err.count("\n") == 1
+
 
 class TestGenerate:
     def test_blowup(self, tmp_path, capsys):
@@ -359,6 +384,23 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "blowup-c5")
         assert code == 1
         assert "sizes" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["line-graph", "--of", "cycle:abc"],
+            ["line-graph", "--of", "cycle:"],
+            ["blowup-c5", "--sizes", "1,x,1,1,1"],
+            ["line-graph", "--of", "blowup:2,2,-2,2,2"],
+            ["line-graph", "--of", "complete:-1"],
+            ["line-graph", "--of", "path:-3"],
+        ],
+    )
+    def test_malformed_number_exits_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-negative integer" in err
 
     def test_bad_subcommand_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "generate", "nonsense")

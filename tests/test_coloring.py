@@ -1,8 +1,10 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
+from clawsq import coloring
 from clawsq.coloring import (
     DEFAULT_NODE_LIMIT,
     color_icosahedron,
@@ -66,6 +68,7 @@ from helpers import (
     brute_greedy_reduce,
     brute_is_strong_edge_coloring,
     brute_peel,
+    brute_pieces,
     disjoint_union,
     random_graph,
     record_calls,
@@ -273,6 +276,76 @@ class TestPeelMatchesReference:
         last = len(log) - 1 - log[::-1].index("delete_vertex")
         assert last - first > 100
         assert set(log[first : last + 1]) == {"delete_vertex"}
+
+
+class RowLog:
+    """Adjacency rows that record which vertex's row is read, in order."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.read = []
+
+    def __getitem__(self, x):
+        self.read.append(x)
+        return self.rows[x]
+
+
+def mask_connected(adj, mask):
+    """Whether the vertices of ``mask`` induce a connected graph."""
+    seen = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        for x in graph.bits(frontier):
+            reach |= adj[x]
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return seen == mask
+
+
+class TestPiecesMatchReference:
+    """The two-sided split gives the pieces of the general merge it replaced."""
+
+    @pytest.fixture
+    def outcomes(self, monkeypatch):
+        counts = Counter()
+        pieces = coloring._pieces
+
+        def checked(adj, comp, nbrs):
+            log = RowLog(adj)
+            found = pieces(log, comp, nbrs)
+            assert sorted(found) == sorted(brute_pieces(adj, comp, nbrs))
+            assert len(found) <= 2
+            if mask_connected(adj, nbrs):
+                # No search: only rows of N(v) are read, each at most once.
+                assert len(set(log.read)) == len(log.read)
+                assert all(nbrs >> x & 1 for x in log.read)
+                counts["connected"] += 1
+            else:
+                counts["split" if len(found) == 2 else "meet"] += 1
+            return found
+
+        monkeypatch.setattr(coloring, "_pieces", checked)
+        return counts
+
+    def test_corpus_components(self, corpus, outcomes):
+        for entry in corpus:
+            for comp in connected_components(entry.graph):
+                sub, _ = induced_subgraph(entry.graph, comp)
+                omega = max_clique(sub)[0]
+                if omega in (3, 4):
+                    greedy_reduce(sub, omega)
+        assert set(outcomes) == {"connected", "meet", "split"}
+
+    def test_random_line_graphs(self, outcomes):
+        for seed in (1, 2, 3):
+            greedy_reduce(gen_random_claw_free(170, 3, seed), 3)
+            greedy_reduce(gen_random_claw_free(150, 4, seed), 4)
+        assert set(outcomes) == {"connected", "meet", "split"}
+
+    def test_squared_cycles(self, outcomes):
+        for n in (*range(7, 30), 64, 101, 150):
+            greedy_reduce(squared_cycle(n), 3)
+        assert outcomes["connected"] and outcomes["meet"]
 
 
 def component_kinds(g):
