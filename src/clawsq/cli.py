@@ -1,9 +1,18 @@
 """Batch command line front end: analyze, color, verify-lemmas, generate.
 
 Every command prints exactly one JSON document to stdout (schema
-``clawsq/1``); diagnostics go to stderr. Exit codes are stable across
+``clawsq/2``); diagnostics go to stderr. Exit codes are stable across
 commands: 0 success, 1 input error, 2 claw-free precondition violated,
 3 internal invariant or bound violation.
+
+``color`` classifies nothing itself: ``color_square`` walks the paper's
+induction once, and the report carries the coloring, not the structure.
+``analyze`` alone reports the classification of each component.
+
+A malformed graph file becomes a ``DimacsError`` where it is loaded
+(:func:`_load`) and exits 1 with one line. ``main`` catches no broader
+exception around library calls, so a library bug is never reported as bad
+input.
 """
 
 from __future__ import annotations
@@ -47,12 +56,13 @@ from .errors import (
     NodeLimitExceeded,
     NotClawFreeError,
     UnclassifiableGraphError,
+    VertexOutOfRangeError,
 )
 from .graph import Graph, connected_components, induced_subgraph, max_clique, square
 from .oracle import exact_chromatic
 from .structure import classify, neighborhood_shape
 
-SCHEMA = "clawsq/1"
+SCHEMA = "clawsq/2"
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -75,6 +85,18 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
+def _load(path) -> Graph:
+    """The graph in the DIMACS file at ``path``; a malformed file raises DimacsError."""
+    try:
+        return load_dimacs(path)
+    except DimacsError:
+        raise
+    except (ValueError, VertexOutOfRangeError) as exc:
+        # a non-ASCII byte, an endpoint outside 1..n, a self-loop, a
+        # duplicate edge or a negative vertex count
+        raise DimacsError(str(exc)) from exc
+
+
 def _classification_dict(sub: Graph, old: tuple[int, ...], omega: int) -> dict:
     outcome = classify(sub, omega, check_claw_free=False)
     info: dict = {"kind": outcome.kind, "omega": omega, "vertices": list(old)}
@@ -95,17 +117,9 @@ def _classification_dict(sub: Graph, old: tuple[int, ...], omega: int) -> dict:
     return info
 
 
-def _classify_components(g: Graph) -> list[dict]:
-    out = []
-    for comp in connected_components(g):
-        sub, old = induced_subgraph(g, comp)
-        out.append(_classification_dict(sub, old, max_clique(sub)[0]))
-    return out
-
-
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
-    g = load_dimacs(args.path)
+    g = _load(args.path)
     witness = find_claw(g)
     sq = square(g)
     qs = q_rows(g)
@@ -129,10 +143,13 @@ def cmd_analyze(args) -> int:
         "ambiguous_neighborhoods": [
             v for v in range(g.n) if neighborhood_shape(g, v).ambiguous
         ],
-        "lemma_failures": [],
     }
     if witness is None:
-        report["classification"] = _classify_components(g)
+        classification = []
+        for comp in connected_components(g):
+            sub, old = induced_subgraph(g, comp)
+            classification.append(_classification_dict(sub, old, max_clique(sub)[0]))
+        report["classification"] = classification
     report["timings"] = {"elapsed_s": time.perf_counter() - started}
     _emit(report)
     if witness is not None and args.require_claw_free:
@@ -142,7 +159,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_color(args) -> int:
     started = time.perf_counter()
-    g = load_dimacs(args.path)
+    g = _load(args.path)
     try:
         coloring = color_square(g, node_limit=args.node_limit)
     except NotClawFreeError as exc:
@@ -166,14 +183,12 @@ def cmd_color(args) -> int:
         "m": g.edge_count,
         "omega": omega,
         "claw_free": True,
-        "classification": _classify_components(g),
         "palette": coloring.palette_size,
         "bound": palette_bound(omega),
         # color_square raises unless its coloring is proper within the bound
         "verified": True,
         "colors": list(coloring.colors),
         "oracle": None,
-        "lemma_failures": [],
     }
     if args.oracle:
         result = exact_chromatic(square(g), coloring.palette_size, args.node_limit)
@@ -194,8 +209,8 @@ def _verify_manifest_row(task) -> dict:
     entry_path = Path(base) / row["file"]
     out = {"id": row.get("id", row["file"]), "file": row["file"]}
     try:
-        g = load_dimacs(entry_path)
-    except (DimacsError, OSError, ValueError) as exc:
+        g = _load(entry_path)
+    except (DimacsError, OSError) as exc:
         out["error"] = f"input: {exc}"
         return out
     omega = max_clique(g)[0]
@@ -221,7 +236,12 @@ def _verify_manifest_row(task) -> dict:
 def cmd_verify_lemmas(args) -> int:
     started = time.perf_counter()
     manifest_path = Path(args.manifest)
-    rows = json.loads(manifest_path.read_text(encoding="ascii"))
+    try:
+        rows = json.loads(manifest_path.read_text(encoding="ascii"))
+    except UnicodeDecodeError as exc:
+        raise CliUsageError(f"manifest is not ASCII: {exc}") from exc
+    except RecursionError as exc:
+        raise CliUsageError("manifest nests too deeply to parse") from exc
     if not isinstance(rows, list):
         raise CliUsageError("manifest must be a JSON array")
     if not rows:
@@ -233,7 +253,7 @@ def cmd_verify_lemmas(args) -> int:
             raise CliUsageError(f'manifest row {index}: "known" is not an object')
     tasks = [(str(manifest_path.parent), row) for row in rows]
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = list(pool.map(_verify_manifest_row, tasks))
     else:
         results = [_verify_manifest_row(t) for t in tasks]
@@ -274,6 +294,17 @@ _NAMED_ROOTS = {
 }
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of ``--node-limit`` and ``--jobs``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def _natural(text: str, what: str) -> int:
     """``text`` read as a non-negative decimal integer, or CliUsageError."""
     if not (text.isascii() and text.isdigit()):
@@ -299,7 +330,7 @@ def _root_for(name: str) -> Graph:
             sizes = tuple(_natural(s, "a class size") for s in arg.split(","))
             return gen_blowup_c5(BlowupSpec(sizes))
         raise CliUsageError(f"unknown root family {kind!r}")
-    return load_dimacs(name)
+    return _load(name)
 
 
 def cmd_generate(args) -> int:
@@ -392,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--node-limit",
-        type=int,
+        type=_at_least_one,
         default=DEFAULT_NODE_LIMIT,
         help=(
             "node budget of each exact search; the strong edge coloring's one "
@@ -407,7 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("manifest")
     p.add_argument(
-        "--jobs", type=int, default=1, help="parallel worker processes (default 1)"
+        "--jobs",
+        type=_at_least_one,
+        default=1,
+        help="parallel worker processes, at most one per row (default 1)",
     )
     p.set_defaults(func=cmd_verify_lemmas)
 

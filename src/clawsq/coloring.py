@@ -530,13 +530,16 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
 
 
 def _color_line_graph_base(sub: Graph, root: RootGraph, node_limit: int) -> list:
-    budget = 10 if max_degree(root.f) <= 3 else 22
+    # A base root has max degree 3 or 4, the line graph's clique number, and
+    # its strong chromatic index is within that clique number's bound.
+    delta = max_degree(root.f)
+    budget = palette_bound(delta)
     try:
         sec = strong_edge_color(root.f, budget, node_limit)
     except (BudgetExhaustedError, NodeLimitExceeded) as exc:
         raise InternalBoundViolation(
             f"strong edge coloring within {budget} colors failed on a root graph "
-            f"with max degree {max_degree(root.f)}: {exc}"
+            f"with max degree {delta}: {exc}"
         ) from exc
     index = {e: i for i, e in enumerate(sec.edges)}
     return [sec.colors[index[root.edge_of_vertex[x]]] for x in range(sub.n)]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from helpers import disjoint_union, one_color_matching, record_calls
 
-from clawsq import analysis, cli, coloring, graph
+from clawsq import analysis, cli, coloring, graph, structure
 from clawsq.cli import main
 from clawsq.corpus import (
     claw,
@@ -59,7 +59,7 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", target)
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == "clawsq/1"
+        assert report["schema"] == "clawsq/2"
         assert report["omega"] == 3
         assert report["claw_free"] is True
         assert set(report["square_degrees"]) == {10}
@@ -193,6 +193,43 @@ class TestColor:
         code, _, err = run_cli(capsys, "color", str(bad))
         assert code == 1
 
+    def test_one_pass_through_the_structure(self, tmp_path, capsys, monkeypatch):
+        # color_square walks the induction once; the report adds no second
+        # classification of its components, only the whole graph's omega.
+        line_petersen, _ = gen_line_graph(petersen())
+        g = disjoint_union([gen_icosahedron(), line_petersen, octahedron(), cycle(7), path(3)])
+        target = write_graph(tmp_path, "union.col", g)
+        calls = {
+            name: record_calls(monkeypatch, owner, name)
+            for owner, name in (
+                (structure, "classify"),
+                (graph, "induced_subgraph"),
+                (graph, "max_clique"),
+            )
+        }
+        coloring.color_square(g)
+        alone = {name: len(log) for name, log in calls.items()}
+        assert alone["classify"] > 0
+        for log in calls.values():
+            log.clear()
+        code, out, _ = run_cli(capsys, "color", target)
+        assert code == 0
+        assert {name: len(log) for name, log in calls.items()} == {
+            **alone,
+            "max_clique": alone["max_clique"] + 1,
+        }
+        assert sorted(json.loads(out)) == [
+            "bound", "claw_free", "colors", "command", "input", "m", "n",
+            "omega", "oracle", "palette", "schema", "timings", "verified",
+        ]  # fmt: skip
+
+    def test_node_limit_below_the_first_descent_exits_three(self, tmp_path, capsys):
+        line_petersen, _ = gen_line_graph(petersen())
+        target = write_graph(tmp_path, "lp.col", line_petersen)
+        code, out, err = run_cli(capsys, "color", target, "--node-limit", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error:") and err.count("\n") == 1
+
 
 class TestBrokenRecoloring:
     """A recoloring step that breaks the coloring exits 3, with or without -O."""
@@ -263,6 +300,28 @@ class TestVerifyLemmas:
         assert code == 2
         assert len(calls) == len(rows) == 11
 
+    def test_no_more_workers_than_rows(self, small_manifest, capsys, monkeypatch):
+        # Records the pool size and maps in this process: no worker starts.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        code, out, _ = run_cli(capsys, "verify-lemmas", str(small_manifest), "--jobs", "64")
+        assert code == 0 and json.loads(out)["files"] == 10
+        assert sizes == [10]
+
     def test_parallel_jobs_agree(self, small_manifest, capsys):
         code1, out1, _ = run_cli(capsys, "verify-lemmas", str(small_manifest))
         code2, out2, _ = run_cli(
@@ -326,6 +385,84 @@ class TestVerifyLemmas:
         )
         assert code == 1 and out == "" and calls == []
         assert err.startswith("error: manifest row 2: " + problem)
+        assert err.count("\n") == 1
+
+
+MALFORMED_GRAPHS = {
+    "endpoint-out-of-range": b"p edge 3 1\ne 4 1\n",
+    "self-loop": b"p edge 3 1\ne 2 2\n",
+    "duplicate-edge": b"p edge 3 2\ne 1 2\ne 2 1\n",
+    "negative-vertex-count": b"p edge -3 0\n",
+    "non-ascii": "c caf\u00e9\np edge 2 1\ne 1 2\n".encode(),
+}
+
+
+class TestInputErrors:
+    """Malformed files and out-of-range options exit 1 with one error line."""
+
+    @pytest.fixture(params=sorted(MALFORMED_GRAPHS))
+    def bad_file(self, request, tmp_path):
+        target = tmp_path / "bad.col"
+        target.write_bytes(MALFORMED_GRAPHS[request.param])
+        return str(target)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["color", "{}"], ["analyze", "{}"], ["generate", "line-graph", "--of", "{}"]],
+    )
+    def test_malformed_graph_exits_one(self, capsys, bad_file, argv):
+        code, out, err = run_cli(capsys, *(a.format(bad_file) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_malformed_row_is_a_problem(self, tmp_path, capsys, corpus, bad_file):
+        manifest = write_corpus(corpus[:3], tmp_path / "corpus")
+        rows = json.loads(manifest.read_text())
+        rows.insert(1, {"id": "bad", "file": bad_file})
+        manifest.write_text(json.dumps(rows))
+        code, out, _ = run_cli(capsys, "verify-lemmas", str(manifest))
+        assert code == 1
+        report = json.loads(out)
+        assert report["files"] == 4 and report["failures"] == []
+        assert [p["id"] for p in report["problems"]] == ["bad"]
+        assert report["problems"][0]["error"].startswith("input: ")
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('[{"file": "caf\u00e9.col"}]', "is not ASCII"),
+            ("[" * 100_000 + "]" * 100_000, "nests too deeply"),
+        ],
+    )
+    def test_unreadable_manifest_exits_one(self, tmp_path, capsys, text, problem):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(text.encode())
+        code, out, err = run_cli(capsys, "verify-lemmas", str(manifest))
+        assert code == 1 and out == ""
+        assert err.startswith("error: manifest " + problem) and err.count("\n") == 1
+
+    def test_no_traceback(self, tmp_path):
+        target = tmp_path / "bad.col"
+        target.write_bytes(MALFORMED_GRAPHS["endpoint-out-of-range"])
+        done = subprocess.run(
+            [sys.executable, "-m", "clawsq.cli", "color", str(target)],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("value", ["-5", "0", "x"])
+    @pytest.mark.parametrize(
+        "argv", [["color", "g.col", "--node-limit"], ["verify-lemmas", "m.json", "--jobs"]]
+    )
+    def test_option_below_one_exits_one(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, *argv, value)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: argument {argv[-1]}: must be an integer of at least 1")
         assert err.count("\n") == 1
 
 
