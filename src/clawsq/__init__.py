@@ -9,10 +9,6 @@ generators, and a batch CLI.
 from .analysis import (
     ClawWitness,
     LemmaReport,
-    check_degree_lemma,
-    check_exterior_bounds,
-    check_second_neighborhood_bounds,
-    exterior_neighbors,
     find_claw,
     q_value,
     ramsey_bound,
@@ -52,7 +48,6 @@ from .graph import (
     induced_subgraph,
     max_clique,
     square,
-    square_degree,
 )
 from .oracle import (
     ExactResult,
@@ -66,9 +61,7 @@ from .structure import (
     Reduction,
     RootGraph,
     classify,
-    classify_very_bad,
     find_reducible_vertex,
-    is_good_vertex,
     krausz_partition,
     neighborhood_shape,
     recognize_icosahedron,

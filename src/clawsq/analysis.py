@@ -1,12 +1,13 @@
 """Claw detection and the quantitative neighborhood inequalities for claw-free graphs.
 
-Every inequality is exposed twice: as a plain computation (sets, counts,
-matching numbers) and as a :class:`LemmaReport` that records both sides of
-the bound exactly. Right-hand sides stay rational (`fractions.Fraction`),
-never floating point, so "holds" is never a tolerance question. The report
-families compute on masks of the adjacency rows: clique and stability
-numbers of N(v) by one clique search, exteriors by popcounts, and q once
-per edge, since it is symmetric and Z(v) is where it is positive.
+:func:`run_lemma_suite` is the one public entry to the inequalities: it
+checks claw-freeness once and returns every instance as a
+:class:`LemmaReport` that records both sides of the bound exactly. Right-hand
+sides stay rational (`fractions.Fraction`), never floating point, so "holds"
+is never a tolerance question. The report families compute on masks of the
+adjacency rows: clique and stability numbers of N(v) by one clique search,
+exteriors by popcounts, and q once per edge, since it is symmetric and Z(v)
+is where it is positive.
 """
 
 from __future__ import annotations
@@ -111,18 +112,8 @@ def ramsey_bound(omega: int) -> int:
     return _RAMSEY_R3.get(omega, comb(omega + 1, 2))
 
 
-def exterior_neighbors(g: Graph, v: int, w: int) -> frozenset[int]:
-    """Neighbors of ``w`` lying outside the closed neighborhood of ``v``.
-
-    Requires ``w`` adjacent to ``v``. On claw-free inputs this set is always
-    a clique of at most omega-1 vertices.
-    """
-    if not g.has_edge(v, w):
-        raise NotNeighborError(f"{w} is not a neighbor of {v}")
-    mask = g._adj[w] & ~(g._adj[v] | (1 << v))
-    return frozenset(bits(mask))
-
-
+# Kept for perfbench/tracer.py, which times z_set and fails to install when a
+# listed name is missing; the library reads Z(v) off q_rows.
 def z_set(g: Graph, v: int) -> frozenset[int]:
     """Neighbors of ``v`` with two non-adjacent common neighbors inside N(v)."""
     g.check_vertex(v)
@@ -193,17 +184,12 @@ def q_rows(g: Graph) -> list[dict[int, int]]:
     return rows
 
 
-def check_degree_lemma(g: Graph, omega: int) -> list[LemmaReport]:
+def _degree_reports(g: Graph, omega: int) -> list[LemmaReport]:
     """Per-vertex degree cap below the Ramsey number, plus neighborhood structure.
 
     Reports, for every vertex: deg(v) <= R(omega,3)-1; no clique of size
     omega inside the neighborhood; no independent triple inside it.
     """
-    require_claw_free(g)
-    return _degree_reports(g, omega)
-
-
-def _degree_reports(g: Graph, omega: int) -> list[LemmaReport]:
     exact = _Exact()
     degree_cap = exact[ramsey_bound(omega) - 1]
     clique_cap = exact[omega - 1]
@@ -221,13 +207,8 @@ def _degree_reports(g: Graph, omega: int) -> list[LemmaReport]:
     return reports
 
 
-def check_exterior_bounds(g: Graph, omega: int) -> list[LemmaReport]:
-    """Per edge (v, w): the exterior of w is a clique of at most omega-1 vertices."""
-    require_claw_free(g)
-    return _exterior_reports(g, omega)
-
-
 def _exterior_reports(g: Graph, omega: int) -> list[LemmaReport]:
+    """Per edge (v, w): the exterior N(w) - N[v] is a clique of at most omega-1 vertices."""
     exact = _Exact()
     size_cap = exact[omega - 1]
     zero = exact[0]
@@ -257,7 +238,7 @@ def _second_degree_cap(omega: int) -> Fraction:
     return max(t1, t2, t3)
 
 
-def check_second_neighborhood_bounds(g: Graph, omega: int) -> list[LemmaReport]:
+def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
     """Evaluate every second-neighborhood inequality that applies per vertex.
 
     Emitted per vertex: the half-weighted bound through Z(v) (both the
@@ -268,11 +249,6 @@ def check_second_neighborhood_bounds(g: Graph, omega: int) -> list[LemmaReport]:
     and the square-degree cap. One extra report caps the maximum square
     degree globally.
     """
-    require_claw_free(g)
-    return _second_neighborhood_reports(g, omega)
-
-
-def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
     exact = _Exact()
     zero = exact[0]
     adj = g._adj

@@ -122,7 +122,6 @@ def cmd_analyze(args) -> int:
     g = _load(args.path)
     witness = find_claw(g)
     sq = square(g)
-    qs = q_rows(g)
     report = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -135,16 +134,21 @@ def cmd_analyze(args) -> int:
         if witness is None
         else {"center": witness.center, "leaves": list(witness.leaves)},
         "square_degrees": [sq.degree(v) for v in range(g.n)],
-        "z_sets": {str(v): [w for w, q in row.items() if q] for v, row in enumerate(qs)},
-        "q_values": {
-            str(v): {str(w): q for w, q in row.items()} for v, row in enumerate(qs)
-        },
+        "z_sets": None,
+        "q_values": None,
         "classification": None,
         "ambiguous_neighborhoods": [
             v for v in range(g.n) if neighborhood_shape(g, v).ambiguous
         ],
     }
+    # q_value is an exhaustive matching search, bounded only on claw-free
+    # neighborhoods, so q and Z stay null on a claw, as classification does.
     if witness is None:
+        qs = q_rows(g)
+        report["z_sets"] = {str(v): [w for w, q in row.items() if q] for v, row in enumerate(qs)}
+        report["q_values"] = {
+            str(v): {str(w): q for w, q in row.items()} for v, row in enumerate(qs)
+        }
         classification = []
         for comp in connected_components(g):
             sub, old = induced_subgraph(g, comp)

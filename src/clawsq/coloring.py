@@ -432,12 +432,13 @@ def _pieces(adj, comp: int, nbrs: int) -> list[int]:
             held[i] |= frontiers[i]
 
 
-def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, int]]]:
+def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, int]], int, int]:
     """Delete reducible vertices of g, of clique number ``omega``, until none is left.
 
     Returns the remaining graph, the original label of each of its
-    vertices, and one frame (original label, case, kprime) per deleted
-    vertex in deletion order. Each step deletes the smallest vertex
+    vertices, one frame (original label, case, kprime) per deleted vertex
+    in deletion order, and the masks of the remaining vertices on a
+    triangle and on a K4. Each step deletes the smallest vertex
     reducible by case iii, else by case ii, in the component with the
     smallest member that has one, under the thresholds of that component's
     clique number.
@@ -526,7 +527,7 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
             if piece.bit_count() > 2 and w_piece > 2:
                 examine(piece if w_piece < w else piece & near, w_piece)
                 insort(comps, piece, key=_lowest)
-    return cur, orig, frames
+    return cur, orig, frames, tri, k4
 
 
 def _color_line_graph_base(sub: Graph, root: RootGraph, node_limit: int) -> list:
@@ -545,25 +546,25 @@ def _color_line_graph_base(sub: Graph, root: RootGraph, node_limit: int) -> list
     return [sec.colors[index[root.edge_of_vertex[x]]] for x in range(sub.n)]
 
 
-def _color_base_components(cur: Graph, node_limit: int) -> list:
+def _color_base_components(cur: Graph, tri: int, k4: int, node_limit: int) -> list:
     """Colors of the base remainder ``cur``, indexed by its vertices.
 
-    The components without a triangle (paths, cycles, edges and single
-    vertices) are colored together by one :func:`color_small_omega` call on
-    the subgraph their union induces; that subgraph keeps their vertex order,
-    so each is colored as it would be alone. Each component with a triangle
-    is classified and colored on its own.
+    The components without a triangle in ``tri`` (paths, cycles, edges and
+    single vertices) are colored together by one :func:`color_small_omega`
+    call on the subgraph their union induces; that subgraph keeps their
+    vertex order, so each is colored as it would be alone. Each other
+    component is classified, at clique number 4 if it meets ``k4`` and 3
+    if not, and colored on its own. :func:`_peel` returns the two masks.
     """
-    adj = cur._adj
     colors = [UNCOLORED] * cur.n
     small = []
     for comp in connected_components(cur):
-        if not any(_in_triangle(adj, x) for x in comp):
+        mask = sum(1 << x for x in comp)
+        if not mask & tri:
             small += comp
             continue
         sub, old = induced_subgraph(cur, comp)
-        w = max_clique(sub)[0]
-        outcome = classify(sub, w, check_claw_free=False)
+        outcome = classify(sub, 4 if mask & k4 else 3, check_claw_free=False)
         if outcome.kind == "icosahedron":
             local = color_icosahedron(sub, outcome.antipodal_pairs).colors
         elif outcome.kind == "line_graph":
@@ -598,11 +599,11 @@ def greedy_reduce(
     clique_number = max_clique(g)[0]
     if clique_number > omega:
         raise ValueError(f"clique number exceeds omega {omega}")
-    cur, orig, frames = _peel(g, clique_number)
+    cur, orig, frames, tri, k4 = _peel(g, clique_number)
     colors = [UNCOLORED] * g.n
     classes = [0] * palette_bound(omega)
     alive = 0
-    for x, c in zip(orig, _color_base_components(cur, node_limit)):
+    for x, c in zip(orig, _color_base_components(cur, tri, k4, node_limit)):
         colors[x] = c
         classes[c] |= 1 << x
         alive |= 1 << x

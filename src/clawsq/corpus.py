@@ -166,7 +166,8 @@ def gen_random_claw_free(
     """Seeded random claw-free graph; claw-freeness is verified before return.
 
     Strategies: "line-graph" returns the line graph of a random graph with
-    n edges and maximum degree at most omega_target; "blowup" the line
+    n edges and maximum degree at most omega_target, redrawn while its
+    clique number exceeds omega_target; "blowup" the line
     graph of a random five-cycle blow-up with degrees capped by
     omega_target (n is treated as an upper bound on the output order);
     "rejection" filters dense or sparse uniform graphs on n vertices by
@@ -180,14 +181,19 @@ def gen_random_claw_free(
     if strategy == "line-graph":
         if n == 0:
             return build_graph(0, [])
-        f = _random_bounded_graph(n, omega_target, rng)
-        g, _ = gen_line_graph(f)
+        # A line graph's cliques are its root's stars and triangles, so only
+        # a cap of 2 is ever exceeded, by a triangle in the root.
+        g, _ = gen_line_graph(_random_bounded_graph(n, omega_target, rng))
+        while max_clique(g)[0] > omega_target:
+            g, _ = gen_line_graph(_random_bounded_graph(n, omega_target, rng))
     elif strategy == "blowup":
         for _ in range(1000):
             spec = BlowupSpec(tuple(rng.randint(1, 3) for _ in range(5)))
-            if spec.max_degree <= omega_target and gen_blowup_c5(spec).edge_count <= max(n, 5):
-                g, _ = gen_line_graph(gen_blowup_c5(spec))
-                break
+            if spec.max_degree <= omega_target:
+                f = gen_blowup_c5(spec)
+                if f.edge_count <= n:
+                    g, _ = gen_line_graph(f)
+                    break
         else:
             raise GenerationExhaustedError("no blow-up fits the requested bounds")
     elif strategy == "rejection":

@@ -119,12 +119,6 @@ def square(g: Graph) -> Graph:
     return Graph(g.n, rows, sum(row.bit_count() for row in rows) // 2)
 
 
-def square_degree(g: Graph, v: int) -> int:
-    """Degree of ``v`` in the square: deg(v) plus second neighbors."""
-    g.check_vertex(v)
-    return square_row(g, v).bit_count()
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced by ``vertices`` plus the new-to-old index map."""
     old = sorted(set(vertices))
@@ -143,6 +137,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(old), tuple(rows), total // 2), tuple(old)
 
 
+# The engine's peel loop calls delete_vertex once per peeled vertex, and
+# perfbench counts peels by those calls.
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Graph with ``v`` removed and higher indices shifted down by one.
 
@@ -181,16 +177,6 @@ def max_degree(g: Graph) -> int:
     return max((row.bit_count() for row in g._adj), default=0)
 
 
-def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    """True when the given vertices are pairwise adjacent."""
-    vs = list(set(vertices))
-    mask = 0
-    for v in vs:
-        g.check_vertex(v)
-        mask |= 1 << v
-    return all(g._adj[v] & mask == mask & ~(1 << v) for v in vs)
-
-
 def distance(g: Graph, u: int, v: int) -> int | None:
     """BFS distance between ``u`` and ``v``, or None when disconnected."""
     g.check_vertex(u)
@@ -210,14 +196,6 @@ def distance(g: Graph, u: int, v: int) -> int | None:
             return dist
         seen |= frontier
     return None
-
-
-def complement(g: Graph) -> Graph:
-    """Complement graph on the same vertex set."""
-    full = (1 << g.n) - 1
-    rows = tuple(full & ~g._adj[v] & ~(1 << v) for v in range(g.n))
-    total = sum(row.bit_count() for row in rows) // 2
-    return Graph(g.n, rows, total)
 
 
 def max_clique(g: Graph) -> tuple[int, frozenset[int]]:

@@ -123,6 +123,8 @@ def line_graph_of(f: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     return build_graph(len(edges), sorted(set(pairs))), edges
 
 
+# Kept as the independent reference that pins the strong chromatic indices
+# behind the palette bounds: 10 at maximum degree 3, 20 for the C5 blow-up.
 def exact_strong_chromatic_index(
     f: Graph, upper: int, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> ExactResult:

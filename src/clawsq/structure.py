@@ -171,31 +171,6 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     return NeighborhoodShape(SHAPE_CLIQUE_PAIR_PLUS_EDGES, parts, crosses)
 
 
-# The neighborhood structures that rule a vertex out of the "good" set when
-# the clique number is 4, as (kind, sorted part sizes, cross edge count).
-_OMEGA4_COVERED_SHAPES = {
-    (SHAPE_CLIQUE_PAIR, (1, 3), 0),
-    (SHAPE_CLIQUE_PAIR, (2, 3), 0),
-    (SHAPE_CLIQUE_PAIR_PLUS_EDGES, (2, 3), 1),
-    (SHAPE_CLIQUE_PAIR, (3, 3), 0),
-    (SHAPE_CLIQUE_PAIR_PLUS_EDGES, (3, 3), 1),
-    (SHAPE_CLIQUE_PAIR_PLUS_EDGES, (3, 3), 2),
-}
-
-
-def is_good_vertex(g: Graph, v: int, omega: int) -> bool:
-    """Whether v's neighborhood avoids the line-graph-like shapes for this omega."""
-    if omega == 3:
-        if g.degree(v) != 4:
-            return False
-        return neighborhood_shape(g, v).kind != SHAPE_TWO_DISJOINT_EDGES
-    if omega == 4:
-        shape = neighborhood_shape(g, v)
-        key = (shape.kind, shape.sizes, len(shape.cross_edges))
-        return key not in _OMEGA4_COVERED_SHAPES
-    raise UnsupportedOmegaError(f"good vertices are defined for omega 3 and 4, not {omega}")
-
-
 def recognize_icosahedron(g: Graph):
     """Antipodal pairing when g is the icosahedron, else None.
 
@@ -248,6 +223,8 @@ def _krausz_root(g: Graph, omega: int):
         return None
 
 
+# Kept for perfbench/tracer.py, which times krausz_partition and fails to
+# install when a listed name is missing; classify calls _krausz_root.
 def krausz_partition(g: Graph, omega: int) -> list[frozenset[int]] | None:
     """Edge clique partition certifying that g is a line graph, or None.
 
@@ -470,22 +447,3 @@ def classify(g: Graph, omega: int, *, check_claw_free: bool = True) -> Classific
         f"no structural case applies (n={g.n}, omega={omega}); "
         "the input may contain a claw, or this is a bug"
     )
-
-
-def classify_very_bad(g: Graph, omega: int) -> tuple[list[int], list[int]]:
-    """Vertices whose square degree blocks easy recoloring, per omega.
-
-    Returns (very_bad, extremely_bad); the second list is only populated
-    for omega 3, where the two notions differ (square degree exactly 11
-    versus 12 and up).
-    """
-    if omega < 3:
-        raise UnsupportedOmegaError("very bad vertices are defined for omega >= 3")
-    sq = square(g)
-    degs = [sq.degree(v) for v in range(g.n)]
-    if omega == 3:
-        very = [v for v in range(g.n) if degs[v] == 11]
-        extreme = [v for v in range(g.n) if degs[v] >= 12]
-        return very, extreme
-    threshold = 21 if omega == 4 else 2 * omega * (omega - 1) - 2
-    return [v for v in range(g.n) if degs[v] >= threshold], []

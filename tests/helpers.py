@@ -23,7 +23,6 @@ from clawsq.analysis import (
     LemmaReport,
     _max_matching_mask,
     _second_degree_cap,
-    exterior_neighbors,
     q_value,
     ramsey_bound,
     z_set,
@@ -50,7 +49,6 @@ from clawsq.graph import (
     Graph,
     bits,
     build_graph,
-    complement,
     connected_components,
     induced_subgraph,
     max_clique,
@@ -86,6 +84,30 @@ def bfs_distances(g, source):
 def brute_square_degree(g, v):
     dist = bfs_distances(g, v)
     return sum(1 for u, d in dist.items() if u != v and d <= 2)
+
+
+def brute_square(g):
+    """Square of g from a BFS at every vertex: the pairs at distance 1 or 2."""
+    return build_graph(
+        g.n,
+        [(u, w) for u in range(g.n) for w, d in bfs_distances(g, u).items() if u < w and d <= 2],
+    )
+
+
+def brute_is_clique(g, vertices):
+    """True when every pair of the given vertices is an edge of g."""
+    return all(g.has_edge(u, v) for u, v in combinations(sorted(set(vertices)), 2))
+
+
+def brute_complement(g):
+    """Complement of g on the same vertices, by testing every pair."""
+    pairs = combinations(range(g.n), 2)
+    return build_graph(g.n, [(u, v) for u, v in pairs if not g.has_edge(u, v)])
+
+
+def brute_exterior(g, v, w):
+    """Neighbors of ``w`` outside the closed neighborhood of ``v``."""
+    return frozenset(x for x in g.neighbors(w) if x != v and not g.has_edge(v, x))
 
 
 def brute_max_clique(g):
@@ -491,7 +513,7 @@ def brute_q_value(g: Graph, v: int, w: int) -> int:
         raise NotNeighborError(f"{w} is not a neighbor of {v}")
     common = sorted(bits(g._adj[v] & g._adj[w]))
     sub, _ = induced_subgraph(g, common)
-    comp = complement(sub)
+    comp = brute_complement(sub)
     full = (1 << comp.n) - 1
     return _max_matching_mask(comp._adj, full, {})
 
@@ -516,7 +538,9 @@ def brute_degree_reports(g: Graph, omega: int) -> list[LemmaReport]:
             brute_report("neighborhood-clique-cap", v, None, max_clique(sub)[0], omega - 1)
         )
         reports.append(
-            brute_report("neighborhood-stability-cap", v, None, max_clique(complement(sub))[0], 2)
+            brute_report(
+                "neighborhood-stability-cap", v, None, max_clique(brute_complement(sub))[0], 2
+            )
         )
     return reports
 
@@ -525,7 +549,7 @@ def brute_exterior_reports(g: Graph, omega: int) -> list[LemmaReport]:
     reports = []
     for v in range(g.n):
         for w in g.neighbors(v):
-            ext = exterior_neighbors(g, v, w)
+            ext = brute_exterior(g, v, w)
             reports.append(brute_report("exterior-size", v, w, len(ext), omega - 1))
             nonedges = sum(
                 1
@@ -550,7 +574,7 @@ def brute_second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]
         snn = sqd - deg
         nbrs = g.neighbors(v)
         z = z_set(g, v)
-        ext = {w: len(exterior_neighbors(g, v, w)) for w in nbrs}
+        ext = {w: len(brute_exterior(g, v, w)) for w in nbrs}
         zsum = sum(
             (Fraction(ext[w], 2) if w in z else Fraction(ext[w])) for w in nbrs
         )
@@ -844,11 +868,18 @@ def brute_greedy_reduce(g, omega, node_limit=DEFAULT_NODE_LIMIT):
     """The inductive engine with one graph copy and a full recomputation per peel.
 
     The base coloring, the distinct-representative matching and the
-    reducibility test are the library's; the peel loop and the
-    reinsertion are the ones the incremental engine replaced.
+    reducibility test are the library's; the peel loop, the reinsertion
+    and the triangle and K4 masks of the base remainder are recomputed
+    from scratch where the engine keeps them incrementally.
     """
     cur, frames = brute_peel(g)
-    colors = _color_base_components(cur, node_limit)
+
+    def on_clique(v, others):
+        return any(brute_is_clique(cur, c) for c in combinations(cur.neighbors(v), others))
+
+    tri = sum(1 << v for v in range(cur.n) if on_clique(v, 2))
+    k4 = sum(1 << v for v in range(cur.n) if on_clique(v, 3))
+    colors = _color_base_components(cur, tri, k4, node_limit)
     K = palette_bound(omega) - 1
     for gr, v, case, kprime in reversed(frames):
         colors = brute_reinsert_vertex(gr, v, case, kprime, colors, K)

@@ -29,7 +29,6 @@ from clawsq.graph import (
     connected_components,
     delete_vertex,
     induced_subgraph,
-    is_clique,
     max_clique,
     max_degree,
     square,
@@ -37,7 +36,7 @@ from clawsq.graph import (
 from clawsq.oracle import exact_chromatic, exact_strong_chromatic_index
 from clawsq.structure import classify, recognize_icosahedron
 
-from helpers import bfs_distances, brute_is_strong_edge_coloring
+from helpers import bfs_distances, brute_is_clique, brute_is_strong_edge_coloring
 from iso_util import is_isomorphic
 
 
@@ -136,7 +135,7 @@ def _witness_verified(sub, outcome):
         bad = [x for x in sub.neighbors(red.vertex) if sq.degree(x) > threshold]
         deleted_sq = square(delete_vertex(sub, red.vertex))
         shifted = [x if x < red.vertex else x - 1 for x in bad]
-        return is_clique(deleted_sq, shifted)
+        return brute_is_clique(deleted_sq, shifted)
     if outcome.kind == "line_graph":
         root = outcome.root
         if max_degree(root.f) > outcome.omega:

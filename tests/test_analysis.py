@@ -5,10 +5,6 @@ import pytest
 
 from clawsq import analysis, graph
 from clawsq.analysis import (
-    check_degree_lemma,
-    check_exterior_bounds,
-    check_second_neighborhood_bounds,
-    exterior_neighbors,
     find_claw,
     q_value,
     ramsey_bound,
@@ -23,7 +19,7 @@ from clawsq.corpus import (
     gen_random_claw_free,
 )
 from clawsq.errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaError
-from clawsq.graph import build_graph, is_clique, max_clique
+from clawsq.graph import build_graph, max_clique
 from clawsq.oracle import brute_force_claw_free
 
 from helpers import (
@@ -97,6 +93,27 @@ class TestFindClaw:
             assert (find_claw(g) is None) == stability_ok
 
 
+# The lemma ids of each report family of run_lemma_suite.
+DEGREE_LEMMAS = {"degree-below-ramsey", "neighborhood-clique-cap", "neighborhood-stability-cap"}
+EXTERIOR_LEMMAS = {"exterior-size", "exterior-nonedges"}
+SECOND_NEIGHBORHOOD_LEMMAS = {
+    "second-neighborhood-z-sum",
+    "second-neighborhood-z",
+    "second-neighborhood-q-sum",
+    "second-neighborhood-q",
+    "z-covers-neighborhood",
+    "half-degree-bound",
+    "matching-weighted-degree-bound",
+    "square-degree-cap",
+    "max-square-degree",
+}
+
+
+def lemma_reports(g, omega, family):
+    """The reports of run_lemma_suite whose lemma id is in ``family``, in suite order."""
+    return [r for r in run_lemma_suite(g, omega) if r.lemma_id in family]
+
+
 class TestRamseyBound:
     def test_small_values(self):
         assert ramsey_bound(3) == 6
@@ -117,50 +134,30 @@ class TestRamseyBound:
 
 class TestDegreeLemma:
     def test_icosahedron(self, icosahedron):
-        reports = check_degree_lemma(icosahedron, 3)
+        reports = lemma_reports(icosahedron, 3, DEGREE_LEMMAS)
         assert len(reports) == 36
         assert all(r.holds for r in reports)
         degree_caps = [r for r in reports if r.lemma_id == "degree-below-ramsey"]
         assert all(r.lhs == 5 and r.rhs == 5 for r in degree_caps)
 
     def test_k4(self):
-        reports = check_degree_lemma(complete(4), 4)
+        reports = lemma_reports(complete(4), 4, DEGREE_LEMMAS)
         assert all(r.holds for r in reports)
         caps = [r for r in reports if r.lemma_id == "degree-below-ramsey"]
         assert all(r.lhs == 3 and r.rhs == 8 for r in caps)
 
     def test_claw_input_rejected_with_witness(self):
         with pytest.raises(NotClawFreeError) as err:
-            check_degree_lemma(claw(), 2)
+            run_lemma_suite(claw(), 2)
         assert err.value.witness.center == 0
 
 
 class TestExteriorNeighbors:
-    def test_c5(self):
-        assert exterior_neighbors(cycle(5), 0, 1) == frozenset({2})
-
-    def test_k4_empty(self):
-        g = complete(4)
-        for v in range(4):
-            for w in g.neighbors(v):
-                assert exterior_neighbors(g, v, w) == frozenset()
-
-    def test_icosahedron_two_clique(self, icosahedron):
-        for v in range(12):
-            for w in icosahedron.neighbors(v):
-                ext = exterior_neighbors(icosahedron, v, w)
-                assert len(ext) == 2
-                assert is_clique(icosahedron, ext)
-
-    def test_requires_adjacency(self):
-        with pytest.raises(NotNeighborError):
-            exterior_neighbors(cycle(5), 0, 2)
-
     def test_exterior_reports_on_samples(self):
         for seed in range(10):
             g = gen_random_claw_free(14, 4, seed, strategy="line-graph")
             omega = max_clique(g)[0]
-            assert all(r.holds for r in check_exterior_bounds(g, max(omega, 2)))
+            assert all(r.holds for r in lemma_reports(g, max(omega, 2), EXTERIOR_LEMMAS))
 
 
 class TestZSet:
@@ -217,26 +214,26 @@ class TestQValue:
 
 class TestSecondNeighborhoodBounds:
     def test_icosahedron_is_tight(self, icosahedron):
-        reports = check_second_neighborhood_bounds(icosahedron, 3)
+        reports = lemma_reports(icosahedron, 3, SECOND_NEIGHBORHOOD_LEMMAS)
         assert all(r.holds for r in reports)
         z_bounds = [r for r in reports if r.lemma_id == "second-neighborhood-z"]
         assert all(r.lhs == 5 and r.rhs == Fraction(5) for r in z_bounds)
 
     def test_k4_trivial(self):
-        reports = check_second_neighborhood_bounds(complete(4), 4)
+        reports = lemma_reports(complete(4), 4, SECOND_NEIGHBORHOOD_LEMMAS)
         assert all(r.holds for r in reports)
         assert all(
             r.lhs == 0 for r in reports if r.lemma_id == "second-neighborhood-z"
         )
 
     def test_blowup_line_graph_square_degree(self, sharp_blowup_line):
-        reports = check_second_neighborhood_bounds(sharp_blowup_line, 3)
+        reports = lemma_reports(sharp_blowup_line, 3, SECOND_NEIGHBORHOOD_LEMMAS)
         assert all(r.holds for r in reports)
         top = [r for r in reports if r.lemma_id == "max-square-degree"]
         assert len(top) == 1 and top[0].lhs == 9 and top[0].rhs == 12
 
     def test_corollaries_gated_by_degree_and_omega(self, icosahedron):
-        reports = check_second_neighborhood_bounds(icosahedron, 3)
+        reports = lemma_reports(icosahedron, 3, SECOND_NEIGHBORHOOD_LEMMAS)
         ids = {r.lemma_id for r in reports}
         # degree 5 = 2*omega - 1 triggers the saturation report, but the
         # matching-weighted degree bound stays out at omega 3
@@ -259,7 +256,7 @@ class TestSecondNeighborhoodBounds:
         assert brute_force_claw_free(g)
         assert max_clique(g)[0] == 4
         assert g.degree(7) == 7
-        reports = check_second_neighborhood_bounds(g, 4)
+        reports = lemma_reports(g, 4, SECOND_NEIGHBORHOOD_LEMMAS)
         assert all(r.holds for r in reports)
         apex_ids = {r.lemma_id for r in reports if r.vertex == 7}
         assert "matching-weighted-degree-bound" in apex_ids
@@ -268,7 +265,7 @@ class TestSecondNeighborhoodBounds:
 
     def test_rejects_claw(self):
         with pytest.raises(NotClawFreeError):
-            check_second_neighborhood_bounds(claw(), 2)
+            run_lemma_suite(claw(), 2)
 
 
 class TestLemmaSuite:
@@ -312,19 +309,21 @@ def reference_reports(corpus):
     ]
 
 
+@pytest.fixture(scope="module")
+def suite_reports(reference_reports):
+    """run_lemma_suite's reports for each case of ``reference_reports``, in order."""
+    return [run_lemma_suite(g, omega) for g, omega, *_ in reference_reports]
+
+
 class TestReportsMatchReference:
     @pytest.mark.parametrize(
-        "check, family",
-        [
-            (check_degree_lemma, 2),
-            (check_exterior_bounds, 3),
-            (check_second_neighborhood_bounds, 4),
-        ],
+        "lemmas, family",
+        [(DEGREE_LEMMAS, 2), (EXTERIOR_LEMMAS, 3), (SECOND_NEIGHBORHOOD_LEMMAS, 4)],
+        ids=["degree", "exterior", "second-neighborhood"],
     )
-    def test_family(self, reference_reports, check, family):
-        for case in reference_reports:
-            g, omega = case[:2]
-            assert check(g, omega) == case[family], (g, omega)
+    def test_family(self, reference_reports, suite_reports, lemmas, family):
+        for case, reports in zip(reference_reports, suite_reports):
+            assert [r for r in reports if r.lemma_id in lemmas] == case[family], case[:2]
 
     def test_families_on_graphs_with_claws(self):
         # Claw-free inputs keep every exterior a clique and every stability
@@ -339,18 +338,17 @@ class TestReportsMatchReference:
             second = analysis._second_neighborhood_reports(g, omega)
             assert second == brute_second_neighborhood_reports(g, omega)
 
-    def test_suite(self, reference_reports):
-        for g, omega, degree, exterior, second in reference_reports:
-            assert run_lemma_suite(g, omega) == degree + exterior + second, (g, omega)
+    def test_suite(self, reference_reports, suite_reports):
+        for (g, omega, degree, exterior, second), reports in zip(reference_reports, suite_reports):
+            assert reports == degree + exterior + second, (g, omega)
 
 
 class TestLemmaSuiteCalls:
     def test_no_subgraphs_and_one_q_value_per_edge(self, monkeypatch, corpus):
         subgraphs = record_calls(monkeypatch, graph, "induced_subgraph")
-        complements = record_calls(monkeypatch, graph, "complement")
         qs = record_calls(monkeypatch, analysis, "q_value")
         for g in [entry.graph for entry in corpus[::25]] + [cocktail_party(6)]:
             qs.clear()
             run_lemma_suite(g, max(max_clique(g)[0], 2))
             assert sorted(tuple(sorted(args[1:])) for args in qs) == sorted(g.edges())
-        assert subgraphs == [] and complements == []
+        assert subgraphs == []

@@ -1,11 +1,12 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from helpers import disjoint_union, one_color_matching, record_calls
+from helpers import disjoint_union, one_color_matching, random_graph, record_calls
 
 from clawsq import analysis, cli, coloring, graph, structure
 from clawsq.cli import main
@@ -122,6 +123,18 @@ class TestAnalyze:
         q = json.loads(out)["q_values"]
         assert all(q[v][w] == q[w][v] for v in q for w in q[v])
         assert sum(len(row) for row in q.values()) == 2 * g.edge_count
+
+    def test_no_q_values_on_a_claw(self, tmp_path, capsys, monkeypatch):
+        # q_value is an exhaustive matching search, bounded only on claw-free
+        # neighborhoods; on G(n, 1/2) its cost grows exponentially with n.
+        g = random_graph(random.Random(1), 40, 0.5)
+        target = write_graph(tmp_path, "dense.col", g)
+        calls = record_calls(monkeypatch, analysis, "q_value")
+        code, out, _ = run_cli(capsys, "analyze", target)
+        assert code == 0
+        report = json.loads(out)
+        assert report["claw_free"] is False and calls == []
+        assert report["q_values"] is None and report["z_sets"] is None
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/g.col")
@@ -503,6 +516,13 @@ class TestGenerate:
         )
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_blowup_below_five_vertices_exits_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "generate", "random", "--n", "4", "--omega", "4", "--strategy", "blowup"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: no blow-up fits")
 
     def test_corpus_writes_manifest(self, tmp_path, capsys, monkeypatch):
         # Patch the corpus down to a handful of entries to keep the test fast.

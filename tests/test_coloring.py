@@ -3,6 +3,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawsq import coloring
 from clawsq.coloring import (
@@ -21,10 +23,12 @@ from clawsq.coloring import (
     _reinsert_vertex,
 )
 from clawsq.corpus import (
+    BlowupSpec,
     claw,
     cocktail_party,
     complete,
     cycle,
+    gen_blowup_c5,
     gen_icosahedron,
     gen_line_graph,
     gen_random_claw_free,
@@ -66,9 +70,11 @@ from helpers import (
     brute_dsatur_order_greedy,
     brute_edge_conflict_graph,
     brute_greedy_reduce,
+    brute_is_proper,
     brute_is_strong_edge_coloring,
     brute_peel,
     brute_pieces,
+    brute_square,
     disjoint_union,
     random_graph,
     record_calls,
@@ -396,6 +402,45 @@ class TestMetamorphic:
             assert coloring.palette_size <= max(palette_bound(max_clique(p)[0]) for p in parts)
 
 
+@st.composite
+def claw_free_parts(draw):
+    """A random line graph of maximum degree 2 to 5, the line graph of a C5
+    blow-up, a squared cycle or a cycle."""
+    family = draw(st.sampled_from(("line-graph", "blowup", "squared-cycle", "cycle")))
+    if family == "line-graph":
+        cap = draw(st.sampled_from((2, 3, 4, 5)))
+        return gen_random_claw_free(draw(st.integers(0, 30)), cap, draw(st.integers(0, 2**16)))
+    if family == "blowup":
+        sizes = draw(st.lists(st.integers(1, 3), min_size=5, max_size=5))
+        return gen_line_graph(gen_blowup_c5(BlowupSpec(tuple(sizes))))[0]
+    if family == "squared-cycle":
+        return squared_cycle(draw(st.integers(5, 30)))
+    return cycle(draw(st.integers(3, 30)))
+
+
+class TestDisjointUnions:
+    """Components are colored independently, so a union of claw-free parts is
+    colored within the bound of its clique number, each part as it is alone."""
+
+    @given(st.lists(claw_free_parts(), min_size=1, max_size=4))
+    @settings(deadline=None, max_examples=100)
+    def test_proper_on_the_square_within_the_bound(self, parts):
+        g = disjoint_union(parts)
+        coloring = color_square(g)
+        assert brute_is_proper(brute_square(g), coloring.colors)
+        assert coloring.palette_size <= palette_bound(max_clique(g)[0])
+
+    @given(st.lists(claw_free_parts(), min_size=1, max_size=4))
+    @settings(deadline=None, max_examples=100)
+    def test_each_part_colored_as_alone(self, parts):
+        colors = color_square(disjoint_union(parts)).colors
+        start = 0
+        for part in parts:
+            block = Coloring(colors[start : start + part.n]).compacted()
+            assert block == color_square(part)
+            start += part.n
+
+
 def color_classes(colors, size):
     """One vertex mask per color of a palette of ``size`` colors."""
     classes = [0] * size
@@ -469,8 +514,6 @@ class TestStrongEdgeColoring:
             strong_edge_color(complete(4), 5)
 
     def test_full_blowup_needs_twenty(self):
-        from clawsq.corpus import BlowupSpec, gen_blowup_c5
-
         f = gen_blowup_c5(BlowupSpec((2, 2, 2, 2, 2)))
         sec = strong_edge_color(f, 20)
         assert sec.palette_size == 20

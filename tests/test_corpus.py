@@ -22,6 +22,7 @@ from clawsq.corpus import (
 from clawsq.errors import (
     DimacsError,
     DuplicateEdgeError,
+    GenerationExhaustedError,
     InvalidSpecError,
     SelfLoopError,
     VertexOutOfRangeError,
@@ -108,10 +109,28 @@ class TestRandomGenerators:
         assert brute_force_claw_free(g)
         assert brute_max_clique(g) <= 3
 
+    def test_line_graph_strategy_keeps_omega_two(self):
+        # A triangle in the root is a triangle in its line graph, so the
+        # cap of 2 holds only when such draws are redrawn.
+        for n in range(3, 30):
+            for seed in range(20):
+                g = gen_random_claw_free(n, 2, seed)
+                assert g.n == n
+                assert not any(set(g.neighbors(u)) & set(g.neighbors(v)) for u, v in g.edges())
+
     def test_blowup_strategy(self):
         g = gen_random_claw_free(30, 5, 11, strategy="blowup")
         assert brute_force_claw_free(g)
         assert g.n <= 30
+
+    def test_blowup_order_never_exceeds_n(self):
+        # The smallest blow-up, the five-cycle, has five edges.
+        for n in range(5):
+            with pytest.raises(GenerationExhaustedError):
+                gen_random_claw_free(n, 4, 0, strategy="blowup")
+        for n in range(5, 12):
+            for seed in range(10):
+                assert gen_random_claw_free(n, 4, seed, strategy="blowup").n <= n
 
     def test_rejection_strategy(self):
         g = gen_random_claw_free(10, 12, 5, strategy="rejection")

@@ -16,21 +16,19 @@ from clawsq.graph import (
     UNCOLORED,
     Coloring,
     build_graph,
-    complement,
     connected_components,
     delete_vertex,
     distance,
     induced_subgraph,
-    is_clique,
     max_clique,
     max_degree,
     square,
-    square_degree,
 )
 
 from helpers import (
     bfs_distances,
     brute_delete_vertex,
+    brute_is_clique,
     brute_is_proper,
     brute_max_clique,
     brute_square_degree,
@@ -99,28 +97,15 @@ class TestSquare:
 
     def test_icosahedron_square_degree_is_ten(self, icosahedron):
         # Independent derivation: BFS from each vertex, count distance <= 2.
+        sq = square(icosahedron)
         for v in range(12):
             assert brute_square_degree(icosahedron, v) == 10
-            assert square_degree(icosahedron, v) == 10
+            assert sq.degree(v) == 10
 
     def test_icosahedron_has_unique_antipode(self, icosahedron):
         for v in range(12):
             dist = bfs_distances(icosahedron, v)
             assert sorted(dist.values()).count(3) == 1
-
-    def test_k4_square_degree(self):
-        g = complete(4)
-        assert all(square_degree(g, v) == 3 for v in range(4))
-
-    def test_p4_endpoint_square_degree(self):
-        assert square_degree(path(4), 0) == 2
-
-    @given(graphs())
-    @settings(deadline=None)
-    def test_square_degree_matches_square(self, g):
-        sq = square(g)
-        for v in range(g.n):
-            assert square_degree(g, v) == sq.degree(v)
 
     @given(graphs())
     @settings(deadline=None)
@@ -207,7 +192,7 @@ class TestComponentsAndCliques:
         )
         size, witness = max_clique(icosahedron)
         assert size == 3
-        assert is_clique(icosahedron, witness)
+        assert brute_is_clique(icosahedron, witness)
 
     def test_octahedron_clique_number(self):
         g = octahedron()
@@ -219,7 +204,7 @@ class TestComponentsAndCliques:
     def test_max_clique_matches_brute_force(self, g):
         size, witness = max_clique(g)
         assert size == brute_max_clique(g)
-        assert is_clique(g, witness)
+        assert brute_is_clique(g, witness)
         assert len(witness) == size
 
     @given(graphs(max_n=10))
@@ -237,20 +222,9 @@ class TestSmallHelpers:
     def test_distance_disconnected(self):
         assert distance(build_graph(3, [(0, 1)]), 0, 2) is None
 
-    def test_is_clique_and_independent(self):
-        g = octahedron()
-        assert is_clique(g, {0, 2, 4})
-        assert not is_clique(g, {0, 1, 2})
-
     def test_max_degree(self):
         assert max_degree(path(4)) == 2
         assert max_degree(build_graph(2, [])) == 0
-
-    def test_complement(self):
-        assert complement(complete(4)) == build_graph(4, [])
-        assert complement(cycle(5)) == build_graph(
-            5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
-        )
 
 
 class TestColoring:

@@ -18,17 +18,14 @@ from clawsq.errors import (
     InvalidPartitionError,
     NotClawFreeError,
     UnclassifiableGraphError,
-    UnsupportedOmegaError,
 )
 from clawsq.graph import (
     build_graph,
     delete_vertex,
     induced_subgraph,
-    is_clique,
     max_clique,
     max_degree,
     square,
-    square_degree,
 )
 from clawsq.structure import (
     SHAPE_CLIQUE_PAIR,
@@ -38,9 +35,7 @@ from clawsq.structure import (
     SHAPE_TWO_DISJOINT_EDGES,
     NeighborhoodShape,
     classify,
-    classify_very_bad,
     find_reducible_vertex,
-    is_good_vertex,
     krausz_partition,
     neighbor_degree_cap,
     neighborhood_shape,
@@ -53,6 +48,7 @@ import clawsq.structure as structure
 
 from helpers import (
     bfs_distances,
+    brute_is_clique,
     brute_neighborhood_shape,
     brute_reduction_case,
     girth,
@@ -197,32 +193,6 @@ class TestNeighborhoodShapeMatchesEnumeration:
         assert neighborhood_shape(g, 0) == brute_neighborhood_shape(g, 0)
 
 
-class TestGoodVertex:
-    def test_octahedron_vertex_good_at_three(self, octahedron_graph):
-        assert all(is_good_vertex(octahedron_graph, v, 3) for v in range(6))
-
-    def test_line_petersen_not_good(self, line_petersen):
-        assert not any(is_good_vertex(line_petersen, v, 3) for v in range(15))
-
-    def test_degree_other_than_four_is_not_good_at_three(self, icosahedron):
-        assert not any(is_good_vertex(icosahedron, v, 3) for v in range(12))
-
-    def test_line_k5_good_at_four(self):
-        # Each neighborhood is two triangles plus a perfect matching, which
-        # is not among the covered shapes (those allow at most two extra
-        # edges), so these vertices count as good.
-        g = line_k5()
-        assert all(is_good_vertex(g, v, 4) for v in range(g.n))
-
-    def test_covered_shapes_not_good_at_four(self):
-        g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4)])
-        assert not is_good_vertex(g, 0, 4)
-
-    def test_unsupported_omega(self):
-        with pytest.raises(UnsupportedOmegaError):
-            is_good_vertex(complete(4), 0, 5)
-
-
 class TestRecognizeIcosahedron:
     def test_icosahedron(self, icosahedron):
         pairing = recognize_icosahedron(icosahedron)
@@ -263,7 +233,7 @@ class TestKrausz:
         part = krausz_partition(line_petersen, 3)
         assert part is not None and len(part) == 10
         assert all(len(c) == 3 for c in part)
-        assert all(is_clique(line_petersen, c) for c in part)
+        assert all(brute_is_clique(line_petersen, c) for c in part)
         covered = sorted(
             tuple(sorted((u, w)))
             for c in part
@@ -416,7 +386,8 @@ class TestFindReducible:
 
     def test_line_petersen_none(self, line_petersen):
         # Square degrees are all 12 > 9, so nothing qualifies.
-        assert all(square_degree(line_petersen, v) == 12 for v in range(15))
+        sq = square(line_petersen)
+        assert all(sq.degree(v) == 12 for v in range(15))
         assert find_reducible_vertex(line_petersen, 9, neighbor_cap=11) is None
 
     def test_case_condition_verified_against_full_square(self, octahedron_graph):
@@ -430,7 +401,7 @@ class TestFindReducible:
         ]
         deleted_sq = square(delete_vertex(octahedron_graph, red.vertex))
         shifted = [x if x < red.vertex else x - 1 for x in bad]
-        assert is_clique(deleted_sq, shifted)
+        assert brute_is_clique(deleted_sq, shifted)
 
 
 class TestReductionCaseMatchesReference:
@@ -552,27 +523,3 @@ class TestClassify:
                 w = max_clique(sub)[0]
                 if w >= 3:
                     assert for_comp(sub, w).kind in ("reducible", "line_graph")
-
-
-class TestVeryBad:
-    def test_octahedron_none(self, octahedron_graph):
-        assert classify_very_bad(octahedron_graph, 3) == ([], [])
-
-    def test_line_petersen_all_extremely_bad(self, line_petersen):
-        very, extreme = classify_very_bad(line_petersen, 3)
-        assert very == []
-        assert extreme == list(range(15))
-        sq = square(line_petersen)
-        assert all(sq.degree(v) >= 11 for v in extreme)
-
-    def test_k4_none(self):
-        assert classify_very_bad(complete(4), 4) == ([], [])
-
-    def test_omega_five_threshold(self):
-        g = complete(5)
-        very, extreme = classify_very_bad(g, 5)
-        assert very == [] and extreme == []
-
-    def test_rejects_omega_two(self):
-        with pytest.raises(UnsupportedOmegaError):
-            classify_very_bad(cycle(5), 2)
