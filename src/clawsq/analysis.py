@@ -2,12 +2,12 @@
 
 :func:`run_lemma_suite` is the one public entry to the inequalities: it
 checks claw-freeness once and returns every instance as a
-:class:`LemmaReport` that records both sides of the bound exactly. Right-hand
-sides stay rational (`fractions.Fraction`), never floating point, so "holds"
-is never a tolerance question. The report families compute on masks of the
-adjacency rows: clique and stability numbers of N(v) by one clique search,
-exteriors by popcounts, and q once per edge, since it is symmetric and Z(v)
-is where it is positive.
+:class:`LemmaReport` that records both sides of the bound exactly. Sides are
+integers or rationals (`fractions.Fraction`), never floating point, so
+"holds" is never a tolerance question. The report families compute on masks
+of the adjacency rows: clique and stability numbers of N(v) by one clique
+search, exteriors by popcounts, and q once per edge, since it is symmetric
+and Z(v) is where it is positive.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class LemmaReport:
     lemma_id: str
     vertex: int
     neighbor: int | None
-    lhs: Fraction
-    rhs: Fraction
+    lhs: int | Fraction
+    rhs: int | Fraction
     holds: bool
 
     def as_dict(self) -> dict:
@@ -57,20 +57,8 @@ class LemmaReport:
         }
 
 
-def _report(lemma_id, vertex, neighbor, lhs: Fraction, rhs: Fraction) -> LemmaReport:
+def _report(lemma_id, vertex, neighbor, lhs, rhs) -> LemmaReport:
     return LemmaReport(lemma_id, vertex, neighbor, lhs, rhs, lhs <= rhs)
-
-
-class _Exact(dict):
-    """The Fraction of each integer looked up, built on its first lookup.
-
-    A report family makes one per call, so reports with equal integer sides
-    share one immutable Fraction instead of each building its own.
-    """
-
-    def __missing__(self, value: int) -> Fraction:
-        exact = self[value] = Fraction(value)
-        return exact
 
 
 def find_claw(g: Graph) -> ClawWitness | None:
@@ -190,28 +178,25 @@ def _degree_reports(g: Graph, omega: int) -> list[LemmaReport]:
     Reports, for every vertex: deg(v) <= R(omega,3)-1; no clique of size
     omega inside the neighborhood; no independent triple inside it.
     """
-    exact = _Exact()
-    degree_cap = exact[ramsey_bound(omega) - 1]
-    clique_cap = exact[omega - 1]
-    stability_cap = exact[2]
+    degree_cap = ramsey_bound(omega) - 1
+    clique_cap = omega - 1
+    stability_cap = 2
     adj = g._adj
     full = (1 << g.n) - 1
     anti = [full & ~(row | 1 << u) for u, row in enumerate(adj)]
     reports = []
     for v, nv in enumerate(adj):
-        reports.append(_report("degree-below-ramsey", v, None, exact[nv.bit_count()], degree_cap))
-        clique = exact[max_clique_within(adj, nv)[0]]
+        reports.append(_report("degree-below-ramsey", v, None, nv.bit_count(), degree_cap))
+        clique = max_clique_within(adj, nv)[0]
         reports.append(_report("neighborhood-clique-cap", v, None, clique, clique_cap))
-        stable = exact[max_clique_within(anti, nv)[0]]
+        stable = max_clique_within(anti, nv)[0]
         reports.append(_report("neighborhood-stability-cap", v, None, stable, stability_cap))
     return reports
 
 
 def _exterior_reports(g: Graph, omega: int) -> list[LemmaReport]:
     """Per edge (v, w): the exterior N(w) - N[v] is a clique of at most omega-1 vertices."""
-    exact = _Exact()
-    size_cap = exact[omega - 1]
-    zero = exact[0]
+    size_cap = omega - 1
     adj = g._adj
     reports = []
     for v, nv in enumerate(adj):
@@ -221,9 +206,9 @@ def _exterior_reports(g: Graph, omega: int) -> list[LemmaReport]:
             size = ext.bit_count()
             # every edge inside the exterior is seen once from each end
             inner = sum((adj[x] & ext).bit_count() for x in bits(ext))
-            reports.append(_report("exterior-size", v, w, exact[size], size_cap))
+            reports.append(_report("exterior-size", v, w, size, size_cap))
             nonedges = (size * (size - 1) - inner) // 2
-            reports.append(_report("exterior-nonedges", v, w, exact[nonedges], zero))
+            reports.append(_report("exterior-nonedges", v, w, nonedges, 0))
     return reports
 
 
@@ -249,8 +234,6 @@ def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
     and the square-degree cap. One extra report caps the maximum square
     degree globally.
     """
-    exact = _Exact()
-    zero = exact[0]
     adj = g._adj
     cap = _second_degree_cap(omega) if omega >= 4 else None
     qs = q_rows(g)
@@ -262,7 +245,7 @@ def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
         sqd = square_row(g, v).bit_count()
         if sqd > worst:
             worst, worst_v = sqd, v
-        snn = exact[sqd - deg]
+        snn = sqd - deg
         outside = ~(nv | 1 << v)
         counts = {}  # q -> how many neighbors w have q(v, w) = q
         exts = {}  # q -> the exterior sizes of those neighbors, summed
@@ -275,14 +258,12 @@ def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
         reports.append(_report("second-neighborhood-z-sum", v, None, snn, zsum))
         zbound = Fraction((2 * deg - z_size) * (omega - 1), 2)
         reports.append(_report("second-neighborhood-z", v, None, snn, zbound))
-        qsum = sum((Fraction(ext, q + 1) for q, ext in exts.items()), zero)
+        qsum = sum(Fraction(ext, q + 1) for q, ext in exts.items())
         reports.append(_report("second-neighborhood-q-sum", v, None, snn, qsum))
-        qbound = (omega - 1) * sum((Fraction(c, q + 1) for q, c in counts.items()), zero)
+        qbound = (omega - 1) * sum(Fraction(c, q + 1) for q, c in counts.items())
         reports.append(_report("second-neighborhood-q", v, None, snn, qbound))
         if deg >= 2 * omega - 1:
-            reports.append(
-                _report("z-covers-neighborhood", v, None, exact[deg], exact[z_size])
-            )
+            reports.append(_report("z-covers-neighborhood", v, None, deg, z_size))
             reports.append(
                 _report(
                     "half-degree-bound", v, None, snn, Fraction(deg * (omega - 1), 2)
@@ -299,12 +280,8 @@ def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
                         Fraction(deg * (omega - 1), denom),
                     )
                 )
-                reports.append(_report("square-degree-cap", v, None, exact[sqd], cap))
-    reports.append(
-        _report(
-            "max-square-degree", worst_v, None, exact[worst], exact[2 * omega * (omega - 1)]
-        )
-    )
+                reports.append(_report("square-degree-cap", v, None, sqd, cap))
+    reports.append(_report("max-square-degree", worst_v, None, worst, 2 * omega * (omega - 1)))
     return reports
 
 

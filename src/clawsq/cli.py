@@ -9,10 +9,9 @@ commands: 0 success, 1 input error, 2 claw-free precondition violated,
 induction once, and the report carries the coloring, not the structure.
 ``analyze`` alone reports the classification of each component.
 
-A malformed graph file becomes a ``DimacsError`` where it is loaded
-(:func:`_load`) and exits 1 with one line. ``main`` catches no broader
-exception around library calls, so a library bug is never reported as bad
-input.
+A malformed graph file raises ``DimacsError`` from ``load_dimacs`` and
+exits 1 with one line. ``main`` catches no broader exception around
+library calls, so a library bug is never reported as bad input.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from .errors import (
     NodeLimitExceeded,
     NotClawFreeError,
     UnclassifiableGraphError,
-    VertexOutOfRangeError,
 )
 from .graph import Graph, connected_components, induced_subgraph, max_clique, square
 from .oracle import exact_chromatic
@@ -85,18 +83,6 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
-def _load(path) -> Graph:
-    """The graph in the DIMACS file at ``path``; a malformed file raises DimacsError."""
-    try:
-        return load_dimacs(path)
-    except DimacsError:
-        raise
-    except (ValueError, VertexOutOfRangeError) as exc:
-        # a non-ASCII byte, an endpoint outside 1..n, a self-loop, a
-        # duplicate edge or a negative vertex count
-        raise DimacsError(str(exc)) from exc
-
-
 def _classification_dict(sub: Graph, old: tuple[int, ...], omega: int) -> dict:
     outcome = classify(sub, omega, check_claw_free=False)
     info: dict = {"kind": outcome.kind, "omega": omega, "vertices": list(old)}
@@ -119,7 +105,7 @@ def _classification_dict(sub: Graph, old: tuple[int, ...], omega: int) -> dict:
 
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
-    g = _load(args.path)
+    g = load_dimacs(args.path)
     witness = find_claw(g)
     sq = square(g)
     report = {
@@ -163,7 +149,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_color(args) -> int:
     started = time.perf_counter()
-    g = _load(args.path)
+    g = load_dimacs(args.path)
     try:
         coloring = color_square(g, node_limit=args.node_limit)
     except NotClawFreeError as exc:
@@ -213,7 +199,7 @@ def _verify_manifest_row(task) -> dict:
     entry_path = Path(base) / row["file"]
     out = {"id": row.get("id", row["file"]), "file": row["file"]}
     try:
-        g = _load(entry_path)
+        g = load_dimacs(entry_path)
     except (DimacsError, OSError) as exc:
         out["error"] = f"input: {exc}"
         return out
@@ -334,7 +320,7 @@ def _root_for(name: str) -> Graph:
             sizes = tuple(_natural(s, "a class size") for s in arg.split(","))
             return gen_blowup_c5(BlowupSpec(sizes))
         raise CliUsageError(f"unknown root family {kind!r}")
-    return _load(name)
+    return load_dimacs(name)
 
 
 def cmd_generate(args) -> int:

@@ -19,7 +19,6 @@ from .errors import (
     GenerationExhaustedError,
     InvalidSpecError,
     SelfLoopError,
-    VertexOutOfRangeError,
 )
 from .graph import Graph, build_graph, max_clique
 from .oracle import brute_force_claw_free, line_graph_of
@@ -228,11 +227,18 @@ def gen_random_claw_free(
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse a DIMACS .col document (1-based 'e u v' lines under one 'p edge' line)."""
+    """Parse a DIMACS .col document (1-based 'e u v' lines under one 'p edge' line).
+
+    Every malformed document raises DimacsError, with the line number where
+    one line is at fault.
+    """
     n = None
     m = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        # int() and split() would accept non-ASCII digits and spaces
+        if not raw.isascii():
+            raise DimacsError("non-ASCII character", line=lineno)
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -256,16 +262,18 @@ def parse_dimacs(text: str) -> Graph:
             except ValueError:
                 raise DimacsError("non-integer endpoint", line=lineno)
             if not (1 <= u <= n and 1 <= v <= n):
-                raise VertexOutOfRangeError(f"line {lineno}: endpoint outside 1..{n}")
+                raise DimacsError(f"endpoint outside 1..{n}", line=lineno)
             edges.append((u - 1, v - 1))
         else:
             raise DimacsError(f"unknown directive {fields[0]!r}", line=lineno)
     if n is None:
         raise DimacsError("missing problem line")
+    if n < 0:
+        raise DimacsError("vertex count must be nonnegative")
     try:
         g = build_graph(n, edges)
     except (SelfLoopError, DuplicateEdgeError) as exc:
-        raise type(exc)(f"in DIMACS input: {exc}")
+        raise DimacsError(f"in DIMACS input: {exc}") from exc
     if g.edge_count != m:
         raise DimacsError(f"problem line promises {m} edges, found {g.edge_count}")
     return g
@@ -281,7 +289,12 @@ def write_dimacs(g: Graph, comments: tuple[str, ...] = ()) -> str:
 
 
 def load_dimacs(path) -> Graph:
-    return parse_dimacs(Path(path).read_text(encoding="ascii"))
+    """The graph in the DIMACS file at ``path``; a malformed file raises DimacsError."""
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise DimacsError(str(exc)) from exc
+    return parse_dimacs(text)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ own branch and bound, so agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -22,7 +21,6 @@ class ExactResult:
     value: int | None
     witness: Coloring | None
     nodes_explored: int
-    elapsed: float
 
 
 class _NodeBudget:
@@ -94,7 +92,6 @@ def exact_chromatic(g: Graph, upper: int, node_limit: int = DEFAULT_NODE_LIMIT) 
     increasing palette sizes; each success certifies the value because the
     previous size was exhausted (or matched the clique bound).
     """
-    start = time.perf_counter()
     budget = _NodeBudget(node_limit)
     lower = max_clique(g)[0]
     if g.n > 0:
@@ -107,7 +104,7 @@ def exact_chromatic(g: Graph, upper: int, node_limit: int = DEFAULT_NODE_LIMIT) 
             value = k
             witness = Coloring(found)
             break
-    return ExactResult(value, witness, budget.used, time.perf_counter() - start)
+    return ExactResult(value, witness, budget.used)
 
 
 def line_graph_of(f: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:

@@ -10,7 +10,6 @@ machine-checkable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .analysis import require_claw_free
 from .errors import (
@@ -27,34 +26,21 @@ from .graph import (
     square_row,
 )
 
-SHAPE_TWO_DISJOINT_EDGES = "two_disjoint_edges"
-SHAPE_CLIQUE_PAIR = "clique_pair"
-SHAPE_CLIQUE_PAIR_PLUS_EDGES = "clique_pair_plus_edges"
-SHAPE_FIVE_CYCLE = "five_cycle"
-SHAPE_OTHER = "other"
-
 
 @dataclass(frozen=True)
 class NeighborhoodShape:
-    """Decomposition tag for an induced neighborhood.
+    """Split of an induced neighborhood into two covering cliques.
 
-    ``parts`` holds the two covering cliques (global vertex labels, possibly
-    one empty) when the minimum-cross-edge decomposition exists and is
-    unique; ``cross_edges`` the extra edges between them. ``ambiguous``
-    marks neighborhoods with more than one minimal decomposition, which are
-    tagged ``other`` because no covering pair is canonical.
+    ``parts`` holds the two cliques (global vertex labels, possibly one
+    empty) when the split with the fewest edges between them is unique and
+    has at most two such edges, non-incident when there are two; otherwise
+    None. ``ambiguous`` marks neighborhoods where several splits tie for
+    the fewest edges between the parts, so that no covering pair is
+    canonical.
     """
 
-    kind: str
     parts: tuple[frozenset[int], frozenset[int]] | None
-    cross_edges: tuple[tuple[int, int], ...] = ()
     ambiguous: bool = False
-
-    @property
-    def sizes(self) -> tuple[int, int] | None:
-        if self.parts is None:
-            return None
-        return tuple(sorted(len(p) for p in self.parts))
 
 
 def _is_five_cycle(adj, mask: int) -> bool:
@@ -99,7 +85,7 @@ def _complement_sides(adj, mask: int) -> list[tuple[int, int]] | None:
 
 
 def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
-    """Classify the induced neighborhood of ``v`` as two covering cliques.
+    """Split the induced neighborhood of ``v`` into two covering cliques.
 
     A split of N(v) into two cliques A and B is a proper 2-coloring of the
     complement of G[N(v)], and every complement edge crosses it, so the
@@ -108,22 +94,20 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     oriented, by a subset-sum over |A| that counts orientations up to two,
     to make the parts as unequal as possible; this is O(h²) for h = |N(v)|.
     A unique split with the fewest cross edges, at most two of them and
-    non-incident when there are two, yields a tagged decomposition;
-    anything else is ``five_cycle`` or ``other``, with ``ambiguous`` set
-    when several splits tie for the fewest cross edges. Everything is
-    computed on masks of g's own rows, so parts and cross edges come out
-    in g's labels.
+    non-incident when there are two, yields the parts; anything else yields
+    None, with ``ambiguous`` set when several splits tie for the fewest
+    cross edges. A five-cycle, whose complement is again an odd cycle, has
+    no split. Everything is computed on masks of g's own rows, so the parts
+    come out in g's labels.
     """
     adj = g._adj
     nbrs = g.adjacency_mask(v)
     h = nbrs.bit_count()
     if h == 0:
-        return NeighborhoodShape(SHAPE_CLIQUE_PAIR, (frozenset(), frozenset()))
-    if _is_five_cycle(adj, nbrs):
-        return NeighborhoodShape(SHAPE_FIVE_CYCLE, None)
+        return NeighborhoodShape((frozenset(), frozenset()))
     sides = _complement_sides(adj, nbrs)
     if sides is None:
-        return NeighborhoodShape(SHAPE_OTHER, None)
+        return NeighborhoodShape(None)
 
     # Bit a of once[i] is set when some orientation of components 0..i puts
     # a vertices in A, with the lowest neighbor kept in A; bit a of twice
@@ -138,11 +122,11 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     size = min(bits(once[-1]), key=lambda a: a * (h - a))
     ties = [a for a in {size, h - size} if once[-1] >> a & 1]
     if len(ties) > 1 or twice >> ties[0] & 1:
-        return NeighborhoodShape(SHAPE_OTHER, None, ambiguous=True)
+        return NeighborhoodShape(None, ambiguous=True)
     inner_edges = sum((adj[u] & nbrs).bit_count() for u in bits(nbrs)) // 2
     best_k = size * (h - size) - (h * (h - 1) // 2 - inner_edges)
     if best_k > 2:
-        return NeighborhoodShape(SHAPE_OTHER, None)
+        return NeighborhoodShape(None)
 
     # Walk the unique orientation back from the last component.
     a_size = ties[0]
@@ -154,21 +138,14 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
         a_mask |= pick
         a_size -= pick.bit_count()
     b_mask = nbrs ^ a_mask
-    crosses = tuple(
-        sorted(tuple(sorted((i, j))) for i in bits(a_mask) for j in bits(adj[i] & b_mask))
-    )
     if best_k == 2:
-        (p1, q1), (p2, q2) = crosses
+        (p1, q1), (p2, q2) = [(i, j) for i in bits(a_mask) for j in bits(adj[i] & b_mask)]
         if {p1, q1} & {p2, q2}:
-            return NeighborhoodShape(SHAPE_OTHER, None)
+            return NeighborhoodShape(None)
     part_a = frozenset(bits(a_mask))
     part_b = frozenset(bits(b_mask))
     parts = tuple(sorted((part_a, part_b), key=lambda p: (len(p), sorted(p))))
-    if best_k == 0:
-        pair_of_edges = len(part_a) == len(part_b) == 2
-        kind = SHAPE_TWO_DISJOINT_EDGES if pair_of_edges else SHAPE_CLIQUE_PAIR
-        return NeighborhoodShape(kind, parts)
-    return NeighborhoodShape(SHAPE_CLIQUE_PAIR_PLUS_EDGES, parts, crosses)
+    return NeighborhoodShape(parts)
 
 
 def recognize_icosahedron(g: Graph):
@@ -196,12 +173,12 @@ def _krausz_root(g: Graph, omega: int):
     """(cliques, root) when the designated cliques of g form a Krausz partition, else None.
 
     Designates, for every vertex, the union of the vertex with each of its
-    two covering cliques (cross edges stay out of the designated cliques
-    and are emitted as 2-cliques when no designated clique covers them).
-    None when some neighborhood has no covering pair, a clique would exceed
-    omega vertices, or :func:`root_graph` rejects the family, which happens
-    exactly when some edge is not in one clique or some vertex is in more
-    than two.
+    two covering cliques. The two parts of v partition N(v), so every edge
+    at v lies in one of v's designated cliques and no edge is left to
+    cover. None when some neighborhood has no covering pair, a clique would
+    exceed omega vertices, or :func:`root_graph` rejects the family, which
+    happens exactly when some edge lies in more than one clique or some
+    vertex in more than two.
     """
     designated = set()
     for v in range(g.n):
@@ -214,9 +191,7 @@ def _krausz_root(g: Graph, omega: int):
             if len(part) > omega - 1:
                 return None
             designated.add(part | {v})
-    covered = {pair for c in designated for pair in combinations(sorted(c), 2)}
-    extra = {frozenset(e) for e in g.edges() if e not in covered}
-    cliques = sorted(designated | extra, key=sorted)
+    cliques = sorted(designated, key=sorted)
     try:
         return cliques, root_graph(g, cliques)
     except InvalidPartitionError:

@@ -57,11 +57,6 @@ from clawsq.graph import (
     square_row,
 )
 from clawsq.structure import (
-    SHAPE_CLIQUE_PAIR,
-    SHAPE_CLIQUE_PAIR_PLUS_EDGES,
-    SHAPE_FIVE_CYCLE,
-    SHAPE_OTHER,
-    SHAPE_TWO_DISJOINT_EDGES,
     NeighborhoodShape,
     find_reducible_vertex,
     neighbor_degree_cap,
@@ -163,24 +158,13 @@ def _mask_is_clique(g, mask):
     return True
 
 
-def _is_five_cycle(g):
-    return (
-        g.n == 5
-        and g.edge_count == 5
-        and all(g.degree(v) == 2 for v in range(5))
-        and len(bfs_distances(g, 0)) == 5
-    )
-
-
 def brute_neighborhood_shape(g, v):
     """Neighborhood shape by trying all 2^(h-1) splits of an h-vertex N(v)."""
     nbrs = g.neighbors(v)
     h = len(nbrs)
     if h == 0:
-        return NeighborhoodShape(SHAPE_CLIQUE_PAIR, (frozenset(), frozenset()))
+        return NeighborhoodShape((frozenset(), frozenset()))
     sub, old = induced_subgraph(g, nbrs)
-    if _is_five_cycle(sub):
-        return NeighborhoodShape(SHAPE_FIVE_CYCLE, None)
 
     full = (1 << h) - 1
     best_k = None
@@ -199,36 +183,21 @@ def brute_neighborhood_shape(g, v):
             best_partitions.append(a_mask)
 
     if best_k is None:
-        return NeighborhoodShape(SHAPE_OTHER, None)
+        return NeighborhoodShape(None)
     if len(best_partitions) > 1:
-        return NeighborhoodShape(SHAPE_OTHER, None, ambiguous=True)
+        return NeighborhoodShape(None, ambiguous=True)
     if best_k > 2:
-        return NeighborhoodShape(SHAPE_OTHER, None)
+        return NeighborhoodShape(None)
 
     a_mask = best_partitions[0]
     b_mask = full ^ a_mask
-    crosses = tuple(
-        sorted(
-            tuple(sorted((old[i], old[j])))
-            for i in bits(a_mask)
-            for j in bits(sub._adj[i] & b_mask)
-        )
-    )
     if best_k == 2:
-        (p1, q1), (p2, q2) = crosses
+        (p1, q1), (p2, q2) = [(i, j) for i in bits(a_mask) for j in bits(sub._adj[i] & b_mask)]
         if {p1, q1} & {p2, q2}:
-            return NeighborhoodShape(SHAPE_OTHER, None)
+            return NeighborhoodShape(None)
     part_a = frozenset(old[i] for i in bits(a_mask))
     part_b = frozenset(old[i] for i in bits(b_mask))
-    parts = tuple(sorted((part_a, part_b), key=lambda p: (len(p), sorted(p))))
-    if best_k == 0:
-        kind = (
-            SHAPE_TWO_DISJOINT_EDGES
-            if (len(part_a), len(part_b)) in ((2, 2),)
-            else SHAPE_CLIQUE_PAIR
-        )
-        return NeighborhoodShape(kind, parts)
-    return NeighborhoodShape(SHAPE_CLIQUE_PAIR_PLUS_EDGES, parts, crosses)
+    return NeighborhoodShape(tuple(sorted((part_a, part_b), key=lambda p: (len(p), sorted(p)))))
 
 
 def random_graph(rng, n, p):

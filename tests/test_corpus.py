@@ -21,11 +21,8 @@ from clawsq.corpus import (
 )
 from clawsq.errors import (
     DimacsError,
-    DuplicateEdgeError,
     GenerationExhaustedError,
     InvalidSpecError,
-    SelfLoopError,
-    VertexOutOfRangeError,
 )
 from clawsq.graph import build_graph, induced_subgraph, max_degree, square
 from clawsq.oracle import brute_force_claw_free
@@ -167,16 +164,28 @@ class TestDimacs:
         )
 
     def test_out_of_range_endpoint(self):
-        with pytest.raises(VertexOutOfRangeError):
+        with pytest.raises(DimacsError) as err:
             parse_dimacs("p edge 3 1\ne 4 1\n")
+        assert err.value.line == 2
 
     def test_duplicate_edge(self):
-        with pytest.raises(DuplicateEdgeError):
+        with pytest.raises(DimacsError):
             parse_dimacs("p edge 3 2\ne 1 2\ne 2 1\n")
 
     def test_self_loop(self):
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(DimacsError):
             parse_dimacs("p edge 3 1\ne 2 2\n")
+
+    def test_negative_count_and_non_ascii(self, tmp_path):
+        with pytest.raises(DimacsError):
+            parse_dimacs("p edge -3 0\n")
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs("p edge 3 1\ne \uff11 \uff12\n")
+        assert err.value.line == 2
+        target = tmp_path / "bad.col"
+        target.write_bytes("c caf\u00e9\np edge 2 1\ne 1 2\n".encode())
+        with pytest.raises(DimacsError):
+            load_dimacs(target)
 
     def test_syntax_errors_carry_line_numbers(self):
         with pytest.raises(DimacsError) as err:

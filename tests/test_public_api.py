@@ -1,5 +1,9 @@
-"""The names ``clawsq`` exports, pinned so that adding or deleting one is deliberate."""
+"""The names ``clawsq`` exports, pinned so that adding or deleting one is deliberate.
 
+The fields of every exported dataclass are pinned the same way.
+"""
+
+import dataclasses
 import types
 
 import clawsq
@@ -66,3 +70,26 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+DATACLASS_FIELDS = {
+    "BlowupSpec": ["sizes"],
+    "Classification": ["kind", "omega", "reduction", "antipodal_pairs", "root"],
+    "ClawWitness": ["center", "leaves"],
+    "CorpusEntry": ["id", "graph", "generator", "params", "seed", "known"],
+    "ExactResult": ["value", "witness", "nodes_explored"],
+    "LemmaReport": ["lemma_id", "vertex", "neighbor", "lhs", "rhs", "holds"],
+    "NeighborhoodShape": ["parts", "ambiguous"],
+    "Reduction": ["vertex", "case", "xstar", "kprime"],
+    "RootGraph": ["f", "edge_of_vertex"],
+    "StrongEdgeColoring": ["edges", "colors"],
+}
+
+
+def test_dataclass_fields_are_pinned():
+    exported = {
+        name: [f.name for f in dataclasses.fields(value)]
+        for name, value in vars(clawsq).items()
+        if isinstance(value, type) and dataclasses.is_dataclass(value)
+    }
+    assert exported == DATACLASS_FIELDS

@@ -28,11 +28,6 @@ from clawsq.graph import (
     square,
 )
 from clawsq.structure import (
-    SHAPE_CLIQUE_PAIR,
-    SHAPE_CLIQUE_PAIR_PLUS_EDGES,
-    SHAPE_FIVE_CYCLE,
-    SHAPE_OTHER,
-    SHAPE_TWO_DISJOINT_EDGES,
     NeighborhoodShape,
     classify,
     find_reducible_vertex,
@@ -65,79 +60,70 @@ def line_k5():
     return g
 
 
+def split(a, b):
+    return NeighborhoodShape((frozenset(a), frozenset(b)))
+
+
 class TestNeighborhoodShape:
     def test_line_petersen_two_disjoint_edges(self, line_petersen):
         for v in range(line_petersen.n):
             shape = neighborhood_shape(line_petersen, v)
-            assert shape.kind == SHAPE_TWO_DISJOINT_EDGES
-            assert shape.sizes == (2, 2)
-            assert shape.cross_edges == ()
+            assert not shape.ambiguous
+            a, b = shape.parts
+            assert len(a) == len(b) == 2 and a | b == set(line_petersen.neighbors(v))
+            assert not any(line_petersen.has_edge(i, j) for i in a for j in b)
 
     def test_icosahedron_five_cycle(self, icosahedron):
+        # The complement of a five-cycle is a five-cycle, an odd cycle, so
+        # no split into two cliques exists.
         for v in range(12):
-            assert neighborhood_shape(icosahedron, v).kind == SHAPE_FIVE_CYCLE
+            assert neighborhood_shape(icosahedron, v) == NeighborhoodShape(None)
 
     def test_octahedron_other(self, octahedron_graph):
         # The induced C4 splits into two cliques in more than one way, so no
         # covering pair is canonical.
         for v in range(6):
             shape = neighborhood_shape(octahedron_graph, v)
-            assert shape.kind == SHAPE_OTHER
-            assert shape.ambiguous
+            assert shape == NeighborhoodShape(None, ambiguous=True)
 
     def test_clique_neighborhood(self):
-        shape = neighborhood_shape(complete(4), 0)
-        assert shape.kind == SHAPE_CLIQUE_PAIR
-        assert shape.sizes == (0, 3)
+        assert neighborhood_shape(complete(4), 0) == split((), {1, 2, 3})
 
     def test_singleton_plus_triangle(self):
         g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4)])
-        shape = neighborhood_shape(g, 0)
-        assert shape.kind == SHAPE_CLIQUE_PAIR
-        assert shape.sizes == (1, 3)
-        assert shape.parts == (frozenset({1}), frozenset({2, 3, 4}))
+        assert neighborhood_shape(g, 0) == split({1}, {2, 3, 4})
 
     def test_two_triangles_plus_one_edge(self):
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3)]
         edges += [(6, i) for i in range(6)]
         g = build_graph(7, edges)
-        shape = neighborhood_shape(g, 6)
-        assert shape.kind == SHAPE_CLIQUE_PAIR_PLUS_EDGES
-        assert shape.sizes == (3, 3)
-        assert shape.cross_edges == ((0, 3),)
+        assert neighborhood_shape(g, 6) == split({0, 1, 2}, {3, 4, 5})
 
     def test_two_incident_cross_edges_are_other(self):
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (0, 4)]
         edges += [(6, i) for i in range(6)]
         g = build_graph(7, edges)
-        assert neighborhood_shape(g, 6).kind == SHAPE_OTHER
+        assert neighborhood_shape(g, 6) == NeighborhoodShape(None)
 
     def test_two_non_incident_cross_edges(self):
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4)]
         edges += [(6, i) for i in range(6)]
         g = build_graph(7, edges)
-        shape = neighborhood_shape(g, 6)
-        assert shape.kind == SHAPE_CLIQUE_PAIR_PLUS_EDGES
-        assert shape.sizes == (3, 3)
-        assert shape.cross_edges == ((0, 3), (1, 4))
+        assert neighborhood_shape(g, 6) == split({0, 1, 2}, {3, 4, 5})
 
     def test_line_k5_perfect_matching_is_other(self):
         g = line_k5()
         for v in range(g.n):
-            shape = neighborhood_shape(g, v)
-            assert shape.kind == SHAPE_OTHER
+            assert neighborhood_shape(g, v) == NeighborhoodShape(None)
 
     def test_empty_neighborhood(self):
-        shape = neighborhood_shape(build_graph(1, []), 0)
-        assert shape.kind == SHAPE_CLIQUE_PAIR
-        assert shape.sizes == (0, 0)
+        assert neighborhood_shape(build_graph(1, []), 0) == split((), ())
 
     def test_large_cocktail_party_neighborhood_is_ambiguous(self):
         g = cocktail_party(30)
         assert g.degree(0) == 58
         shape = neighborhood_shape(g, 0)
-        assert shape.kind == SHAPE_OTHER
-        assert shape.ambiguous
+        assert shape == NeighborhoodShape(None, ambiguous=True)
 
 
 def under_apex(h, edges):
@@ -165,7 +151,7 @@ class TestNeighborhoodShapeMatchesEnumeration:
     def test_every_corpus_vertex(self, corpus):
         # The enumeration runs once per distinct induced neighborhood, under an
         # apex with local labels; the labels map back through ``old``, which is
-        # increasing, so part and cross-edge order is kept.
+        # increasing, so part order is kept.
         local = {}
         for entry in corpus:
             g = entry.graph
@@ -177,11 +163,9 @@ class TestNeighborhoodShapeMatchesEnumeration:
                     )
                 ref = local[sub._adj]
                 expected = NeighborhoodShape(
-                    ref.kind,
                     None
                     if ref.parts is None
                     else tuple(frozenset(old[i] for i in p) for p in ref.parts),
-                    tuple((old[i], old[j]) for i, j in ref.cross_edges),
                     ref.ambiguous,
                 )
                 assert neighborhood_shape(g, v) == expected
@@ -254,6 +238,21 @@ class TestKrausz:
 
     def test_path_three(self):
         assert krausz_partition(path(3), 2) == [frozenset({0, 1}), frozenset({1, 2})]
+
+    def test_net_has_cross_edges(self):
+        # The net: a triangle 0-1-2 with pendant edges 0-3, 1-4 and 2-5. In
+        # its line graph, each edge of the triangle has one edge between the
+        # two cliques of its neighborhood.
+        net = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+        g, _ = gen_line_graph(net)
+        part = krausz_partition(g, 3)
+        assert part == [frozenset({0, 1, 2}), frozenset({0, 3, 4}), frozenset({1, 3, 5})]
+        assert is_isomorphic(root_graph(g, part).f, net)
+
+    def test_line_of_k4_minus_edge_is_ambiguous(self):
+        g, _ = gen_line_graph(build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
+        assert all(neighborhood_shape(g, v).ambiguous for v in range(g.n))
+        assert krausz_partition(g, 3) is None
 
 
 class TestRootGraph:
