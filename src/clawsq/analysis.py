@@ -34,6 +34,9 @@ class ClawWitness:
     def vertices(self) -> frozenset[int]:
         return frozenset((self.center,) + self.leaves)
 
+    def as_dict(self) -> dict:
+        return {"center": self.center, "leaves": list(self.leaves)}
+
 
 @dataclass(frozen=True)
 class LemmaReport:

@@ -116,9 +116,7 @@ def cmd_analyze(args) -> int:
         "m": g.edge_count,
         "omega": max_clique(g)[0],
         "claw_free": witness is None,
-        "claw": None
-        if witness is None
-        else {"center": witness.center, "leaves": list(witness.leaves)},
+        "claw": None if witness is None else witness.as_dict(),
         "square_degrees": [sq.degree(v) for v in range(g.n)],
         "z_sets": None,
         "q_values": None,
@@ -153,14 +151,13 @@ def cmd_color(args) -> int:
     try:
         coloring = color_square(g, node_limit=args.node_limit)
     except NotClawFreeError as exc:
-        witness = exc.witness
         _emit(
             {
                 "schema": SCHEMA,
                 "command": "color",
                 "input": str(args.path),
                 "claw_free": False,
-                "claw": {"center": witness.center, "leaves": list(witness.leaves)},
+                "claw": exc.witness.as_dict(),
             }
         )
         return EXIT_CLAW
@@ -214,7 +211,7 @@ def _verify_manifest_row(task) -> dict:
         witness = exc.witness
         if known.get("claw_free"):
             mismatches.append(f"claw at center {witness.center}")
-        out["claw"] = {"center": witness.center, "leaves": list(witness.leaves)}
+        out["claw"] = witness.as_dict()
         out["mismatches"] = mismatches
         return out
     out["omega"] = omega
@@ -460,10 +457,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DimacsError, InvalidSpecError, GenerationExhaustedError, OSError) as exc:
+    except (
+        CliUsageError,
+        DimacsError,
+        InvalidSpecError,
+        GenerationExhaustedError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:

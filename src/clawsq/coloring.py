@@ -50,10 +50,10 @@ from .graph import (
     bits,
     connected_components,
     delete_vertex,
-    distance,
     induced_subgraph,
     max_clique,
     max_degree,
+    reach,
     square,
     square_row,
 )
@@ -151,14 +151,19 @@ def color_small_omega(g: Graph) -> Coloring:
 
 
 def color_icosahedron(g: Graph, pairing) -> Coloring:
-    """Six colors on the icosahedron, one per antipodal pair."""
+    """Six colors on the icosahedron, one per antipodal pair.
+
+    Raises InvalidPairingError unless the pairing covers the 12 vertices
+    and the two vertices of each pair are not adjacent in the square; in
+    the icosahedron that holds exactly for antipodes.
+    """
     pairs = [tuple(p) for p in pairing]
     covered = sorted(v for p in pairs for v in p)
     if g.n != 12 or len(pairs) != 6 or covered != list(range(12)):
         raise InvalidPairingError("pairing must cover the 12 vertices in 6 pairs")
     for a, b in pairs:
-        if distance(g, a, b) != 3:
-            raise InvalidPairingError(f"vertices {a} and {b} are not antipodal")
+        if square_row(g, a) >> b & 1:
+            raise InvalidPairingError(f"vertices {a} and {b} are within distance 2")
     colors = [UNCOLORED] * 12
     for i, (a, b) in enumerate(sorted(pairs)):
         colors[a] = i
@@ -190,14 +195,10 @@ def edge_conflict_graph(f: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     for i, (u, v) in enumerate(edges):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
-    rows = []
-    for i, (u, v) in enumerate(edges):
-        row = 0
-        for w in bits(f._adj[u] | f._adj[v]):
-            row |= incident[w]
-        rows.append(row & ~(1 << i))
-    count = sum(row.bit_count() for row in rows) // 2
-    return Graph(len(edges), tuple(rows), count), edges
+    rows = tuple(
+        reach(incident, f._adj[u] | f._adj[v]) & ~(1 << i) for i, (u, v) in enumerate(edges)
+    )
+    return Graph(rows), edges
 
 
 def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | None:
@@ -349,10 +350,7 @@ def _reinsert_vertex(
     for x in bits(nbrs):
         first = adj[x] & alive
         v_row |= first
-        row = first
-        for u in bits(first):
-            row |= adj[u]
-        row &= alive & ~(1 << x)
+        row = (first | reach(adj, first)) & alive & ~(1 << x)
         if row.bit_count() <= threshold:
             s_rows[x] = row
     v_row &= ~(1 << v)
@@ -420,12 +418,10 @@ def _pieces(adj, comp: int, nbrs: int) -> list[int]:
     seen = nbrs
     while True:
         for i in (0, 1):
-            reach = 0
-            for x in bits(frontiers[i]):
-                reach |= adj[x]
-            if reach & held[1 - i]:
+            grown = reach(adj, frontiers[i])
+            if grown & held[1 - i]:
                 return [comp]
-            frontiers[i] = reach & ~seen
+            frontiers[i] = grown & ~seen
             if not frontiers[i]:
                 return [held[i], comp & ~held[i]]
             seen |= frontiers[i]
@@ -500,10 +496,7 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
         # near: the vertices within distance 3 of v, where reducibility can change.
         near = frontier = 1 << v
         for _ in range(3):
-            reach = 0
-            for x in bits(frontier):
-                reach |= adj[x]
-            frontier = reach & ~near
+            frontier = reach(adj, frontier) & ~near
             near |= frontier
         cur = delete_vertex(cur, v)
         low = (1 << v) - 1

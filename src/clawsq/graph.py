@@ -28,19 +28,33 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def reach(rows, mask: int) -> int:
+    """OR of ``rows[x]`` over the set bits x of ``mask``: the neighbors of a set."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class Graph:
     """Undirected simple graph on vertices ``0..n-1``, immutable after construction.
 
-    Use :func:`build_graph` to construct one with validation; the raw
-    constructor trusts its arguments.
+    A graph is its adjacency rows; ``n`` and ``edge_count`` derive from
+    them. Use :func:`build_graph` to construct one with validation; the raw
+    constructor trusts its rows to be symmetric and loop-free.
     """
 
-    __slots__ = ("n", "edge_count", "_adj")
+    __slots__ = ("n", "_adj")
 
-    def __init__(self, n: int, adj: tuple[int, ...], edge_count: int):
-        self.n = n
+    def __init__(self, adj: tuple[int, ...]):
+        self.n = len(adj)
         self._adj = adj
-        self.edge_count = edge_count
+
+    @property
+    def edge_count(self) -> int:
+        return sum(row.bit_count() for row in self._adj) // 2
 
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -72,10 +86,10 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self._adj == other._adj
 
     def __hash__(self):
-        return hash((self.n, self._adj))
+        return hash(self._adj)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -90,7 +104,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     adj = [0] * n
-    count = 0
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRangeError(f"edge ({u}, {v}) not in range 0..{n - 1}")
@@ -100,23 +113,18 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        count += 1
-    return Graph(n, tuple(adj), count)
+    return Graph(tuple(adj))
 
 
 def square_row(g: Graph, v: int) -> int:
     """Neighbors of ``v`` in the square of g, as a bitmask."""
     first = g._adj[v]
-    row = first
-    for u in bits(first):
-        row |= g._adj[u]
-    return row & ~(1 << v)
+    return (first | reach(g._adj, first)) & ~(1 << v)
 
 
 def square(g: Graph) -> Graph:
     """Graph on the same vertices with edges between pairs at distance 1 or 2."""
-    rows = tuple(square_row(g, v) for v in range(g.n))
-    return Graph(g.n, rows, sum(row.bit_count() for row in rows) // 2)
+    return Graph(tuple(square_row(g, v) for v in range(g.n)))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -126,15 +134,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         g.check_vertex(v)
     position = {v: i for i, v in enumerate(old)}
     rows = []
-    total = 0
     for v in old:
         row = 0
         for u in bits(g._adj[v]):
             if u in position:
                 row |= 1 << position[u]
         rows.append(row)
-        total += row.bit_count()
-    return Graph(len(old), tuple(rows), total // 2), tuple(old)
+    return Graph(tuple(rows)), tuple(old)
 
 
 # The engine's peel loop calls delete_vertex once per peeled vertex, and
@@ -142,15 +148,14 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Graph with ``v`` removed and higher indices shifted down by one.
 
-    Every row is shifted in one pass and v's own row dropped; the edge count
-    falls by deg(v), so it is taken from g's rather than recounted.
+    Every row is shifted in one pass and v's own row dropped.
     """
     g.check_vertex(v)
     low = (1 << v) - 1
     high = v + 1
     rows = [(mask & low) | (mask >> high) << v for mask in g._adj]
     del rows[v]
-    return Graph(g.n - 1, tuple(rows), g.edge_count - g._adj[v].bit_count())
+    return Graph(tuple(rows))
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
@@ -163,10 +168,7 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
         comp = 1 << v
         frontier = comp
         while frontier:
-            grown = 0
-            for u in bits(frontier):
-                grown |= g._adj[u]
-            frontier = grown & ~comp
+            frontier = reach(g._adj, frontier) & ~comp
             comp |= frontier
         seen |= comp
         out.append(frozenset(bits(comp)))
@@ -175,27 +177,6 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 
 def max_degree(g: Graph) -> int:
     return max((row.bit_count() for row in g._adj), default=0)
-
-
-def distance(g: Graph, u: int, v: int) -> int | None:
-    """BFS distance between ``u`` and ``v``, or None when disconnected."""
-    g.check_vertex(u)
-    g.check_vertex(v)
-    if u == v:
-        return 0
-    seen = 1 << u
-    frontier = seen
-    dist = 0
-    while frontier:
-        grown = 0
-        for w in bits(frontier):
-            grown |= g._adj[w]
-        frontier = grown & ~seen
-        dist += 1
-        if frontier >> v & 1:
-            return dist
-        seen |= frontier
-    return None
 
 
 def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
@@ -210,14 +191,16 @@ def max_clique_within(rows, mask: int) -> tuple[int, int]:
     Branch and bound over bitmask candidate sets with a greedy coloring
     bound; returns the size and one witness as a mask. Deterministic, so
     the witness is stable across runs. ``rows`` are any symmetric loop-free
-    bitmask rows, such as a graph's own or its complement's.
+    bitmask rows, such as a graph's own or its complement's. The search
+    keeps its own stack, one frame per clique vertex, so depth is not
+    bounded by the interpreter's recursion limit.
     """
     best_size = 0
     best_mask = 0
 
-    def color_order(p_mask):
+    def frame(r_size, r_mask, p_mask):
         # Greedy coloring of the candidates: bounds[i] is an upper bound on
-        # any clique inside order[: i + 1].
+        # any clique inside order[: i + 1], and i is the next to branch on.
         order = []
         bounds = []
         color = 0
@@ -232,25 +215,25 @@ def max_clique_within(rows, mask: int) -> tuple[int, int]:
                 rest ^= low
                 order.append(v)
                 bounds.append(color)
-        return order, bounds
+        return [r_size, r_mask, p_mask, order, bounds, len(order) - 1]
 
-    def expand(r_size, r_mask, p_mask):
-        nonlocal best_size, best_mask
-        if not p_mask:
-            if r_size > best_size:
-                best_size = r_size
-                best_mask = r_mask
-            return
-        order, bounds = color_order(p_mask)
-        for i in range(len(order) - 1, -1, -1):
-            if r_size + bounds[i] <= best_size:
-                return
-            v = order[i]
-            vb = 1 << v
-            expand(r_size + 1, r_mask | vb, p_mask & rows[v])
-            p_mask &= ~vb
-
-    expand(0, 0, mask)
+    stack = [frame(0, 0, mask)] if mask else []
+    while stack:
+        top = stack[-1]
+        r_size, r_mask, p_mask, order, bounds, i = top
+        if i < 0 or r_size + bounds[i] <= best_size:
+            stack.pop()
+            continue
+        v = order[i]
+        vb = 1 << v
+        top[2] = p_mask & ~vb
+        top[5] = i - 1
+        p_next = p_mask & rows[v]
+        if p_next:
+            stack.append(frame(r_size + 1, r_mask | vb, p_next))
+        elif r_size + 1 > best_size:
+            best_size = r_size + 1
+            best_mask = r_mask | vb
     return best_size, best_mask
 
 

@@ -357,7 +357,6 @@ def brute_edge_conflict_graph(f):
     for u, v in edges:
         reach.append(f._adj[u] | f._adj[v] | (1 << u) | (1 << v))
     rows = [0] * m
-    count = 0
     for i in range(m):
         ui, vi = edges[i]
         for j in range(i + 1, m):
@@ -365,8 +364,7 @@ def brute_edge_conflict_graph(f):
             if reach[i] >> uj & 1 or reach[i] >> vj & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-                count += 1
-    return Graph(m, tuple(rows), count), edges
+    return Graph(tuple(rows)), edges
 
 
 def brute_dsatur_order_greedy(g):
@@ -744,21 +742,18 @@ def brute_reduction_case(
     return None
 
 
-# The row-by-row deletion the library replaced, recounting every edge.
+# The row-by-row deletion the library replaced.
 def brute_delete_vertex(g: Graph, v: int) -> Graph:
     """Graph with ``v`` removed and higher indices shifted down by one."""
     g.check_vertex(v)
     low_mask = (1 << v) - 1
     rows = []
-    total = 0
     for u in range(g.n):
         if u == v:
             continue
         mask = g._adj[u]
-        row = (mask & low_mask) | (mask >> (v + 1)) << v
-        rows.append(row)
-        total += row.bit_count()
-    return Graph(g.n - 1, tuple(rows), total // 2)
+        rows.append((mask & low_mask) | (mask >> (v + 1)) << v)
+    return Graph(tuple(rows))
 
 
 def _brute_component_reduction(cur):

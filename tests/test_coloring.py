@@ -149,6 +149,16 @@ class TestColorSquare:
         assert verify_coloring(g, coloring)
         assert coloring.palette_size <= palette_bound(5)
 
+    def test_large_clique_needs_no_recursion(self):
+        # The clique search keeps its own stack, so a clique larger than the
+        # default recursion limit neither overflows max_clique nor color_square.
+        g = complete(1100)
+        assert sys.getrecursionlimit() < g.n
+        assert max_clique(g) == (1100, frozenset(range(1100)))
+        coloring = color_square(g)
+        assert coloring.palette_size == 1100
+        assert verify_coloring(g, coloring)
+
     def test_random_claw_free_all_within_bounds(self):
         for seed in range(15):
             g = gen_random_claw_free(18, 5, seed, strategy="line-graph")
@@ -646,6 +656,14 @@ class TestIcosahedronColoring:
     def test_rejects_non_icosahedron(self, octahedron_graph):
         with pytest.raises(InvalidPairingError):
             color_icosahedron(octahedron_graph, [(0, 1), (2, 3), (4, 5)])
+
+    def test_accepts_any_pairing_outside_the_square(self):
+        # The check is only that no pair is adjacent in the square; here the
+        # pairs are at distance 6.
+        g = cycle(12)
+        coloring = color_icosahedron(g, [(v, v + 6) for v in range(6)])
+        assert coloring.palette_size == 6
+        assert verify_coloring(g, coloring)
 
     def test_rejects_wrong_pairing(self, icosahedron):
         pairs = [(v, v + 6) for v in range(6)]

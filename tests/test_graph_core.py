@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clawsq.coloring import edge_conflict_graph
 from clawsq.corpus import cycle, complete, octahedron, path
 from clawsq.errors import (
     DuplicateEdgeError,
@@ -15,10 +16,10 @@ from clawsq.errors import (
 from clawsq.graph import (
     UNCOLORED,
     Coloring,
+    Graph,
     build_graph,
     connected_components,
     delete_vertex,
-    distance,
     induced_subgraph,
     max_clique,
     max_degree,
@@ -78,9 +79,23 @@ class TestBuildGraph:
         with pytest.raises(DuplicateEdgeError):
             build_graph(3, [(0, 1), (1, 0)])
 
-    def test_edge_count_is_half_degree_sum(self):
-        g = octahedron()
+    @given(graphs())
+    @settings(deadline=None, max_examples=60)
+    def test_edge_count_is_half_degree_sum(self, g):
+        # n and edge_count derive from the rows, on every constructor's output.
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
+        assert Graph(g._adj) == g
+        derived = [
+            square(g),
+            induced_subgraph(g, range(0, g.n, 2))[0],
+            edge_conflict_graph(g)[0],
+        ]
+        if g.n:
+            derived.append(delete_vertex(g, g.n // 2))
+        for h in derived:
+            assert h.n == len(h._adj)
+            assert h.edge_count == len(list(h.edges()))
+        assert octahedron().edge_count == 12
 
 
 class TestSquare:
@@ -145,7 +160,6 @@ class TestInducedAndDelete:
             delete_vertex(cycle(5), 5)
 
     def test_delete_matches_row_by_row_reference(self):
-        # Graph equality ignores edge_count, so it is compared on its own.
         rng = random.Random(17)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 30), rng.uniform(0.0, 0.6))
@@ -214,14 +228,6 @@ class TestComponentsAndCliques:
 
 
 class TestSmallHelpers:
-    def test_distance(self):
-        g = path(4)
-        assert distance(g, 0, 3) == 3
-        assert distance(g, 2, 2) == 0
-
-    def test_distance_disconnected(self):
-        assert distance(build_graph(3, [(0, 1)]), 0, 2) is None
-
     def test_max_degree(self):
         assert max_degree(path(4)) == 2
         assert max_degree(build_graph(2, [])) == 0
