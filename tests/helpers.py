@@ -313,10 +313,10 @@ def stress_instances():
 
 
 def scaling_instances():
-    """(name, graph) for the smallest sizes of the peeling scaling family.
+    """(name, graph) for two sizes of the peeling scaling family.
 
-    Random line graphs with clique number 3 and 4 and a squared cycle, each
-    on 200 vertices; every one of them peels through the inductive engine.
+    Random line graphs with clique number 3 and 4 and a squared cycle, on 200
+    and on 1600 vertices; every one of them peels through the inductive engine.
     """
     out = [
         (f"random-w{omega}-n200-s{seed}", gen_random_claw_free(200, omega, seed))
@@ -324,6 +324,11 @@ def scaling_instances():
         for seed in (1, 2)
     ]
     out.append(("squared-cycle-n200", squared_cycle(200)))
+    out += [
+        (f"random-w{omega}-n1600-s1", gen_random_claw_free(1600, omega, 1))
+        for omega in (3, 4)
+    ]
+    out.append(("squared-cycle-n1600", squared_cycle(1600)))
     return out
 
 
