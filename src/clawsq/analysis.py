@@ -4,10 +4,11 @@
 checks claw-freeness once and returns every instance as a
 :class:`LemmaReport` that records both sides of the bound exactly. Sides are
 integers or rationals (`fractions.Fraction`), never floating point, so
-"holds" is never a tolerance question. The report families compute on masks
-of the adjacency rows: clique and stability numbers of N(v) by one clique
-search, exteriors by popcounts, and q once per edge, since it is symmetric
-and Z(v) is where it is positive.
+``holds``, which is ``lhs <= rhs``, is never a tolerance question. One sweep
+over the adjacency rows computes every report: clique and stability numbers
+of N(v) by one clique search, each exterior once per directed edge by
+popcounts, and q once per edge, since it is symmetric and Z(v) is where it
+is positive.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ class ClawWitness:
     center: int
     leaves: tuple[int, int, int]
 
-    def vertices(self) -> frozenset[int]:
-        return frozenset((self.center,) + self.leaves)
-
     def as_dict(self) -> dict:
         return {"center": self.center, "leaves": list(self.leaves)}
 
@@ -47,7 +45,10 @@ class LemmaReport:
     neighbor: int | None
     lhs: int | Fraction
     rhs: int | Fraction
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs
 
     def as_dict(self) -> dict:
         return {
@@ -58,10 +59,6 @@ class LemmaReport:
             "rhs": str(self.rhs),
             "holds": self.holds,
         }
-
-
-def _report(lemma_id, vertex, neighbor, lhs, rhs) -> LemmaReport:
-    return LemmaReport(lemma_id, vertex, neighbor, lhs, rhs, lhs <= rhs)
 
 
 def find_claw(g: Graph) -> ClawWitness | None:
@@ -120,8 +117,8 @@ def z_set(g: Graph, v: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _max_matching_mask(adj_masks, mask, memo):
-    """Maximum matching size in the graph restricted to ``mask`` (exhaustive)."""
+def _max_matching_mask(adj, mask, memo):
+    """Maximum matching size in the complement of g's rows ``adj`` on ``mask`` (exhaustive)."""
     if mask in memo:
         return memo[mask]
     best = 0
@@ -129,12 +126,12 @@ def _max_matching_mask(adj_masks, mask, memo):
     while rest:
         low = rest & -rest
         i = low.bit_length() - 1
-        partners = adj_masks[i] & mask & ~low
+        partners = mask & ~adj[i] & ~low
         if partners:
             without_i = mask ^ low
-            best = _max_matching_mask(adj_masks, without_i, memo)
+            best = _max_matching_mask(adj, without_i, memo)
             for j in bits(partners):
-                cand = 1 + _max_matching_mask(adj_masks, without_i & ~(1 << j), memo)
+                cand = 1 + _max_matching_mask(adj, without_i & ~(1 << j), memo)
                 if cand > best:
                     best = cand
             break
@@ -152,16 +149,13 @@ def q_value(g: Graph, v: int, w: int) -> int:
     q(v, w) = q(w, v); it is positive iff N(v) ∩ N(w) is not a clique, so
     ``z_set(g, v)`` = {w : q(v, w) >= 1}. Neighborhoods are Ramsey-bounded,
     so an exhaustive matching search (with memoization on vertex masks)
-    beats carrying a blossom implementation around. The search runs on the
-    complement rows of the common neighborhood, kept as masks of g's own
-    vertices.
+    beats carrying a blossom implementation around. The search reads the
+    complement of the common neighborhood straight off g's rows.
     """
     if not g.has_edge(v, w):
         raise NotNeighborError(f"{w} is not a neighbor of {v}")
     adj = g._adj
-    common = adj[v] & adj[w]
-    anti = {u: common & ~adj[u] & ~(1 << u) for u in bits(common)}
-    return _max_matching_mask(anti, common, {})
+    return _max_matching_mask(adj, adj[v] & adj[w], {})
 
 
 def q_rows(g: Graph) -> list[dict[int, int]]:
@@ -175,46 +169,6 @@ def q_rows(g: Graph) -> list[dict[int, int]]:
     return rows
 
 
-def _degree_reports(g: Graph, omega: int) -> list[LemmaReport]:
-    """Per-vertex degree cap below the Ramsey number, plus neighborhood structure.
-
-    Reports, for every vertex: deg(v) <= R(omega,3)-1; no clique of size
-    omega inside the neighborhood; no independent triple inside it.
-    """
-    degree_cap = ramsey_bound(omega) - 1
-    clique_cap = omega - 1
-    stability_cap = 2
-    adj = g._adj
-    full = (1 << g.n) - 1
-    anti = [full & ~(row | 1 << u) for u, row in enumerate(adj)]
-    reports = []
-    for v, nv in enumerate(adj):
-        reports.append(_report("degree-below-ramsey", v, None, nv.bit_count(), degree_cap))
-        clique = max_clique_within(adj, nv)[0]
-        reports.append(_report("neighborhood-clique-cap", v, None, clique, clique_cap))
-        stable = max_clique_within(anti, nv)[0]
-        reports.append(_report("neighborhood-stability-cap", v, None, stable, stability_cap))
-    return reports
-
-
-def _exterior_reports(g: Graph, omega: int) -> list[LemmaReport]:
-    """Per edge (v, w): the exterior N(w) - N[v] is a clique of at most omega-1 vertices."""
-    size_cap = omega - 1
-    adj = g._adj
-    reports = []
-    for v, nv in enumerate(adj):
-        outside = ~(nv | 1 << v)
-        for w in bits(nv):
-            ext = adj[w] & outside
-            size = ext.bit_count()
-            # every edge inside the exterior is seen once from each end
-            inner = sum((adj[x] & ext).bit_count() for x in bits(ext))
-            reports.append(_report("exterior-size", v, w, size, size_cap))
-            nonedges = (size * (size - 1) - inner) // 2
-            reports.append(_report("exterior-nonedges", v, w, nonedges, 0))
-    return reports
-
-
 def _second_degree_cap(omega: int) -> Fraction:
     # Max of three candidate caps on the square degree of a high-degree
     # vertex, evaluated with exact rationals; R may be replaced by any
@@ -226,25 +180,40 @@ def _second_degree_cap(omega: int) -> Fraction:
     return max(t1, t2, t3)
 
 
-def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
-    """Evaluate every second-neighborhood inequality that applies per vertex.
+def _lemma_reports(g: Graph, omega: int) -> list[LemmaReport]:
+    """Every report of the suite, from one sweep over g's rows.
 
-    Emitted per vertex: the half-weighted bound through Z(v) (both the
-    weighted sum and its closed form), the matching-weighted bound through
-    q(w) (both forms), and, when deg(v) >= 2*omega-1: saturation of Z(v),
-    the half-degree bound, and (only for omega >= 4, where the matching
-    lower bound needs that much room) the matching-weighted degree bound
-    and the square-degree cap. One extra report caps the maximum square
-    degree globally.
+    Reports come in three families, each in vertex order:
+    - per vertex: deg(v) <= R(omega,3)-1; no clique of size omega inside
+      N(v); no independent triple inside it;
+    - per edge (v, w): the exterior N(w) - N[v] is a clique of at most
+      omega-1 vertices;
+    - per vertex: the half-weighted bound through Z(v) (both the weighted
+      sum and its closed form), the matching-weighted bound through q(w)
+      (both forms), and, when deg(v) >= 2*omega-1: saturation of Z(v), the
+      half-degree bound, and (only for omega >= 4, where the matching lower
+      bound needs that much room) the matching-weighted degree bound and
+      the square-degree cap. One extra report caps the maximum square
+      degree globally.
+    Each edge's exterior is computed once and read by both of its families.
     """
-    adj = g._adj
+    degree_cap = ramsey_bound(omega) - 1
+    clique_cap = omega - 1
     cap = _second_degree_cap(omega) if omega >= 4 else None
+    adj = g._adj
+    full = (1 << g.n) - 1
+    anti = [full & ~(row | 1 << u) for u, row in enumerate(adj)]
     qs = q_rows(g)
-    reports = []
+    degree, exterior, second = [], [], []
     worst_v = 0
     worst = 0
     for v, nv in enumerate(adj):
         deg = nv.bit_count()
+        degree.append(LemmaReport("degree-below-ramsey", v, None, deg, degree_cap))
+        clique = max_clique_within(adj, nv)[0]
+        degree.append(LemmaReport("neighborhood-clique-cap", v, None, clique, clique_cap))
+        stable = max_clique_within(anti, nv)[0]
+        degree.append(LemmaReport("neighborhood-stability-cap", v, None, stable, 2))
         sqd = square_row(g, v).bit_count()
         if sqd > worst:
             worst, worst_v = sqd, v
@@ -253,50 +222,47 @@ def _second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]:
         counts = {}  # q -> how many neighbors w have q(v, w) = q
         exts = {}  # q -> the exterior sizes of those neighbors, summed
         for w, q in qs[v].items():
+            ext = adj[w] & outside
+            size = ext.bit_count()
+            # every edge inside the exterior is seen once from each end
+            inner = sum((adj[x] & ext).bit_count() for x in bits(ext))
+            exterior.append(LemmaReport("exterior-size", v, w, size, clique_cap))
+            nonedges = (size * (size - 1) - inner) // 2
+            exterior.append(LemmaReport("exterior-nonedges", v, w, nonedges, 0))
             counts[q] = counts.get(q, 0) + 1
-            exts[q] = exts.get(q, 0) + (adj[w] & outside).bit_count()
+            exts[q] = exts.get(q, 0) + size
         z_size = deg - counts.get(0, 0)
         # Z(v) is where q >= 1, and its members' exteriors count half
         zsum = Fraction(sum(exts.values()) + exts.get(0, 0), 2)
-        reports.append(_report("second-neighborhood-z-sum", v, None, snn, zsum))
+        second.append(LemmaReport("second-neighborhood-z-sum", v, None, snn, zsum))
         zbound = Fraction((2 * deg - z_size) * (omega - 1), 2)
-        reports.append(_report("second-neighborhood-z", v, None, snn, zbound))
+        second.append(LemmaReport("second-neighborhood-z", v, None, snn, zbound))
         qsum = sum(Fraction(ext, q + 1) for q, ext in exts.items())
-        reports.append(_report("second-neighborhood-q-sum", v, None, snn, qsum))
+        second.append(LemmaReport("second-neighborhood-q-sum", v, None, snn, qsum))
         qbound = (omega - 1) * sum(Fraction(c, q + 1) for q, c in counts.items())
-        reports.append(_report("second-neighborhood-q", v, None, snn, qbound))
+        second.append(LemmaReport("second-neighborhood-q", v, None, snn, qbound))
         if deg >= 2 * omega - 1:
-            reports.append(_report("z-covers-neighborhood", v, None, deg, z_size))
-            reports.append(
-                _report(
-                    "half-degree-bound", v, None, snn, Fraction(deg * (omega - 1), 2)
-                )
-            )
+            second.append(LemmaReport("z-covers-neighborhood", v, None, deg, z_size))
+            half = Fraction(deg * (omega - 1), 2)
+            second.append(LemmaReport("half-degree-bound", v, None, snn, half))
             if omega >= 4:
                 denom = (deg + 2) // 2 + 2 - omega  # ceil((deg+1)/2) + 2 - omega
-                reports.append(
-                    _report(
-                        "matching-weighted-degree-bound",
-                        v,
-                        None,
-                        snn,
-                        Fraction(deg * (omega - 1), denom),
-                    )
+                weighted = Fraction(deg * (omega - 1), denom)
+                second.append(
+                    LemmaReport("matching-weighted-degree-bound", v, None, snn, weighted)
                 )
-                reports.append(_report("square-degree-cap", v, None, sqd, cap))
-    reports.append(_report("max-square-degree", worst_v, None, worst, 2 * omega * (omega - 1)))
-    return reports
+                second.append(LemmaReport("square-degree-cap", v, None, sqd, cap))
+    second.append(
+        LemmaReport("max-square-degree", worst_v, None, worst, 2 * omega * (omega - 1))
+    )
+    return degree + exterior + second
 
 
 def run_lemma_suite(g: Graph, omega: int) -> list[LemmaReport]:
     """All lemma reports for one graph: degree caps, exteriors, second neighborhoods.
 
     Checks claw-freeness once, raising NotClawFreeError with the claw as its
-    witness, and then evaluates the three report families.
+    witness, and then evaluates every report in one sweep (``_lemma_reports``).
     """
     require_claw_free(g)
-    return (
-        _degree_reports(g, omega)
-        + _exterior_reports(g, omega)
-        + _second_neighborhood_reports(g, omega)
-    )
+    return _lemma_reports(g, omega)

@@ -281,22 +281,31 @@ _NAMED_ROOTS = {
 }
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type of ``--node-limit`` and ``--jobs``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return value
-
-
 def _natural(text: str, what: str) -> int:
-    """``text`` read as a non-negative decimal integer, or CliUsageError."""
+    """``text`` read as a non-negative integer of ASCII decimal digits, or CliUsageError.
+
+    The one reader of every number on the command line: ``int`` alone would
+    also take a sign, ``_`` separators, spaces and non-ASCII digits.
+    """
     if not (text.isascii() and text.isdigit()):
         raise CliUsageError(f"{what} must be a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _at_least(least: int):
+    """argparse type: an integer of at least ``least``, read by ``_natural``."""
+    bound = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
+
+    def read(text: str) -> int:
+        try:
+            value = _natural(text, "the value")
+        except CliUsageError:
+            value = -1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    return read
 
 
 def _root_for(name: str) -> Graph:
@@ -410,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--node-limit",
-        type=_at_least_one,
+        type=_at_least(1),
         default=DEFAULT_NODE_LIMIT,
         help=(
             "node budget of each exact search; the strong edge coloring's one "
@@ -426,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument(
         "--jobs",
-        type=_at_least_one,
+        type=_at_least(1),
         default=1,
         help="parallel worker processes, at most one per row (default 1)",
     )
@@ -438,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sizes", help="five comma-separated class sizes for blowup-c5")
     p.add_argument("--of", help="root graph for line-graph (name, family:arg, or file)")
-    p.add_argument("--n", type=int, default=12, help="target size for random")
-    p.add_argument("--omega", type=int, default=3, help="clique cap for random")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--n", type=_at_least(0), default=12, help="target size for random")
+    p.add_argument("--omega", type=_at_least(0), default=3, help="clique cap for random")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="generator seed")
     p.add_argument(
         "--strategy",
         choices=["line-graph", "blowup", "rejection"],

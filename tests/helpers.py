@@ -21,7 +21,6 @@ from itertools import combinations, product
 from clawsq import graph
 from clawsq.analysis import (
     LemmaReport,
-    _max_matching_mask,
     _second_degree_cap,
     q_value,
     ramsey_bound,
@@ -472,8 +471,36 @@ def brute_is_proper(g, colors):
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
-# The subgraph-building q_value the library replaced. It shares the library's
-# matching search, so comparing the two checks the coordinates, not the search.
+def brute_max_matching(adj_masks, mask, memo):
+    """Maximum matching size in the graph ``adj_masks`` restricted to ``mask``.
+
+    The library's search before it read complement rows off g: exhaustive,
+    memoized on vertex masks, over the rows it is given.
+    """
+    if mask in memo:
+        return memo[mask]
+    best = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        partners = adj_masks[i] & mask & ~low
+        if partners:
+            without_i = mask ^ low
+            best = brute_max_matching(adj_masks, without_i, memo)
+            for j in bits(partners):
+                cand = 1 + brute_max_matching(adj_masks, without_i & ~(1 << j), memo)
+                if cand > best:
+                    best = cand
+            break
+        mask ^= low
+        rest ^= low
+    memo[mask] = best
+    return best
+
+
+# The subgraph-building q_value the library replaced, on its own copy of the
+# matching search, so comparing the two checks the search as well.
 def brute_q_value(g: Graph, v: int, w: int) -> int:
     """Matching number of the complement of w's neighborhood inside N(v).
 
@@ -487,12 +514,12 @@ def brute_q_value(g: Graph, v: int, w: int) -> int:
     sub, _ = induced_subgraph(g, common)
     comp = brute_complement(sub)
     full = (1 << comp.n) - 1
-    return _max_matching_mask(comp._adj, full, {})
+    return brute_max_matching(comp._adj, full, {})
 
 
 def brute_report(lemma_id, vertex, neighbor, lhs, rhs) -> LemmaReport:
     """A report from plain numbers, each side wrapped in a new Fraction."""
-    return LemmaReport(lemma_id, vertex, neighbor, Fraction(lhs), Fraction(rhs), lhs <= rhs)
+    return LemmaReport(lemma_id, vertex, neighbor, Fraction(lhs), Fraction(rhs))
 
 
 # The subgraph-building lemma report families the library replaced, which

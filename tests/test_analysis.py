@@ -5,6 +5,7 @@ import pytest
 
 from clawsq import analysis, graph
 from clawsq.analysis import (
+    LemmaReport,
     find_claw,
     q_value,
     ramsey_bound,
@@ -40,7 +41,6 @@ class TestFindClaw:
         witness = find_claw(claw())
         assert witness.center == 0
         assert witness.leaves == (1, 2, 3)
-        assert witness.vertices() == frozenset({0, 1, 2, 3})
 
     def test_icosahedron_is_claw_free(self, icosahedron):
         assert brute_force_claw_free(icosahedron)
@@ -280,6 +280,12 @@ class TestLemmaSuite:
         d = report.as_dict()
         assert set(d) == {"lemma", "vertex", "neighbor", "lhs", "rhs", "holds"}
 
+    def test_holds_is_lhs_at_most_rhs(self):
+        for lhs, rhs in ((2, 3), (3, 3), (4, 3), (Fraction(7, 2), 3), (3, Fraction(7, 2))):
+            report = LemmaReport("exterior-size", 0, 1, lhs, rhs)
+            assert report.holds is (lhs <= rhs)
+            assert report.as_dict()["holds"] is (lhs <= rhs)
+
 
 @pytest.fixture(scope="module")
 def reference_reports(corpus):
@@ -333,10 +339,11 @@ class TestReportsMatchReference:
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 16), rng.random())
             omega = max(max_clique(g)[0], 2)
-            assert analysis._degree_reports(g, omega) == brute_degree_reports(g, omega)
-            assert analysis._exterior_reports(g, omega) == brute_exterior_reports(g, omega)
-            second = analysis._second_neighborhood_reports(g, omega)
-            assert second == brute_second_neighborhood_reports(g, omega)
+            assert analysis._lemma_reports(g, omega) == (
+                brute_degree_reports(g, omega)
+                + brute_exterior_reports(g, omega)
+                + brute_second_neighborhood_reports(g, omega)
+            )
 
     def test_suite(self, reference_reports, suite_reports):
         for (g, omega, degree, exterior, second), reports in zip(reference_reports, suite_reports):

@@ -468,7 +468,7 @@ class TestInputErrors:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
 
-    @pytest.mark.parametrize("value", ["-5", "0", "x"])
+    @pytest.mark.parametrize("value", ["-5", "0", "x", "١٠", "1_000", "+3"])
     @pytest.mark.parametrize(
         "argv", [["color", "g.col", "--node-limit"], ["verify-lemmas", "m.json", "--jobs"]]
     )
@@ -551,6 +551,7 @@ class TestGenerate:
             ["line-graph", "--of", "blowup:2,2,-2,2,2"],
             ["line-graph", "--of", "complete:-1"],
             ["line-graph", "--of", "path:-3"],
+            ["random", "--n", "١٢"],
         ],
     )
     def test_malformed_number_exits_one(self, capsys, argv):

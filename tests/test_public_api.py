@@ -78,7 +78,7 @@ DATACLASS_FIELDS = {
     "ClawWitness": ["center", "leaves"],
     "CorpusEntry": ["id", "graph", "generator", "params", "seed", "known"],
     "ExactResult": ["value", "witness", "nodes_explored"],
-    "LemmaReport": ["lemma_id", "vertex", "neighbor", "lhs", "rhs", "holds"],
+    "LemmaReport": ["lemma_id", "vertex", "neighbor", "lhs", "rhs"],
     "NeighborhoodShape": ["parts", "ambiguous"],
     "Reduction": ["vertex", "case", "xstar", "kprime"],
     "RootGraph": ["f", "edge_of_vertex"],
