@@ -5,10 +5,10 @@ checks claw-freeness once and returns every instance as a
 :class:`LemmaReport` that records both sides of the bound exactly. Sides are
 integers or rationals (`fractions.Fraction`), never floating point, so
 ``holds``, which is ``lhs <= rhs``, is never a tolerance question. One sweep
-over the adjacency rows computes every report: clique and stability numbers
-of N(v) by one clique search, each exterior once per directed edge by
-popcounts, and q once per edge, since it is symmetric and Z(v) is where it
-is positive.
+over the adjacency rows computes every report: ω and α of N(v) by clique
+searches (α off two covering cliques when they exist), each exterior once
+per directed edge by popcounts, and q once per edge, since it is symmetric
+and Z(v) is where it is positive.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaError
-from .graph import Graph, bits, max_clique_within, square_row
+from .graph import Graph, bits, max_clique_within, square_row, two_clique_cover
 
 # Exact values of the Ramsey numbers R(k, 3) for small k; past the table the
 # binomial upper bound C(k+1, 2) is used, which keeps every bound valid.
@@ -66,12 +66,13 @@ def find_claw(g: Graph) -> ClawWitness | None:
 
     For each center the search walks non-adjacent leaf pairs inside the
     neighborhood with bitmask filters; a graph is claw-free iff this
-    returns None.
+    returns None. A center that :func:`two_clique_cover` covers has no
+    independent triple, so skipping it keeps the first witness.
     """
     adj = g._adj
     for v in range(g.n):
         nv = adj[v]
-        if nv.bit_count() < 3:
+        if nv.bit_count() < 3 or two_clique_cover(adj, nv) is not None:
             continue
         for x in bits(nv):
             higher = nv >> (x + 1) << (x + 1)
@@ -212,7 +213,11 @@ def _lemma_reports(g: Graph, omega: int) -> list[LemmaReport]:
         degree.append(LemmaReport("degree-below-ramsey", v, None, deg, degree_cap))
         clique = max_clique_within(adj, nv)[0]
         degree.append(LemmaReport("neighborhood-clique-cap", v, None, clique, clique_cap))
-        stable = max_clique_within(anti, nv)[0]
+        cover = two_clique_cover(adj, nv)
+        if cover is None:
+            stable = max_clique_within(anti, nv)[0]
+        else:  # two cliques; B holds non-neighbors of A's lowest vertex
+            stable = 0 if not nv else 1 if not cover[1] else 2
         degree.append(LemmaReport("neighborhood-stability-cap", v, None, stable, 2))
         sqd = square_row(g, v).bit_count()
         if sqd > worst:

@@ -20,22 +20,44 @@ from .errors import (
 UNCOLORED = -1
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the positions of the set bits of ``mask`` in increasing order."""
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, a list in increasing order, walked top-down."""
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    return out[::-1]
 
 
 def reach(rows, mask: int) -> int:
     """OR of ``rows[x]`` over the set bits x of ``mask``: the neighbors of a set."""
     out = 0
     while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
+        top = mask.bit_length() - 1
+        out |= rows[top]
+        mask ^= 1 << top
     return out
+
+
+def two_clique_cover(rows, mask: int) -> tuple[int, int] | None:
+    """Cover of ``mask`` by two cliques of ``rows``, read off its lowest vertex a.
+
+    ``(A, B)`` with A = N[a] ∩ mask and B the rest when both are cliques,
+    else None; ``(0, 0)`` for an empty mask. Edges between A and B may
+    remain, and B is empty iff the mask is a clique.
+    """
+    if not mask:
+        return 0, 0
+    low = mask & -mask
+    side_a = (rows[low.bit_length() - 1] | low) & mask
+    side_b = mask ^ side_a
+    for side in (side_a, side_b):
+        size = side.bit_count() - 1
+        for u in bits(side):
+            if (rows[u] & side).bit_count() != size:
+                return None
+    return side_a, side_b
 
 
 class Graph:
@@ -128,10 +150,12 @@ def square(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by ``vertices`` plus the new-to-old index map."""
+    """Subgraph induced by ``vertices`` plus the new-to-old index map; g itself for all of them."""
     old = sorted(set(vertices))
     for v in old:
         g.check_vertex(v)
+    if len(old) == g.n:
+        return g, tuple(old)
     position = {v: i for i, v in enumerate(old)}
     rows = []
     for v in old:

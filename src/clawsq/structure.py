@@ -22,8 +22,10 @@ from .graph import (
     bits,
     build_graph,
     max_degree,
+    reach,
     square,
     square_row,
+    two_clique_cover,
 )
 
 
@@ -84,6 +86,12 @@ def _complement_sides(adj, mask: int) -> list[tuple[int, int]] | None:
     return sides
 
 
+def _split(a_mask: int, b_mask: int) -> NeighborhoodShape:
+    """The shape with parts ``a_mask`` and ``b_mask``, smaller part first."""
+    parts = (frozenset(bits(a_mask)), frozenset(bits(b_mask)))
+    return NeighborhoodShape(tuple(sorted(parts, key=lambda p: (len(p), sorted(p)))))
+
+
 def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     """Split the induced neighborhood of ``v`` into two covering cliques.
 
@@ -99,12 +107,17 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     cross edges. A five-cycle, whose complement is again an odd cycle, has
     no split. Everything is computed on masks of g's own rows, so the parts
     come out in g's labels.
+
+    Fast path: when :func:`two_clique_cover` gives cliques A and B with no
+    edge between them, the complement is K_{|A|,|B|} (edgeless when B is
+    empty), whose unique split, with no cross edges, is (A, B).
     """
     adj = g._adj
     nbrs = g.adjacency_mask(v)
+    cover = two_clique_cover(adj, nbrs)
+    if cover is not None and not reach(adj, cover[1]) & cover[0]:
+        return _split(*cover)
     h = nbrs.bit_count()
-    if h == 0:
-        return NeighborhoodShape((frozenset(), frozenset()))
     sides = _complement_sides(adj, nbrs)
     if sides is None:
         return NeighborhoodShape(None)
@@ -142,10 +155,7 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
         (p1, q1), (p2, q2) = [(i, j) for i in bits(a_mask) for j in bits(adj[i] & b_mask)]
         if {p1, q1} & {p2, q2}:
             return NeighborhoodShape(None)
-    part_a = frozenset(bits(a_mask))
-    part_b = frozenset(bits(b_mask))
-    parts = tuple(sorted((part_a, part_b), key=lambda p: (len(p), sorted(p))))
-    return NeighborhoodShape(parts)
+    return _split(a_mask, b_mask)
 
 
 def recognize_icosahedron(g: Graph):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from clawsq import analysis, graph
 from clawsq.analysis import (
+    ClawWitness,
     LemmaReport,
     find_claw,
     q_value,
@@ -20,7 +22,7 @@ from clawsq.corpus import (
     gen_random_claw_free,
 )
 from clawsq.errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaError
-from clawsq.graph import build_graph, max_clique
+from clawsq.graph import build_graph, max_clique, two_clique_cover
 from clawsq.oracle import brute_force_claw_free
 
 from helpers import (
@@ -66,6 +68,37 @@ class TestFindClaw:
         assert not any(
             g.has_edge(a, b) for a in leaves for b in leaves if a < b
         )
+
+    def test_witness_is_lexicographically_first(self):
+        # Centers that two cliques cover are skipped; the witness must still
+        # be the first (center, leaves) triple in lexicographic order.
+        rng = random.Random(2016)
+        skipped = found = 0
+        for seed in range(150):
+            if seed % 2:
+                g = random_graph(rng, rng.randint(4, 14), rng.choice((0.3, 0.5, 0.7)))
+            else:
+                # A claw-free line graph plus one vertex joined to three of it.
+                base = gen_random_claw_free(10, 4, seed, strategy="line-graph")
+                extra = [(u, base.n) for u in rng.sample(range(base.n), 3)]
+                g = build_graph(base.n + 1, list(base.edges()) + extra)
+            first = next(
+                (
+                    ClawWitness(v, leaves)
+                    for v in range(g.n)
+                    for leaves in combinations(g.neighbors(v), 3)
+                    if not any(g.has_edge(x, y) for x, y in combinations(leaves, 2))
+                ),
+                None,
+            )
+            assert find_claw(g) == first
+            if first is not None:
+                found += 1
+                skipped += any(
+                    g.degree(v) >= 3 and two_clique_cover(g._adj, g._adj[v]) is not None
+                    for v in range(first.center)
+                )
+        assert found >= 100 and skipped >= 40
 
     def test_claw_free_iff_neighborhood_stability_two(self):
         # Independently: no claw exactly when every neighborhood has no

@@ -17,6 +17,7 @@ from clawsq.graph import (
     UNCOLORED,
     Coloring,
     Graph,
+    bits,
     build_graph,
     connected_components,
     delete_vertex,
@@ -24,6 +25,7 @@ from clawsq.graph import (
     max_clique,
     max_degree,
     square,
+    two_clique_cover,
 )
 
 from helpers import (
@@ -130,6 +132,35 @@ class TestSquare:
             assert sq.has_edge(u, v)
 
 
+def scan(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class TestBitKernels:
+    def test_bits_edge_cases(self):
+        rng = random.Random(6400)
+        masks = [0, 1, 1 << 6399, (1 << 64) - 1]
+        masks += [sum(1 << i for i in rng.sample(range(6400), k)) for k in (2, 7, 40)]
+        for mask in masks:
+            assert bits(mask) == scan(mask)
+
+    def test_two_clique_cover_matches_its_definition(self):
+        rng = random.Random(1973)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 9), rng.choice((0.5, 0.8, 0.95)))
+            mask = rng.getrandbits(g.n)
+            if not mask:
+                assert two_clique_cover(g._adj, mask) == (0, 0)
+                continue
+            low = scan(mask)[0]
+            side_a = [u for u in scan(mask) if u == low or g.has_edge(low, u)]
+            side_b = [u for u in scan(mask) if u not in side_a]
+            want = None
+            if brute_is_clique(g, side_a) and brute_is_clique(g, side_b):
+                want = (sum(1 << u for u in side_a), sum(1 << u for u in side_b))
+            assert two_clique_cover(g._adj, mask) == want
+
+
 class TestInducedAndDelete:
     def test_induced_path_from_cycle(self):
         sub, old = induced_subgraph(cycle(5), {0, 1, 2})
@@ -144,6 +175,11 @@ class TestInducedAndDelete:
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         sub, _ = induced_subgraph(g, {1, 2, 3})
         assert sub.edge_count == 0
+
+    def test_every_vertex_returns_the_graph_itself(self):
+        for g in (build_graph(0, []), cycle(5), complete(4)):
+            sub, old = induced_subgraph(g, range(g.n))
+            assert sub is g and old == tuple(range(g.n))
 
     def test_delete_from_k4(self):
         assert delete_vertex(complete(4), 0) == complete(3)

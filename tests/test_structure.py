@@ -26,6 +26,7 @@ from clawsq.graph import (
     max_clique,
     max_degree,
     square,
+    two_clique_cover,
 )
 from clawsq.structure import (
     NeighborhoodShape,
@@ -129,6 +130,41 @@ class TestNeighborhoodShape:
 def under_apex(h, edges):
     """Graph with neighborhood edges on 0..h-1 and an apex h joined to all of them."""
     return build_graph(h + 1, list(edges) + [(i, h) for i in range(h)])
+
+
+def two_cliques_under_apex(a, b, cross, perm):
+    """Cliques on 0..a-1 and a..a+b-1 plus ``cross``, relabelled by ``perm``, under an apex."""
+    inner = list(combinations(range(a), 2)) + list(combinations(range(a, a + b), 2))
+    return under_apex(a + b, [(perm[u], perm[v]) for u, v in inner + cross])
+
+
+class TestNeighborhoodShapeFastPath:
+    """The two-clique cover shortcut against the enumeration, on and off its boundary."""
+
+    def test_two_cliques_with_few_cross_edges(self):
+        rng = random.Random(1973)
+        covered = 0
+        for a in range(1, 8):
+            for b in range(8):
+                last_a, first_b, last_b = a - 1, a, a + b - 1
+                crosses = [[]]
+                if b:
+                    crosses += [[(0, first_b)], [(last_a, last_b)]]
+                if b >= 2:
+                    crosses.append([(0, first_b), (0, last_b)])  # incident in A
+                if a >= 2 and b:
+                    crosses.append([(0, first_b), (last_a, first_b)])  # incident in B
+                if a >= 2 and b >= 2:
+                    crosses.append([(0, first_b), (last_a, last_b)])  # non-incident
+                h = a + b
+                for cross in crosses:
+                    for perm in (list(range(h)), rng.sample(range(h), h)):
+                        g = two_cliques_under_apex(a, b, cross, perm)
+                        if not cross:
+                            covered += two_clique_cover(g._adj, g._adj[h]) is not None
+                        assert neighborhood_shape(g, h) == brute_neighborhood_shape(g, h)
+        # Every neighborhood without cross edges takes the shortcut.
+        assert covered == 7 * 8 * 2
 
 
 class TestNeighborhoodShapeMatchesEnumeration:
