@@ -8,12 +8,13 @@ system of distinct representatives. The strong edge coloring is one
 saturation search whose first descent is the greedy DSATUR coloring and
 whose node budget counts every node, that descent included.
 
-Peeling is incremental (:func:`_peel`): square rows, live components,
-triangle and K4 membership and the reducible vertices of each case are
-kept across steps and updated only near the deleted vertex, and each step
-records just (vertex, case, kprime); as the graph is claw-free, a deletion
-splits its component into at most two pieces (:func:`_pieces`). The base
-step colors all triangle-free leftover components with one call.
+Peeling is incremental (:func:`_peel`): square rows, live components and
+triangle and K4 membership are kept across steps and updated only near
+the deleted vertex, a vertex's reduction case is worked out only when it
+could be the next pick, and each step records just (vertex, case,
+kprime); as the graph is claw-free, a deletion splits its component into
+at most two pieces (:func:`_pieces`). The base step colors all
+triangle-free leftover components with one call.
 Reinsertion works on the input graph with a mask of the vertices present,
 so no graph is kept per step, and with one vertex mask per color (a color
 class), so a color is free for a vertex exactly when its class misses the
@@ -381,17 +382,12 @@ def _lowest(mask: int) -> int:
     return mask & -mask
 
 
-def _in_triangle(adj, x: int) -> bool:
-    row = adj[x]
-    return any(adj[y] & row for y in bits(row))
-
-
-def _in_k4(adj, x: int) -> bool:
-    row = adj[x]
-    for y in bits(row):
-        common = adj[y] & row
-        # An edge inside N(x) & N(y) needs two vertices there.
-        if common & (common - 1) and any(adj[z] & common for z in bits(common)):
+def _holds_clique(adj, mask: int, size: int) -> bool:
+    """True iff the vertices of ``mask`` hold a clique of ``size`` >= 2, each grown up from its lowest."""
+    size -= 1
+    for x in bits(mask):
+        up = adj[x] & mask & -(2 << x)
+        if up.bit_count() >= size and (size == 1 or _holds_clique(adj, up, size)):
             return True
     return False
 
@@ -429,7 +425,7 @@ def _pieces(adj, comp: int, nbrs: int) -> list[int]:
 
 
 def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, int]], int, int]:
-    """Delete reducible vertices of g, of clique number ``omega``, until none is left.
+    """Delete reducible vertices of g, of clique number at most ``omega``, until none is left.
 
     Returns the remaining graph, the original label of each of its
     vertices, one frame (original label, case, kprime) per deleted vertex
@@ -443,33 +439,35 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
     square rows, the live components (more than two vertices and clique
     number 3 or 4, ordered by smallest member), the vertices on a triangle
     and those on a K4 (the clique number is at most 4, so these give each
-    component's clique number), and the vertices reducible by case iii and
-    by case ii. Deleting v changes square rows beyond bit v, and triangles
-    and K4s, only on N(v); it changes reducibility only within distance 3
-    of v, or on all of a piece whose clique number, and with it the
-    threshold, drops. Only the component that held v can split.
+    component's clique number), and three case masks: ``iii`` and ``ii``
+    cache the case of each clean vertex, and ``dirty`` holds the vertices
+    whose cached case may be stale. Deleting v changes square rows beyond
+    bit v, and triangles and K4s, only on N(v). Only the component that
+    held v can split.
+
+    Every vertex of a live component starts dirty. A deletion changes a
+    vertex's case only within distance 3 of v, or on all of a piece whose
+    clique number, and with it the threshold, drops, so it marks exactly
+    those vertices of the live pieces dirty. To pick, the dirty vertices of
+    the first live component are evaluated from the bottom until the
+    lowest vertex left in ``iii | dirty`` is clean: that is the smallest
+    case-iii vertex. When none is left, no vertex of the component is
+    dirty, and ``ii`` gives the smallest case-ii vertex. A clean vertex's
+    cached case is exact, so each pick is the one the masks would give if
+    every case were recomputed after every deletion.
     """
     cur = g
     orig = list(range(g.n))
     rows = [square_row(g, x) for x in range(g.n)]
-    tri = k4 = iii = ii = 0
+    tri = k4 = iii = ii = dirty = 0
     for x in range(g.n):
-        if omega > 2 and _in_triangle(g._adj, x):
+        if omega > 2 and _holds_clique(g._adj, g._adj[x], 2):
             tri |= 1 << x
-            if omega > 3 and _in_k4(g._adj, x):
+            if omega > 3 and _holds_clique(g._adj, g._adj[x], 3):
                 k4 |= 1 << x
 
     def omega_of(mask):
         return 4 if mask & k4 else 3 if mask & tri else 2
-
-    def examine(mask, w):
-        nonlocal iii, ii
-        kprime, cap = reduction_threshold(w), neighbor_degree_cap(w)
-        for x in bits(mask):
-            case = reduction_case(cur, x, rows, kprime, cap)
-            bit = 1 << x
-            iii = iii | bit if case == "iii" else iii & ~bit
-            ii = ii | bit if case == "ii" else ii & ~bit
 
     comps = []
     for comp in connected_components(g):
@@ -478,47 +476,52 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
             mask |= 1 << x
         w = omega_of(mask)
         if len(comp) > 2 and w > 2:
-            examine(mask, w)
+            dirty |= mask
             comps.append(mask)
     frames = []
     while comps:
         comp = comps[0]
-        found = iii & comp or ii & comp
+        w = omega_of(comp)
+        kprime, cap = reduction_threshold(w), neighbor_degree_cap(w)
+        # Settle dirty vertices from the bottom until the lowest candidate is a clean case iii.
+        while (pick := _lowest((iii | dirty) & comp)) & dirty:
+            case = reduction_case(cur, pick.bit_length() - 1, rows, kprime, cap)
+            iii = iii | pick if case == "iii" else iii & ~pick
+            ii = ii | pick if case == "ii" else ii & ~pick
+            dirty ^= pick
+        found = pick or _lowest(ii & comp)
         if not found:
             # Deletions in other components cannot make anything here reducible.
             del comps[0]
             continue
-        v = _lowest(found).bit_length() - 1
-        w = omega_of(comp)
-        frames.append((orig[v], "iii" if iii & comp else "ii", reduction_threshold(w)))
+        v = found.bit_length() - 1
+        frames.append((orig[v], "iii" if pick else "ii", kprime))
         adj = cur._adj
         nbrs = adj[v]
-        # near: the vertices within distance 3 of v, where reducibility can change.
-        near = frontier = 1 << v
-        for _ in range(3):
-            frontier = reach(adj, frontier) & ~near
-            near |= frontier
+        # near: the vertices within distance 3 of v, where reducibility can change;
+        # they are v's square row and the neighbors of its members.
+        near = reach(adj, rows[v]) | rows[v] | 1 << v
         cur = delete_vertex(cur, v)
         low = (1 << v) - 1
         high = v + 1
         del orig[v], rows[v]
         rows = [(m & low) | (m >> high) << v for m in rows]
         comps = [(m & low) | (m >> high) << v for m in comps[1:]]
-        comp, nbrs, near, tri, k4, iii, ii = (
-            (m & low) | (m >> high) << v for m in (comp, nbrs, near, tri, k4, iii, ii)
+        comp, nbrs, near, tri, k4, iii, ii, dirty = (
+            (m & low) | (m >> high) << v for m in (comp, nbrs, near, tri, k4, iii, ii, dirty)
         )
         adj = cur._adj
         for x in bits(nbrs):
             rows[x] = square_row(cur, x)
             bit = 1 << x
-            if tri & bit and not _in_triangle(adj, x):
+            if tri & bit and not _holds_clique(adj, adj[x], 2):
                 tri ^= bit
-            if k4 & bit and not _in_k4(adj, x):
+            if k4 & bit and not _holds_clique(adj, adj[x], 3):
                 k4 ^= bit
         for piece in _pieces(adj, comp, nbrs):
             w_piece = omega_of(piece)
             if piece.bit_count() > 2 and w_piece > 2:
-                examine(piece if w_piece < w else piece & near, w_piece)
+                dirty |= piece if w_piece < w else piece & near
                 insort(comps, piece, key=_lowest)
     return cur, orig, frames, tri, k4
 
@@ -580,7 +583,10 @@ def greedy_reduce(
 
     For claw-free inputs, where a deletion splits a component into at most
     two pieces (:func:`_pieces`), of clique number at most ``omega``, which
-    must be 3 or 4. Iteratively deletes reducible vertices (explicit stack,
+    must be 3 or 4; a clique of omega + 1 vertices raises ValueError. This
+    check searches only for that clique, so a caller that knows the clique
+    number hands it over as ``omega`` and no maximum clique is searched
+    again. Iteratively deletes reducible vertices (explicit stack,
     no recursion), colors the base remainder per component, then reinserts
     each vertex in reverse order, recoloring its neighborhood through
     distinct available colors; one vertex mask per color, updated on every
@@ -589,10 +595,9 @@ def greedy_reduce(
     """
     if omega not in (3, 4):
         raise ValueError(f"the inductive engine is defined for omega 3 and 4, not {omega}")
-    clique_number = max_clique(g)[0]
-    if clique_number > omega:
+    if _holds_clique(g._adj, (1 << g.n) - 1, omega + 1):
         raise ValueError(f"clique number exceeds omega {omega}")
-    cur, orig, frames, tri, k4 = _peel(g, clique_number)
+    cur, orig, frames, tri, k4 = _peel(g, omega)
     colors = [UNCOLORED] * g.n
     classes = [0] * palette_bound(omega)
     alive = 0

@@ -71,6 +71,7 @@ from helpers import (
     brute_edge_conflict_graph,
     brute_greedy_reduce,
     brute_is_proper,
+    brute_max_clique,
     brute_is_strong_edge_coloring,
     brute_peel,
     brute_pieces,
@@ -168,6 +169,22 @@ class TestColorSquare:
             assert coloring.palette_size <= palette_bound(omega)
 
 
+class TestOneCliqueSearch:
+    def test_one_max_clique_per_component(self, monkeypatch):
+        parts = [
+            gen_random_claw_free(60, 4, 1),
+            gen_random_claw_free(60, 3, 2),
+            gen_random_claw_free(18, 5, 0, strategy="line-graph"),
+            cycle(7),
+        ]
+        g = disjoint_union(parts, random.Random(4))
+        calls = record_calls(monkeypatch, graph, "max_clique")
+        color_square(g)
+        searches = len(calls)
+        assert {max_clique(sub)[0] for sub in parts} == {2, 3, 4, 5}
+        assert searches == len(connected_components(g))
+
+
 class TestOneVerification:
     def test_one_properness_check_per_color_square(self, monkeypatch, stress_family):
         peeling = gen_random_claw_free(60, 4, 1)
@@ -202,6 +219,29 @@ class TestGreedyReduce:
     def test_rejects_oversized_clique(self):
         with pytest.raises(ValueError):
             greedy_reduce(complete(4), 3)
+        with pytest.raises(ValueError):
+            greedy_reduce(disjoint_union([cycle(7), complete(5)], random.Random(1)), 4)
+
+    def test_clique_test_matches_brute_force(self):
+        rng = random.Random(8)
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(0, 10), rng.random())
+            omega = brute_max_clique(g)
+            for size in range(2, 6):
+                assert coloring._holds_clique(g._adj, (1 << g.n) - 1, size) == (omega >= size)
+
+    def test_reducibility_is_evaluated_only_near_the_next_pick(self, monkeypatch):
+        # A case is worked out when its vertex could be the next pick, not
+        # again for every vertex within distance 3 of each deletion.
+        calls = record_calls(monkeypatch, coloring, "reduction_case")
+        for g, omega in (
+            (gen_random_claw_free(150, 4, 1), 4),
+            (gen_random_claw_free(170, 3, 1), 3),
+            (squared_cycle(160), 3),
+        ):
+            calls.clear()
+            greedy_reduce(g, omega)
+            assert 0 < len(calls) <= 3 * g.n
 
     def test_omega_four_run(self):
         g, seeds_used = None, 0
@@ -271,6 +311,16 @@ class TestPeelMatchesReference:
     def test_squared_cycles(self, same_as_reference):
         for n in (*range(7, 30), 64, 101):
             assert same_as_reference(squared_cycle(n), 3) > 0
+
+    def test_unreducible_component_beside_a_peeling_one(self, same_as_reference):
+        # Nothing in the line graph of a girth-5 cubic root is reducible: its
+        # component is dropped only once each of its vertices has been
+        # evaluated, and the other component's dirty marks stay its own.
+        base, _ = gen_line_graph(build_graph(30, regular_root_girth5(30, 3, 1)))
+        assert classify(base, 3).kind == "line_graph"
+        for seed in range(3):
+            g = disjoint_union([base, gen_random_claw_free(60, 3, seed)], random.Random(seed))
+            assert same_as_reference(g, 3) > 0
 
     def test_disjoint_unions_with_interleaved_labels(self, same_as_reference):
         rng = random.Random(6)
