@@ -1,16 +1,17 @@
 """Batch command line front end: analyze, color, verify-lemmas, generate.
 
 Every command prints exactly one JSON document to stdout (schema
-``clawsq/2``); diagnostics go to stderr. Exit codes are stable across
-commands: 0 success, 1 input error, 2 claw-free precondition violated,
-3 internal invariant or bound violation.
+``clawsq/2``), on one line with sorted keys; diagnostics go to stderr.
+Exit codes are stable across commands: 0 success, 1 input error, 2
+claw-free precondition violated, 3 internal invariant or bound violation.
 
 ``color`` classifies nothing itself: ``color_square`` walks the paper's
 induction once, and the report carries the coloring, not the structure.
 ``analyze`` alone reports the classification of each component.
 
 A malformed graph file raises ``DimacsError`` from ``load_dimacs`` and
-exits 1 with one line. ``main`` catches no broader exception around
+exits 1 with one line. A command that runs out of recursion depth or
+memory exits 3 with one line. ``main`` catches no broader exception around
 library calls, so a library bug is never reported as bad input.
 """
 
@@ -56,7 +57,7 @@ from .errors import (
     NotClawFreeError,
     UnclassifiableGraphError,
 )
-from .graph import Graph, connected_components, induced_subgraph, max_clique, square
+from .graph import Graph, connected_components, induced_subgraph, max_clique, square, square_row
 from .oracle import exact_chromatic
 from .structure import classify, neighborhood_shape
 
@@ -80,7 +81,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    # No indent: with one, json.dumps skips its C encoder. Vertex-keyed maps
+    # keep integer keys, so sort_keys orders them numerically.
+    print(json.dumps(report, sort_keys=True))
 
 
 def _classification_dict(sub: Graph, old: tuple[int, ...], omega: int) -> dict:
@@ -96,10 +99,8 @@ def _classification_dict(sub: Graph, old: tuple[int, ...], omega: int) -> dict:
         info["antipodal_pairs"] = [[old[a], old[b]] for a, b in outcome.antipodal_pairs]
     if outcome.root is not None:
         info["root_n"] = outcome.root.f.n
-        info["root_edges"] = [list(e) for e in sorted(outcome.root.f.edges())]
-        info["vertex_to_root_edge"] = {
-            str(old[v]): list(outcome.root.edge_of_vertex[v]) for v in range(sub.n)
-        }
+        info["root_edges"] = sorted(outcome.root.f.edges())
+        info["vertex_to_root_edge"] = dict(zip(old, outcome.root.edge_of_vertex))
     return info
 
 
@@ -107,17 +108,17 @@ def cmd_analyze(args) -> int:
     started = time.perf_counter()
     g = load_dimacs(args.path)
     witness = find_claw(g)
-    sq = square(g)
+    omega = max_clique(g)[0]
     report = {
         "schema": SCHEMA,
         "command": "analyze",
         "input": str(args.path),
         "n": g.n,
         "m": g.edge_count,
-        "omega": max_clique(g)[0],
+        "omega": omega,
         "claw_free": witness is None,
         "claw": None if witness is None else witness.as_dict(),
-        "square_degrees": [sq.degree(v) for v in range(g.n)],
+        "square_degrees": [square_row(g, v).bit_count() for v in range(g.n)],
         "z_sets": None,
         "q_values": None,
         "classification": None,
@@ -125,18 +126,20 @@ def cmd_analyze(args) -> int:
             v for v in range(g.n) if neighborhood_shape(g, v).ambiguous
         ],
     }
-    # q_value is an exhaustive matching search, bounded only on claw-free
-    # neighborhoods, so q and Z stay null on a claw, as classification does.
+    # q_value is an exhaustive matching search. On a claw it can take
+    # exponential time, so q and Z stay null there, as classification does.
+    # Claw-freeness alone does not keep it small either: the Ramsey bound
+    # caps a neighborhood only for fixed omega (ROADMAP item 7).
     if witness is None:
         qs = q_rows(g)
-        report["z_sets"] = {str(v): [w for w, q in row.items() if q] for v, row in enumerate(qs)}
-        report["q_values"] = {
-            str(v): {str(w): q for w, q in row.items()} for v, row in enumerate(qs)
-        }
+        report["z_sets"] = {v: [w for w, q in row.items() if q] for v, row in enumerate(qs)}
+        report["q_values"] = dict(enumerate(qs))
         classification = []
         for comp in connected_components(g):
+            # induced_subgraph returns g itself for a component of every vertex
             sub, old = induced_subgraph(g, comp)
-            classification.append(_classification_dict(sub, old, max_clique(sub)[0]))
+            sub_omega = omega if sub is g else max_clique(sub)[0]
+            classification.append(_classification_dict(sub, old, sub_omega))
         report["classification"] = classification
     report["timings"] = {"elapsed_s": time.perf_counter() - started}
     _emit(report)
@@ -488,6 +491,10 @@ def main(argv=None) -> int:
         NodeLimitExceeded,
     ) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (RecursionError, MemoryError) as exc:
+        reason = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"internal error: resource exhausted ({reason})", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -674,10 +674,10 @@ def record_calls(monkeypatch, owner, name, log=None):
     """Wrap ``owner.name`` for the test; returns the list of each call's arguments.
 
     ``from .graph import square`` gives every importing module its own
-    binding, so a function is wrapped under every name a clawsq module
-    binds it to; a method is wrapped on its class. When ``log`` is given,
-    each call also appends ``name`` to it, so several recorders sharing one
-    log show the order of calls across functions.
+    binding, so a function is wrapped on ``owner`` and under every name a
+    clawsq module binds it to; a method is wrapped on its class. When
+    ``log`` is given, each call also appends ``name`` to it, so several
+    recorders sharing one log show the order of calls across functions.
     """
     original = getattr(owner, name)
     calls = []
@@ -688,8 +688,8 @@ def record_calls(monkeypatch, owner, name, log=None):
             log.append(name)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(owner, name, recorded)
     if isinstance(owner, type):
-        monkeypatch.setattr(owner, name, recorded)
         return calls
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").partition(".")[0] != "clawsq":

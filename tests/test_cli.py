@@ -136,6 +136,37 @@ class TestAnalyze:
         assert report["claw_free"] is False and calls == []
         assert report["q_values"] is None and report["z_sets"] is None
 
+    def test_one_clique_search_per_connected_graph(self, tmp_path, capsys, monkeypatch):
+        # Square degrees come from square rows, so the one square per
+        # component is the reducibility search's. A component holding every
+        # vertex reuses the whole graph's omega; only true sub-components
+        # search again.
+        line_petersen, _ = gen_line_graph(petersen())
+        union = disjoint_union([gen_icosahedron(), line_petersen, octahedron()])
+        for g, components, cliques in ((line_petersen, 1, 1), (union, 3, 4)):
+            calls = {
+                name: record_calls(monkeypatch, graph, name) for name in ("square", "max_clique")
+            }
+            code, out, _ = run_cli(capsys, "analyze", write_graph(tmp_path, "g.col", g))
+            assert code == 0 and len(json.loads(out)["classification"]) == components
+            assert {name: len(log) for name, log in calls.items()} == {
+                "square": components,
+                "max_clique": cliques,
+            }
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_failure_exits_three(self, tmp_path, capsys, monkeypatch, error):
+        def exhausted(g):
+            raise error()
+
+        monkeypatch.setattr(cli, "q_rows", exhausted)
+        target = write_graph(tmp_path, "oct.col", octahedron())
+        code, out, err = run_cli(capsys, "analyze", target)
+        assert code == 3 and out == ""
+        assert err.startswith("internal error:") and err.count("\n") == 1
+        assert error.__name__ in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/g.col")
         assert code == 1
@@ -580,6 +611,77 @@ class TestGenerate:
         together = [run_cli(capsys, *argv) for argv in runs]
         assert together == alone
         assert [code for code, _, _ in together] == [1, 0]
+
+
+def keys_in_order(text):
+    """``text`` parsed, asserting that every object's keys come sorted.
+
+    Keys that are all vertex numbers must come in increasing numeric order.
+    """
+
+    def check(pairs):
+        keys = [k for k, _ in pairs]
+        if keys and all(k.isdigit() for k in keys):
+            assert [int(k) for k in keys] == sorted(int(k) for k in keys), keys
+        else:
+            assert keys == sorted(keys), keys
+        return dict(pairs)
+
+    return json.loads(text, object_pairs_hook=check)
+
+
+class TestReportLayout:
+    """Each report is one line from the C encoder, keys sorted, vertex keys numerically."""
+
+    @pytest.fixture(
+        params=[
+            "analyze",
+            "color",
+            "color-claw",
+            "verify-lemmas",
+            "generate",
+            "generate-corpus",
+        ]
+    )
+    def run(self, request, tmp_path, corpus, monkeypatch):
+        """The command's argv and its exit code."""
+        line_petersen, _ = gen_line_graph(petersen())
+        name = request.param
+        if name == "analyze":
+            return ["analyze", write_graph(tmp_path, "lp.col", line_petersen)], 0
+        if name == "color":
+            return ["color", write_graph(tmp_path, "lp.col", line_petersen)], 0
+        if name == "color-claw":
+            return ["color", write_graph(tmp_path, "claw.col", claw())], 2
+        if name == "verify-lemmas":
+            return ["verify-lemmas", str(write_corpus(corpus[:3], tmp_path / "corpus"))], 0
+        if name == "generate":
+            return ["generate", "line-graph", "--of", "petersen"], 0
+        monkeypatch.setattr(cli, "default_corpus", lambda: corpus[:3])
+        return ["generate", "corpus", "--out", str(tmp_path / "corpus")], 0
+
+    def test_one_line_with_keys_in_order(self, capsys, run):
+        argv, expected = run
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected
+        assert out.count("\n") == 1 and out.endswith("\n")
+        report = keys_in_order(out)
+        if argv[0] == "analyze":
+            vertices = list(range(15))
+            assert [int(v) for v in report["q_values"]] == vertices
+            assert [int(v) for v in report["z_sets"]] == vertices
+            (component,) = report["classification"]
+            assert component["kind"] == "line_graph"
+            assert [int(v) for v in component["vertex_to_root_edge"]] == vertices
+
+    def test_no_pure_python_encoding(self, capsys, monkeypatch, run):
+        # json.dumps with an indent bypasses the C encoder for this function.
+        argv, expected = run
+        calls = record_calls(monkeypatch, json.encoder, "_make_iterencode")
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == expected
+        # generate corpus also writes manifest.json, indented for people who edit it.
+        assert len(calls) == (1 if argv[:2] == ["generate", "corpus"] else 0)
 
 
 class TestDeterminism:
