@@ -312,10 +312,14 @@ def stress_instances():
 
 
 def scaling_instances():
-    """(name, graph) for two sizes of the peeling scaling family.
+    """(name, graph) for the peeling scaling family and two base-case pins.
 
     Random line graphs with clique number 3 and 4 and a squared cycle, on 200
-    and on 1600 vertices; every one of them peels through the inductive engine.
+    and on 1600 vertices, every one of which peels through the inductive
+    engine; then the line graphs of a 4-regular girth-5 root on 800
+    vertices (n = 1600) and of a 3-regular one on 1068 vertices (n = 1602),
+    in which nothing peels, so root recovery and the strong edge coloring
+    search run on masks of about 1600 bits.
     """
     out = [
         (f"random-w{omega}-n200-s{seed}", gen_random_claw_free(200, omega, seed))
@@ -328,6 +332,9 @@ def scaling_instances():
         for omega in (3, 4)
     ]
     out.append(("squared-cycle-n1600", squared_cycle(1600)))
+    for n, d, name in ((800, 4, "quartic"), (1068, 3, "cubic")):
+        g, _ = gen_line_graph(build_graph(n, regular_root_girth5(n, d, 1)))
+        out.append((f"base-{name}-girth5-n{g.n}-s1", g))
     return out
 
 

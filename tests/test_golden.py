@@ -1,8 +1,10 @@
 """Outputs pinned by digest, so rewrites of hot code keep them.
 
 ``golden_colorings.json`` holds ``coloring_digest(color_square(g).colors)``
-for every corpus entry, every stress-family instance and the 200- and
-1600-vertex members of the peeling scaling family. ``golden_reports.json`` holds the
+for every corpus entry, every stress-family instance and every member of
+``scaling_instances``: the 200- and 1600-vertex members of the peeling
+scaling family, and two line graphs of girth-5 roots on about 1600
+vertices that go straight to the base case. ``golden_reports.json`` holds the
 sha256 of the ``as_dict`` list that ``run_lemma_suite`` returns for every
 corpus entry and every stress-family instance (at the graph's clique
 number, at least 2) and for every case of the omega sweep, and the sha256
