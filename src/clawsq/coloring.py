@@ -6,7 +6,10 @@ graph via a strong edge coloring of its root), and then reinserts the
 peeled vertices in reverse order, recoloring each neighborhood through a
 system of distinct representatives. The strong edge coloring is one
 saturation search whose first descent is the greedy DSATUR coloring and
-whose node budget counts every node, that descent included.
+whose node budget counts every node, that descent included. Its state is
+vertex masks of the edge conflict graph: per color, the class and the
+vertices that see it, and per saturation, the uncolored vertices that see
+that many colors (:func:`_backtrack_within`).
 
 Peeling is incremental (:func:`_peel`): square rows, live components and
 triangle and K4 membership are kept across steps and updated only near
@@ -188,17 +191,17 @@ def edge_conflict_graph(f: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Graph on the edges of f, adjacent when they share or see an endpoint.
 
     Edge uv conflicts with every edge at a vertex of N(u) | N(v), a set that
-    holds u and v themselves, so each row is an OR of per-vertex incidence
-    masks.
+    holds u and v themselves, so each row is the OR of two masks, the edges
+    at a neighbor of u and those at a neighbor of v, each built once per
+    vertex of f from per-vertex incidence masks.
     """
     edges = tuple(sorted(f.edges()))
     incident = [0] * f.n
     for i, (u, v) in enumerate(edges):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
-    rows = tuple(
-        reach(incident, f._adj[u] | f._adj[v]) & ~(1 << i) for i, (u, v) in enumerate(edges)
-    )
+    near = [reach(incident, row) for row in f._adj]
+    rows = tuple((near[u] | near[v]) & ~(1 << i) for i, (u, v) in enumerate(edges))
     return Graph(rows), edges
 
 
@@ -210,74 +213,110 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
     with new colors introduced in order (color symmetry breaking); so the
     first descent is the greedy DSATUR coloring. The search keeps its
     own stack, one frame per colored vertex, so depth is not bounded by
-    the interpreter's recursion limit. Every vertex keeps a count of its
-    colored neighbors per color and its saturation, the number of colors
-    with a nonzero count, both updated as neighbors are colored and
-    uncolored; uncolored vertices sit in buckets by saturation, so a pick
-    looks only at the fullest non-empty bucket. Returns None when the
-    search space is exhausted; raises NodeLimitExceeded past the node
-    budget.
+    the interpreter's recursion limit.
+
+    All state is vertex masks. Per color c, ``classes[c]`` holds the
+    vertices colored c and ``sees[c]`` those with a neighbor colored c;
+    ``levels[s]`` holds the uncolored vertices that see exactly s colors,
+    their saturation. A pick is the lowest vertex of the fullest non-empty
+    level within the highest degree tier that meets it. Coloring v with c
+    moves N(v) minus ``sees[c]`` up one level; uncoloring v drops from
+    ``sees[c]``, and moves down one level, the vertices of N(v) left with
+    no neighbor in the class. Returns None when the search space is
+    exhausted; raises NodeLimitExceeded past the node budget.
     """
     n = g.n
     if n == 0:
         return []
-    nbrs = [tuple(bits(row)) for row in g._adj]
-    degree = [len(row) for row in nbrs]
+    rows = g._adj
+    palette = max(budget, 0)
     colors = [UNCOLORED] * n
-    seen = [[0] * budget for _ in range(n)]
-    saturation = [0] * n
-    by_saturation = [set() for _ in range(max(budget, 0) + 1)]
-    by_saturation[0].update(range(n))
+    classes = [0] * palette
+    sees = [0] * palette
+    levels = [0] * (palette + 1)
+    levels[0] = uncolored = (1 << n) - 1
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    # What the higher tiers miss lies in the lowest, so it needs no mask.
+    tiers = [by_degree[d] for d in sorted(by_degree, reverse=True)][:-1]
     nodes = 0
 
-    def resaturate(u, step):
-        if colors[u] == UNCOLORED:
-            by_saturation[saturation[u]].remove(u)
-            by_saturation[saturation[u] + step].add(u)
-        saturation[u] += step
+    def shift(mask, s, step):
+        """Move the vertices of ``mask`` one level by ``step``, scanning from level s against it.
 
-    def recolor(v, c):
-        """Give v color c, or take its color away when c is UNCOLORED."""
-        old = colors[v]
-        if old == UNCOLORED:
-            by_saturation[saturation[v]].remove(v)
-        else:
-            for u in nbrs[v]:
-                seen[u][old] -= 1
-                if not seen[u][old]:
-                    resaturate(u, -1)
+        Every vertex of ``mask`` lies at level s or further against
+        ``step``, and each moves once, as it leaves ``mask`` when it moves.
+        """
+        while mask:
+            moved = levels[s] & mask
+            if moved:
+                levels[s] ^= moved
+                levels[s + step] |= moved
+                mask ^= moved
+            s -= step
+
+    def color(v, bit, c, s):
+        """Give v, whose mask is ``bit``, color c; v has already left its level s, the fullest."""
+        nonlocal uncolored
         colors[v] = c
-        if c == UNCOLORED:
-            by_saturation[saturation[v]].add(v)
-        else:
-            for u in nbrs[v]:
-                if not seen[u][c]:
-                    resaturate(u, 1)
-                seen[u][c] += 1
+        classes[c] |= bit
+        uncolored ^= bit
+        shift(rows[v] & uncolored & ~sees[c], s, 1)
+        sees[c] |= rows[v]
 
-    def visit(used: int):
-        """Count one search node; its frame, or None once every vertex is colored."""
+    def uncolor(v, bit):
+        """Take v's color away; v does not rejoin a level."""
+        nonlocal uncolored
+        c = colors[v]
+        colors[v] = UNCOLORED
+        classes[c] ^= bit
+        uncolored |= bit
+        row = rows[v]
+        lost = row & ~reach(rows, classes[c] & reach(rows, row))
+        sees[c] ^= lost
+        shift(lost & uncolored, 1, -1)
+
+    def visit(used: int, s: int):
+        """Count one search node; its frame, or None once every vertex is colored.
+
+        No uncolored vertex sees more than s colors.
+        """
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise NodeLimitExceeded(f"gave up after {node_limit} nodes")
-        fullest = next((bucket for bucket in reversed(by_saturation) if bucket), None)
-        if fullest is None:
+        if not uncolored:
             return None
-        v = max(fullest, key=lambda u: (degree[u], -u))
+        while not levels[s]:
+            s -= 1
+        pick = levels[s]
+        for tier in tiers:
+            if pick & tier:
+                pick &= tier
+                break
+        bit = pick & -pick
+        v = bit.bit_length() - 1
         top = min(used + 1, budget)
-        return v, used, iter([c for c in range(top) if not seen[v][c]])
+        return v, bit, s, used, (c for c in range(top) if not sees[c] >> v & 1)
 
-    stack = [visit(0)]  # n > 0, so some vertex is uncolored
+    stack = [visit(0, 0)]  # n > 0, so some vertex is uncolored
     while stack:
-        v, used, choices = stack[-1]
+        v, bit, s, used, choices = stack[-1]
         c = next(choices, None)
+        if colors[v] == UNCOLORED:
+            levels[s] ^= bit
+        else:
+            uncolor(v, bit)
         if c is None:
-            recolor(v, UNCOLORED)
+            # The others are as they were at the pick, so v still sees s colors.
+            levels[s] |= bit
             stack.pop()
             continue
-        recolor(v, c)
-        frame = visit(max(used, c + 1))
+        color(v, bit, c, s)
+        # Coloring v raised each saturation by at most one.
+        frame = visit(max(used, c + 1), min(s + 1, palette))
         if frame is None:
             return colors
         stack.append(frame)

@@ -95,6 +95,20 @@ def _split(a_mask: int, b_mask: int) -> NeighborhoodShape:
 def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     """Split the induced neighborhood of ``v`` into two covering cliques.
 
+    ``parts`` holds the two cliques :func:`_shape_masks` finds, as
+    frozensets of g's labels with the smaller part first. Without a unique
+    split it is None, with ``ambiguous`` set when several splits tie for
+    the fewest edges between the parts.
+    """
+    found = _shape_masks(g._adj, g.adjacency_mask(v))
+    if isinstance(found, bool):
+        return NeighborhoodShape(None, ambiguous=found)
+    return _split(*found)
+
+
+def _shape_masks(adj, nbrs: int) -> tuple[int, int] | bool:
+    """The two covering cliques of the neighborhood ``nbrs`` as masks, or whether splits tie.
+
     A split of N(v) into two cliques A and B is a proper 2-coloring of the
     complement of G[N(v)], and every complement edge crosses it, so the
     number of G-edges between the parts is |A|·|B| minus the complement
@@ -102,25 +116,23 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     oriented, by a subset-sum over |A| that counts orientations up to two,
     to make the parts as unequal as possible; this is O(h²) for h = |N(v)|.
     A unique split with the fewest cross edges, at most two of them and
-    non-incident when there are two, yields the parts; anything else yields
-    None, with ``ambiguous`` set when several splits tie for the fewest
-    cross edges. A five-cycle, whose complement is again an odd cycle, has
-    no split. Everything is computed on masks of g's own rows, so the parts
-    come out in g's labels.
+    non-incident when there are two, yields the parts (A, B), in no
+    particular order; anything else yields a bool: True when several
+    splits tie for the fewest cross edges, False otherwise. A five-cycle,
+    whose complement is again an odd cycle, has no split. ``adj`` holds
+    the rows of g, so the parts come out in g's labels.
 
     Fast path: when :func:`two_clique_cover` gives cliques A and B with no
     edge between them, the complement is K_{|A|,|B|} (edgeless when B is
     empty), whose unique split, with no cross edges, is (A, B).
     """
-    adj = g._adj
-    nbrs = g.adjacency_mask(v)
     cover = two_clique_cover(adj, nbrs)
     if cover is not None and not reach(adj, cover[1]) & cover[0]:
-        return _split(*cover)
+        return cover
     h = nbrs.bit_count()
     sides = _complement_sides(adj, nbrs)
     if sides is None:
-        return NeighborhoodShape(None)
+        return False
 
     # Bit a of once[i] is set when some orientation of components 0..i puts
     # a vertices in A, with the lowest neighbor kept in A; bit a of twice
@@ -135,11 +147,11 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     size = min(bits(once[-1]), key=lambda a: a * (h - a))
     ties = [a for a in {size, h - size} if once[-1] >> a & 1]
     if len(ties) > 1 or twice >> ties[0] & 1:
-        return NeighborhoodShape(None, ambiguous=True)
+        return True
     inner_edges = sum((adj[u] & nbrs).bit_count() for u in bits(nbrs)) // 2
     best_k = size * (h - size) - (h * (h - 1) // 2 - inner_edges)
     if best_k > 2:
-        return NeighborhoodShape(None)
+        return False
 
     # Walk the unique orientation back from the last component.
     a_size = ties[0]
@@ -154,8 +166,8 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     if best_k == 2:
         (p1, q1), (p2, q2) = [(i, j) for i in bits(a_mask) for j in bits(adj[i] & b_mask)]
         if {p1, q1} & {p2, q2}:
-            return NeighborhoodShape(None)
-    return _split(a_mask, b_mask)
+            return False
+    return a_mask, b_mask
 
 
 def recognize_icosahedron(g: Graph):
@@ -182,26 +194,29 @@ def recognize_icosahedron(g: Graph):
 def _krausz_root(g: Graph, omega: int):
     """(cliques, root) when the designated cliques of g form a Krausz partition, else None.
 
-    Designates, for every vertex, the union of the vertex with each of its
-    two covering cliques. The two parts of v partition N(v), so every edge
-    at v lies in one of v's designated cliques and no edge is left to
-    cover. None when some neighborhood has no covering pair, a clique would
-    exceed omega vertices, or :func:`root_graph` rejects the family, which
-    happens exactly when some edge lies in more than one clique or some
-    vertex in more than two.
+    Designates, for every vertex v, the union of v with each of its two
+    covering cliques from :func:`_shape_masks`, as vertex masks. The two
+    parts of v partition N(v), so every edge at v lies in one of v's
+    designated cliques and no edge is left to cover. The cliques come as
+    lists of their members in increasing order, the lists sorted. None when
+    some neighborhood has no covering pair, a clique would exceed omega
+    vertices, or :func:`root_graph` rejects the family, which happens
+    exactly when some edge lies in more than one clique or some vertex in
+    more than two.
     """
+    adj = g._adj
     designated = set()
-    for v in range(g.n):
-        shape = neighborhood_shape(g, v)
-        if shape.parts is None:
+    for v, row in enumerate(adj):
+        parts = _shape_masks(adj, row)
+        if isinstance(parts, bool):
             return None
-        for part in shape.parts:
+        for part in parts:
             if not part:
                 continue
-            if len(part) > omega - 1:
+            if part.bit_count() > omega - 1:
                 return None
-            designated.add(part | {v})
-    cliques = sorted(designated, key=sorted)
+            designated.add(part | 1 << v)
+    cliques = sorted(map(bits, designated))
     try:
         return cliques, root_graph(g, cliques)
     except InvalidPartitionError:
@@ -217,7 +232,7 @@ def krausz_partition(g: Graph, omega: int) -> list[frozenset[int]] | None:
     the root graph rather than assuming them.
     """
     found = _krausz_root(g, omega)
-    return None if found is None else found[0]
+    return None if found is None else [frozenset(c) for c in found[0]]
 
 
 @dataclass(frozen=True)
@@ -231,13 +246,14 @@ class RootGraph:
 def root_graph(g: Graph, partition) -> RootGraph:
     """Reconstruct the root graph from a Krausz partition of g.
 
-    Root vertices are the cliques, plus one fresh endpoint per vertex of g
-    that lies in fewer than two cliques (two for isolated vertices). The
-    partition is not trusted: once every clique has two or more vertices
-    of g and every vertex lies in at most two cliques, comparing the line
-    graph of the result with g edge for edge rejects a non-edge inside a
-    clique and an edge covered zero times or twice, so exactly the families
-    that are not Krausz partitions raise InvalidPartitionError.
+    Root vertices are the cliques, sorted by their members in increasing
+    order, plus one fresh endpoint per vertex of g that lies in fewer than
+    two cliques (two for isolated vertices). The partition is not trusted:
+    once every clique has two or more vertices of g and every vertex lies
+    in at most two cliques, comparing the line graph of the result with g
+    edge for edge rejects a non-edge inside a clique and an edge covered
+    zero times or twice, so exactly the families that are not Krausz
+    partitions raise InvalidPartitionError.
     """
     given = [frozenset(c) for c in partition]
     cliques = sorted(set(given), key=sorted)
@@ -252,19 +268,15 @@ def root_graph(g: Graph, partition) -> RootGraph:
             membership[u].append(i)
     next_aux = len(cliques)
     edge_of_vertex = []
-    for v in range(g.n):
-        owners = membership[v]
+    for owners in membership:
         if len(owners) > 2:
             raise InvalidPartitionError("a vertex belongs to more than two cliques")
-        if len(owners) == 2:
-            e = (owners[0], owners[1])
-        elif len(owners) == 1:
-            e = (owners[0], next_aux)
+        # Owners come in increasing order and fresh endpoints follow every
+        # clique, so each pair comes out sorted.
+        while len(owners) < 2:
+            owners.append(next_aux)
             next_aux += 1
-        else:
-            e = (next_aux, next_aux + 1)
-            next_aux += 2
-        edge_of_vertex.append(tuple(sorted(e)))
+        edge_of_vertex.append(tuple(owners))
     if len(set(edge_of_vertex)) != g.n:
         raise InvalidPartitionError("two vertices share the same pair of cliques")
     f = build_graph(next_aux, edge_of_vertex)

@@ -16,6 +16,7 @@ import random
 import sys
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from clawsq import graph
@@ -38,6 +39,7 @@ from clawsq.corpus import cocktail_party, gen_line_graph, gen_random_claw_free, 
 from clawsq.errors import (
     DEFAULT_NODE_LIMIT,
     InternalBoundViolation,
+    InvalidPartitionError,
     NodeLimitExceeded,
     NotNeighborError,
     NotSmallOmegaError,
@@ -57,6 +59,7 @@ from clawsq.graph import (
 )
 from clawsq.structure import (
     NeighborhoodShape,
+    RootGraph,
     find_reducible_vertex,
     neighbor_degree_cap,
     reduction_threshold,
@@ -199,6 +202,76 @@ def brute_neighborhood_shape(g, v):
     return NeighborhoodShape(tuple(sorted((part_a, part_b), key=lambda p: (len(p), sorted(p)))))
 
 
+# The frozenset Krausz partition the library replaced with masks, and root
+# recovery as the library did it before, here on the enumerating
+# neighborhood shape and the pairwise line-graph check, so comparing the two
+# checks all three.
+def brute_root_graph(g, partition):
+    """Root graph from a Krausz partition through per-vertex clique lists.
+
+    Raises InvalidPartitionError on a duplicate clique, a clique of fewer
+    than two vertices, a vertex in more than two cliques, two vertices with
+    the same pair of cliques, or a line graph of the result that is not g.
+    """
+    given = [frozenset(c) for c in partition]
+    cliques = sorted(set(given), key=sorted)
+    if len(cliques) != len(given):
+        raise InvalidPartitionError("duplicate cliques in partition")
+    membership = [[] for _ in range(g.n)]
+    for i, c in enumerate(cliques):
+        if len(c) < 2:
+            raise InvalidPartitionError("cliques in the partition need at least two vertices")
+        for u in c:
+            g.check_vertex(u)
+            membership[u].append(i)
+    next_aux = len(cliques)
+    edge_of_vertex = []
+    for v in range(g.n):
+        owners = membership[v]
+        if len(owners) > 2:
+            raise InvalidPartitionError("a vertex belongs to more than two cliques")
+        if len(owners) == 2:
+            e = (owners[0], owners[1])
+        elif len(owners) == 1:
+            e = (owners[0], next_aux)
+            next_aux += 1
+        else:
+            e = (next_aux, next_aux + 1)
+            next_aux += 2
+        edge_of_vertex.append(tuple(sorted(e)))
+    if len(set(edge_of_vertex)) != g.n:
+        raise InvalidPartitionError("two vertices share the same pair of cliques")
+    if line_graph_mismatch(g, edge_of_vertex):
+        raise InvalidPartitionError("line graph reconstruction mismatch")
+    return RootGraph(build_graph(next_aux, edge_of_vertex), tuple(edge_of_vertex))
+
+
+def brute_krausz_root(g, omega):
+    """(cliques, root) when the designated cliques of g form a Krausz partition, else None.
+
+    Designates, for every vertex, the union of the vertex with each of its
+    two covering cliques, as frozensets, sorted by their sorted members.
+    None when some neighborhood has no covering pair, a clique would exceed
+    omega vertices, or :func:`brute_root_graph` rejects the family.
+    """
+    designated = set()
+    for v in range(g.n):
+        shape = brute_neighborhood_shape(g, v)
+        if shape.parts is None:
+            return None
+        for part in shape.parts:
+            if not part:
+                continue
+            if len(part) > omega - 1:
+                return None
+            designated.add(part | {v})
+    cliques = sorted(designated, key=sorted)
+    try:
+        return cliques, brute_root_graph(g, cliques)
+    except InvalidPartitionError:
+        return None
+
+
 def random_graph(rng, n, p):
     """G(n, p) drawn from ``rng``."""
     return build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
@@ -332,10 +405,20 @@ def scaling_instances():
         for omega in (3, 4)
     ]
     out.append(("squared-cycle-n1600", squared_cycle(1600)))
-    for n, d, name in ((800, 4, "quartic"), (1068, 3, "cubic")):
-        g, _ = gen_line_graph(build_graph(n, regular_root_girth5(n, d, 1)))
-        out.append((f"base-{name}-girth5-n{g.n}-s1", g))
+    out += [(name, gen_line_graph(f)[0]) for name, f in base_pin_roots()]
     return out
+
+
+@lru_cache(maxsize=None)
+def base_pin_roots():
+    """(name, root) for the 4-regular girth-5 root on 800 vertices and the 3-regular one on 1068.
+
+    The names carry the edge count, the vertex count of the line graph.
+    """
+    return tuple(
+        (f"base-{name}-girth5-n{n * d // 2}-s1", build_graph(n, regular_root_girth5(n, d, 1)))
+        for n, d, name in ((800, 4, "quartic"), (1068, 3, "cubic"))
+    )
 
 
 def lemma_sweep_instances():

@@ -65,6 +65,7 @@ from clawsq.structure import (
 )
 
 from helpers import (
+    base_pin_roots,
     brute_backtrack_within,
     brute_color_small_omega,
     brute_dsatur_order_greedy,
@@ -81,6 +82,21 @@ from helpers import (
     record_calls,
     regular_root_girth5,
     relabel,
+)
+
+
+# Two subcubic roots from a scan of 100 000 seeded random roots of max
+# degree 3 on at most 30 vertices: the DSATUR first descent on their conflict
+# graphs takes 11 colors, one over the bound, so the search must backtrack.
+DSATUR_OVER_TEN = (
+    (22, [(0, 1), (0, 2), (1, 12), (2, 4), (2, 13), (3, 6), (3, 9), (3, 20), (4, 11),
+          (4, 12), (5, 10), (5, 16), (5, 17), (6, 9), (6, 12), (7, 16), (7, 17), (7, 21),
+          (8, 14), (8, 19), (8, 20), (9, 21), (10, 13), (10, 15), (11, 13), (11, 19),
+          (14, 16), (14, 17), (15, 18), (15, 19), (18, 20), (18, 21)]),
+    (23, [(0, 1), (0, 6), (0, 12), (1, 19), (1, 21), (2, 3), (2, 17), (2, 18), (3, 10),
+          (3, 14), (4, 11), (4, 14), (4, 19), (5, 11), (5, 13), (5, 16), (6, 7), (6, 20),
+          (7, 15), (7, 20), (8, 9), (8, 22), (9, 11), (9, 16), (10, 12), (10, 18),
+          (12, 16), (13, 15), (13, 17), (14, 18), (15, 21), (17, 20), (19, 22), (21, 22)]),
 )
 
 
@@ -592,6 +608,40 @@ class TestStrongEdgeColoring:
         with pytest.raises(NodeLimitExceeded):
             strong_edge_color(petersen_graph, 10, node_limit=15)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_no_budget_for_an_edge(self, budget):
+        with pytest.raises(BudgetExhaustedError):
+            strong_edge_color(path(3), budget)
+
+    @pytest.mark.parametrize("budget", [10, 0, -1])
+    def test_edgeless_root_needs_no_color(self, budget):
+        assert strong_edge_color(build_graph(4, []), budget) == coloring.StrongEdgeColoring((), ())
+
+    def test_node_limit_on_wide_roots(self):
+        # The base-case golden pins, m = 1600 and 1602 edges: their first
+        # descents fit the budget in m + 1 nodes, as on the Petersen graph.
+        for name, f in base_pin_roots():
+            m = f.edge_count
+            budget = palette_bound(max_degree(f))
+            assert strong_edge_color(f, budget, node_limit=m + 1).palette_size <= budget, name
+            with pytest.raises(NodeLimitExceeded):
+                strong_edge_color(f, budget, node_limit=m)
+
+    @pytest.mark.parametrize("n, edges", DSATUR_OVER_TEN)
+    def test_first_descent_over_the_bound(self, n, edges):
+        f = build_graph(n, edges)
+        conflict, _ = edge_conflict_graph(f)
+        assert max(brute_dsatur_order_greedy(conflict)) + 1 == 11
+        found, nodes = search_outcome(_backtrack_within, conflict, 10)
+        assert (found, nodes) == search_outcome(brute_backtrack_within, conflict, 10)
+        assert found is not None and nodes > f.edge_count + 1
+        assert brute_is_strong_edge_coloring(strong_edge_color(f, 10), f)
+        # Their line graphs peel (26 and 22 frames), so color_square does not
+        # reach this search on them.
+        g, _ = gen_line_graph(f)
+        colors = color_square(g)
+        assert verify_coloring(g, colors) and colors.palette_size <= 10
+
     def test_conflict_graph_matches_definition(self, petersen_graph):
         conflict, edges = edge_conflict_graph(petersen_graph)
         for i, (u, v) in enumerate(edges):
@@ -680,6 +730,36 @@ class TestBacktrackWithin:
                 assert search_outcome(_backtrack_within, g, budget) == search_outcome(
                     brute_backtrack_within, g, budget
                 )
+
+    def test_small_roots_below_their_greedy_palette(self, petersen_graph):
+        # Budgets under what the first descent uses, on the conflict graphs
+        # of the Petersen graph, K4 and C5 blow-ups: the search must prove
+        # them short through uncoloring, node for node as the reference does.
+        roots = [(petersen_graph, 4), (complete(4), 5)]
+        for spec in ((2, 1, 1, 1, 1), (2, 1, 2, 1, 1), (2, 2, 2, 1, 1), (2, 2, 2, 2, 1)):
+            f = gen_blowup_c5(BlowupSpec(spec))
+            roots.append((f, max(brute_dsatur_order_greedy(edge_conflict_graph(f)[0]))))
+        for f, budget in roots:
+            conflict, _ = edge_conflict_graph(f)
+            outcome = search_outcome(_backtrack_within, conflict, budget)
+            assert outcome == search_outcome(brute_backtrack_within, conflict, budget)
+            assert outcome[0] is None
+
+    def test_one_below_the_greedy_palette(self):
+        # Random graphs on 13 to 20 vertices at one color fewer than their
+        # DSATUR coloring: some searches backtrack to a coloring, others
+        # exhaust the budget.
+        rng = random.Random(13)
+        backtracked = found = 0
+        for i in range(200):
+            n = 13 + i % 8
+            g = random_graph(rng, n, rng.uniform(0.25, 0.75))
+            budget = max(brute_dsatur_order_greedy(g))
+            outcome = search_outcome(_backtrack_within, g, budget)
+            assert outcome == search_outcome(brute_backtrack_within, g, budget)
+            backtracked += outcome[1] > n + 1
+            found += outcome[0] is not None
+        assert backtracked >= 20 and found >= 15
 
 
 class TestIcosahedronColoring:

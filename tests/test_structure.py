@@ -21,6 +21,7 @@ from clawsq.errors import (
 )
 from clawsq.graph import (
     build_graph,
+    connected_components,
     delete_vertex,
     induced_subgraph,
     max_clique,
@@ -45,6 +46,7 @@ import clawsq.structure as structure
 from helpers import (
     bfs_distances,
     brute_is_clique,
+    brute_krausz_root,
     brute_neighborhood_shape,
     brute_reduction_case,
     girth,
@@ -382,6 +384,88 @@ class TestRootGraphMatchesReference:
             assert line_graph_mismatch(off, edge_of_vertex)
             with pytest.raises(InvalidPartitionError):
                 root_graph(off, partition)
+
+
+def same_krausz_as_reference(g, omega):
+    """The reference root after checking the library's Krausz steps against it, or None.
+
+    The member lists of ``_krausz_root``, the frozensets of ``krausz_partition``
+    and the root that ``root_graph`` builds from them must equal the
+    frozenset reference, or all be None with it.
+    """
+    expected = brute_krausz_root(g, omega)
+    found = structure._krausz_root(g, omega)
+    partition = krausz_partition(g, omega)
+    if expected is None:
+        assert found is None and partition is None
+        return None
+    cliques, root = expected
+    assert [frozenset(c) for c in found[0]] == cliques
+    assert found[1] == root
+    assert partition == cliques
+    recovered = root_graph(g, partition)
+    assert recovered.f == root.f and recovered.edge_of_vertex == root.edge_of_vertex
+    return root
+
+
+class TestKrauszMatchesReference:
+    """The mask Krausz partition returns what the frozenset one it replaced returns."""
+
+    def test_corpus_components(self, corpus):
+        roots = line_graphs = 0
+        for entry in corpus:
+            for comp in connected_components(entry.graph):
+                sub, _ = induced_subgraph(entry.graph, comp)
+                omega = max_clique(sub)[0]
+                if omega not in (3, 4):
+                    continue
+                root = same_krausz_as_reference(sub, omega)
+                roots += root is not None
+                try:
+                    outcome = classify(sub, omega)
+                except NotClawFreeError:
+                    continue
+                if outcome.kind == "line_graph":
+                    assert outcome.root == root
+                    line_graphs += 1
+        assert roots > 150 and line_graphs >= 2
+
+    def test_stress_family(self, stress_family):
+        for name, d, _, g in stress_family:
+            root = same_krausz_as_reference(g, d)
+            assert root is not None and classify(g, d).root == root, name
+
+    def test_shuffled_relabelings(self, line_petersen, stress_family):
+        rng = random.Random(19)
+        for g in (line_petersen, stress_family[0][3]):
+            omega = max_clique(g)[0]
+            for _ in range(20):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                h = relabel(g, perm)
+                root = same_krausz_as_reference(h, omega)
+                assert root is not None and classify(h, omega).root == root
+
+    def test_neighborhood_without_a_split(self, icosahedron):
+        # Every neighborhood of the icosahedron is a five-cycle.
+        assert structure._shape_masks(icosahedron._adj, icosahedron._adj[0]) is False
+        assert same_krausz_as_reference(icosahedron, 3) is None
+
+    def test_part_larger_than_omega_minus_one(self):
+        # K4 is the line graph of a star with four edges: one clique of four.
+        assert same_krausz_as_reference(complete(4), 4) is not None
+        assert same_krausz_as_reference(complete(4), 3) is None
+
+    def test_vertex_in_three_cliques(self):
+        # K4 on 0..3 and a vertex 4 joined to 1 and 3: every neighborhood
+        # splits, but the designated cliques put a vertex in three of them.
+        g = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+        designated = {
+            part | {v} for v in range(g.n) for part in neighborhood_shape(g, v).parts if part
+        }
+        with pytest.raises(InvalidPartitionError, match="more than two cliques"):
+            root_graph(g, sorted(designated, key=sorted))
+        assert same_krausz_as_reference(g, 4) is None
 
 
 class TestStressFamily:
