@@ -11,13 +11,13 @@ vertex masks of the edge conflict graph: per color, the class and the
 vertices that see it, and per saturation, the uncolored vertices that see
 that many colors (:func:`_backtrack_within`).
 
-Peeling is incremental (:func:`_peel`): square rows, live components and
-triangle and K4 membership are kept across steps and updated only near
-the deleted vertex, a vertex's reduction case is worked out only when it
-could be the next pick, and each step records just (vertex, case,
-kprime); as the graph is claw-free, a deletion splits its component into
-at most two pieces (:func:`_pieces`). The base step colors all
-triangle-free leftover components with one call.
+Peeling is incremental (:func:`_peel`): live components and triangle and
+K4 membership are kept across steps and updated only near the deleted
+vertex, a vertex's reduction case is worked out, from the square rows of
+its neighborhood, only when it could be the next pick, and each step
+records just (vertex, case, kprime); as the graph is claw-free, a
+deletion splits its component into at most two pieces (:func:`_pieces`).
+The base step colors all triangle-free leftover components with one call.
 Reinsertion works on the input graph with a mask of the vertices present,
 so no graph is kept per step, and with one vertex mask per color (a color
 class), so a color is free for a vertex exactly when its class misses the
@@ -158,12 +158,12 @@ def color_icosahedron(g: Graph, pairing) -> Coloring:
     """Six colors on the icosahedron, one per antipodal pair.
 
     Raises InvalidPairingError unless the pairing covers the 12 vertices
-    and the two vertices of each pair are not adjacent in the square; in
-    the icosahedron that holds exactly for antipodes.
+    with pairs of two and the two vertices of each pair are not adjacent in
+    the square; in the icosahedron that holds exactly for antipodes.
     """
     pairs = [tuple(p) for p in pairing]
     covered = sorted(v for p in pairs for v in p)
-    if g.n != 12 or len(pairs) != 6 or covered != list(range(12)):
+    if g.n != 12 or any(len(p) != 2 for p in pairs) or covered != list(range(12)):
         raise InvalidPairingError("pairing must cover the 12 vertices in 6 pairs")
     for a, b in pairs:
         if square_row(g, a) >> b & 1:
@@ -475,14 +475,15 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
     clique number.
 
     The working state is kept in the labels of the current graph ``cur``:
-    square rows, the live components (more than two vertices and clique
-    number 3 or 4, ordered by smallest member), the vertices on a triangle
-    and those on a K4 (the clique number is at most 4, so these give each
-    component's clique number), and three case masks: ``iii`` and ``ii``
-    cache the case of each clean vertex, and ``dirty`` holds the vertices
-    whose cached case may be stale. Deleting v changes square rows beyond
-    bit v, and triangles and K4s, only on N(v). Only the component that
-    held v can split.
+    the live components (more than two vertices and clique number 3 or 4,
+    ordered by smallest member), the vertices on a triangle and those on a
+    K4 (the clique number is at most 4, so these give each component's
+    clique number), and three case masks: ``iii`` and ``ii`` cache the
+    case of each clean vertex, and ``dirty`` holds the vertices whose
+    cached case may be stale. No square rows are kept: a case is read off
+    the rows of ``cur`` within distance 3 of its vertex. Deleting v changes
+    triangles and K4s only on N(v). Only the component that held v can
+    split.
 
     Every vertex of a live component starts dirty. A deletion changes a
     vertex's case only within distance 3 of v, or on all of a piece whose
@@ -497,7 +498,6 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
     """
     cur = g
     orig = list(range(g.n))
-    rows = [square_row(g, x) for x in range(g.n)]
     tri = k4 = iii = ii = dirty = 0
     for x in range(g.n):
         if omega > 2 and _holds_clique(g._adj, g._adj[x], 2):
@@ -524,7 +524,7 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
         kprime, cap = reduction_threshold(w), neighbor_degree_cap(w)
         # Settle dirty vertices from the bottom until the lowest candidate is a clean case iii.
         while (pick := _lowest((iii | dirty) & comp)) & dirty:
-            case = reduction_case(cur, pick.bit_length() - 1, rows, kprime, cap)
+            case = reduction_case(cur, pick.bit_length() - 1, kprime, cap)
             iii = iii | pick if case == "iii" else iii & ~pick
             ii = ii | pick if case == "ii" else ii & ~pick
             dirty ^= pick
@@ -538,20 +538,18 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
         adj = cur._adj
         nbrs = adj[v]
         # near: the vertices within distance 3 of v, where reducibility can change;
-        # they are v's square row and the neighbors of its members.
-        near = reach(adj, rows[v]) | rows[v] | 1 << v
+        # v has a neighbor, so they are the neighbors of v's closed square neighborhood.
+        near = reach(adj, square_row(cur, v) | 1 << v)
         cur = delete_vertex(cur, v)
         low = (1 << v) - 1
         high = v + 1
-        del orig[v], rows[v]
-        rows = [(m & low) | (m >> high) << v for m in rows]
+        del orig[v]
         comps = [(m & low) | (m >> high) << v for m in comps[1:]]
         comp, nbrs, near, tri, k4, iii, ii, dirty = (
             (m & low) | (m >> high) << v for m in (comp, nbrs, near, tri, k4, iii, ii, dirty)
         )
         adj = cur._adj
         for x in bits(nbrs):
-            rows[x] = square_row(cur, x)
             bit = 1 << x
             if tri & bit and not _holds_clique(adj, adj[x], 2):
                 tri ^= bit

@@ -236,7 +236,7 @@ def parse_dimacs(text: str) -> Graph:
     m = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        # int() and split() would accept non-ASCII digits and spaces
+        # split() and isdigit() would accept non-ASCII spaces and digits
         if not raw.isascii():
             raise DimacsError("non-ASCII character", line=lineno)
         line = raw.strip()
@@ -248,19 +248,18 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError("second problem line", line=lineno)
             if len(fields) != 4 or fields[1] != "edge":
                 raise DimacsError("problem line must read 'p edge <n> <m>'", line=lineno)
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise DimacsError("non-integer counts in problem line", line=lineno)
+            # int() alone would also take a sign and "_" separators
+            if not (fields[2].isdigit() and fields[3].isdigit()):
+                raise DimacsError("problem line counts must be decimal digits", line=lineno)
+            n, m = int(fields[2]), int(fields[3])
         elif fields[0] == "e":
             if n is None:
                 raise DimacsError("edge before problem line", line=lineno)
             if len(fields) != 3:
                 raise DimacsError("edge line must read 'e <u> <v>'", line=lineno)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise DimacsError("non-integer endpoint", line=lineno)
+            if not (fields[1].isdigit() and fields[2].isdigit()):
+                raise DimacsError("endpoints must be decimal digits", line=lineno)
+            u, v = int(fields[1]), int(fields[2])
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DimacsError(f"endpoint outside 1..{n}", line=lineno)
             edges.append((u - 1, v - 1))
@@ -268,8 +267,6 @@ def parse_dimacs(text: str) -> Graph:
             raise DimacsError(f"unknown directive {fields[0]!r}", line=lineno)
     if n is None:
         raise DimacsError("missing problem line")
-    if n < 0:
-        raise DimacsError("vertex count must be nonnegative")
     try:
         g = build_graph(n, edges)
     except (SelfLoopError, DuplicateEdgeError) as exc:

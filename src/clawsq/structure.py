@@ -23,7 +23,6 @@ from .graph import (
     build_graph,
     max_degree,
     reach,
-    square,
     square_row,
     two_clique_cover,
 )
@@ -324,27 +323,26 @@ def _clique_in_deleted_square(adj, mask: int, v: int) -> bool:
     return True
 
 
-def reduction_case(
-    g: Graph, v: int, sq_rows, kprime: int, neighbor_cap: int | None = None
-) -> str | None:
+def reduction_case(g: Graph, v: int, kprime: int, neighbor_cap: int | None = None) -> str | None:
     """The recoloring case that makes ``v`` reducible in g: "iii", "ii" or None.
 
-    ``sq_rows`` holds the square rows of g. A vertex qualifies when its
-    square degree is at most ``kprime``, every neighbor's square degree is
-    at most ``neighbor_cap`` (when given), and the neighbors above the case
-    threshold form a clique in the square of g with v deleted: above
-    kprime+1 for case iii; above kprime+2 for case ii, which also needs a
-    neighbor of square degree at most kprime+1. Case iii wins when both
-    hold. One pass over N(v) sorts the neighbors into the masks above each
-    threshold; the clique tests then work on pairs of rows of g.
+    A vertex qualifies when its square degree is at most ``kprime``, every
+    neighbor's square degree is at most ``neighbor_cap`` (when given), and
+    the neighbors above the case threshold form a clique in the square of g
+    with v deleted: above kprime+1 for case iii; above kprime+2 for case
+    ii, which also needs a neighbor of square degree at most kprime+1. Case
+    iii wins when both hold. Square degrees are popcounts of square rows
+    read off g: v's first, its neighbors' only when v's passes. One pass
+    over N(v) sorts the neighbors into the masks above each threshold; the
+    clique tests then work on pairs of rows of g.
     """
-    if sq_rows[v].bit_count() > kprime:
+    if square_row(g, v).bit_count() > kprime:
         return None
     adj = g._adj
     above_iii = above_ii = 0
     has_low = False
     for x in bits(adj[v]):
-        d = sq_rows[x].bit_count()
+        d = square_row(g, x).bit_count()
         if neighbor_cap is not None and d > neighbor_cap:
             return None
         if d > kprime + 2:
@@ -365,19 +363,19 @@ def find_reducible_vertex(g: Graph, kprime: int, *, neighbor_cap: int | None = N
     """Smallest-index reducible vertex, preferring case iii over case ii.
 
     Applies :func:`reduction_case` to every vertex: the first case-iii
-    vertex wins, otherwise the first case-ii one.
+    vertex wins, otherwise the first case-ii one, with its smallest
+    neighbor of square degree at most kprime+1 as xstar.
     """
-    sq_rows = square(g)._adj
     first_ii = None
     for v in range(g.n):
-        case = reduction_case(g, v, sq_rows, kprime, neighbor_cap)
+        case = reduction_case(g, v, kprime, neighbor_cap)
         if case == "iii":
             return Reduction(v, "iii", None, kprime)
         if case == "ii" and first_ii is None:
             first_ii = v
     if first_ii is None:
         return None
-    xstar = next(x for x in bits(g._adj[first_ii]) if sq_rows[x].bit_count() <= kprime + 1)
+    xstar = next(x for x in bits(g._adj[first_ii]) if square_row(g, x).bit_count() <= kprime + 1)
     return Reduction(first_ii, "ii", xstar, kprime)
 
 

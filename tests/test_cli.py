@@ -137,10 +137,9 @@ class TestAnalyze:
         assert report["q_values"] is None and report["z_sets"] is None
 
     def test_one_clique_search_per_connected_graph(self, tmp_path, capsys, monkeypatch):
-        # Square degrees come from square rows, so the one square per
-        # component is the reducibility search's. A component holding every
-        # vertex reuses the whole graph's omega; only true sub-components
-        # search again.
+        # Reducibility reads square rows on demand, so classifying builds no
+        # square. A component holding every vertex reuses the whole graph's
+        # omega; only true sub-components search again.
         line_petersen, _ = gen_line_graph(petersen())
         union = disjoint_union([gen_icosahedron(), line_petersen, octahedron()])
         for g, components, cliques in ((line_petersen, 1, 1), (union, 3, 4)):
@@ -150,7 +149,7 @@ class TestAnalyze:
             code, out, _ = run_cli(capsys, "analyze", write_graph(tmp_path, "g.col", g))
             assert code == 0 and len(json.loads(out)["classification"]) == components
             assert {name: len(log) for name, log in calls.items()} == {
-                "square": components,
+                "square": 0,
                 "max_clique": cliques,
             }
             monkeypatch.undo()

@@ -208,10 +208,15 @@ class TestOneVerification:
         base = stress_family[0][3]
         assert classify(base, max_clique(base)[0]).kind == "line_graph"
         calls = record_calls(monkeypatch, Coloring, "is_proper_on")
+        squares = record_calls(monkeypatch, graph, "square")
         for g in (peeling, base):
             calls.clear()
+            squares.clear()
             color_square(g)
             assert [sq for _, sq in calls] == [square(g)]
+            # Reducibility reads square rows on demand, so the one square
+            # built is the final check's.
+            assert squares == [(g,)]
 
 
 class TestGreedyReduce:
@@ -550,7 +555,7 @@ class TestReinsert:
         everyone = (1 << g.n) - 1
         recolored = 0
         for v in range(g.n):
-            case = reduction_case(g, v, sq._adj, 19)
+            case = reduction_case(g, v, 19)
             if case is None:
                 continue
             colors = list(color_square(delete_vertex(g, v)).colors)
@@ -799,6 +804,15 @@ class TestIcosahedronColoring:
         pairs = [(v, v + 6) for v in range(6)]
         with pytest.raises(InvalidPairingError):
             color_icosahedron(icosahedron, pairs)
+
+    def test_rejects_pairs_of_other_sizes(self, icosahedron):
+        # Six tuples that cover the 12 vertices, but not two to a tuple.
+        for pairs in (
+            [(0, 11, 1), (9,), (2, 10), (3, 6), (4, 7), (5, 8)],
+            [(0, 11, 1, 9), (), (2, 10), (3, 6), (4, 7), (5, 8)],
+        ):
+            with pytest.raises(InvalidPairingError):
+                color_icosahedron(icosahedron, pairs)
 
 
 class TestSmallOmega:

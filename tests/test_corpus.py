@@ -187,6 +187,19 @@ class TestDimacs:
         with pytest.raises(DimacsError):
             load_dimacs(target)
 
+    @pytest.mark.parametrize("number", ["1_0", "+3", "-3"])
+    def test_numbers_are_ascii_digits_only(self, number):
+        # int() would read each of these as a count or an endpoint.
+        for text, line in (
+            (f"p edge {number} 0\n", 1),
+            (f"p edge 3 {number}\n", 1),
+            (f"p edge 12 1\ne {number} 1\n", 2),
+            (f"p edge 12 1\ne 1 {number}\n", 2),
+        ):
+            with pytest.raises(DimacsError) as err:
+                parse_dimacs(text)
+            assert err.value.line == line
+
     def test_syntax_errors_carry_line_numbers(self):
         with pytest.raises(DimacsError) as err:
             parse_dimacs("p edge 3 1\nq 1 2\n")

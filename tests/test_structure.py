@@ -543,14 +543,14 @@ class TestReductionCaseMatchesReference:
             for kprime, cap in self.SETTINGS:
                 for v in range(g.n):
                     found = brute_reduction_case(g, v, sq_rows, kprime, cap)
-                    out.append((g, sq_rows, v, kprime, cap, found))
+                    out.append((g, v, kprime, cap, found))
         return out
 
     @staticmethod
     def mismatches(expected):
         return sum(
-            reduction_case(g, v, sq_rows, kprime, cap) != found
-            for g, sq_rows, v, kprime, cap, found in expected
+            reduction_case(g, v, kprime, cap) != found
+            for g, v, kprime, cap, found in expected
         )
 
     def test_same_case_everywhere(self, expected):
