@@ -152,7 +152,7 @@ def q_value(g: Graph, v: int, w: int) -> int:
     memoization on vertex masks, and reads the complement of the common
     neighborhood straight off g's rows. The Ramsey bound keeps it small on
     claw-free graphs of fixed clique number only: ``K2 ∨ (K_t + K_t)`` is
-    claw-free and takes about a minute at t = 18 (ROADMAP item 7).
+    claw-free and takes about a minute at t = 18 (ROADMAP item 2).
     """
     if not g.has_edge(v, w):
         raise NotNeighborError(f"{w} is not a neighbor of {v}")

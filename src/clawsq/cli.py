@@ -22,7 +22,6 @@ import functools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .analysis import find_claw, q_rows, run_lemma_suite
@@ -129,7 +128,7 @@ def cmd_analyze(args) -> int:
     # q_value is an exhaustive matching search. On a claw it can take
     # exponential time, so q and Z stay null there, as classification does.
     # Claw-freeness alone does not keep it small either: the Ramsey bound
-    # caps a neighborhood only for fixed omega (ROADMAP item 7).
+    # caps a neighborhood only for fixed omega (ROADMAP item 2).
     if witness is None:
         qs = q_rows(g)
         report["z_sets"] = {v: [w for w, q in row.items() if q] for v, row in enumerate(qs)}
@@ -194,9 +193,8 @@ def cmd_color(args) -> int:
     return EXIT_OK
 
 
-def _verify_manifest_row(task) -> dict:
-    base, row = task
-    entry_path = Path(base) / row["file"]
+def _verify_manifest_row(base: Path, row: dict) -> dict:
+    entry_path = base / row["file"]
     out = {"id": row.get("id", row["file"]), "file": row["file"]}
     try:
         g = load_dimacs(entry_path)
@@ -239,14 +237,11 @@ def cmd_verify_lemmas(args) -> int:
     for index, row in enumerate(rows):
         if not isinstance(row, dict) or not isinstance(row.get("file"), str):
             raise CliUsageError(f'manifest row {index}: not an object with a "file" string')
+        if "\0" in row["file"]:
+            raise CliUsageError(f'manifest row {index}: "file" contains a NUL character')
         if not isinstance(row.get("known", {}), dict):
             raise CliUsageError(f'manifest row {index}: "known" is not an object')
-    tasks = [(str(manifest_path.parent), row) for row in rows]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            results = list(pool.map(_verify_manifest_row, tasks))
-    else:
-        results = [_verify_manifest_row(t) for t in tasks]
+    results = [_verify_manifest_row(manifest_path.parent, row) for row in rows]
     claw_hit = any("claw" in r for r in results)
     failures = [
         {"id": r["id"], **f}
@@ -436,11 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-lemmas", help="evaluate every inequality over a corpus manifest"
     )
     p.add_argument("manifest")
+    # perfbench still passes --jobs 1; ROADMAP item 10 deletes the option.
     p.add_argument(
         "--jobs",
-        type=_at_least(1),
-        default=1,
-        help="parallel worker processes, at most one per row (default 1)",
+        choices=["1"],
+        help="kept for compatibility: rows run one after another, so only 1 is accepted",
     )
     p.set_defaults(func=cmd_verify_lemmas)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -252,6 +253,8 @@ def parse_dimacs(text: str) -> Graph:
             if not (fields[2].isdigit() and fields[3].isdigit()):
                 raise DimacsError("problem line counts must be decimal digits", line=lineno)
             n, m = int(fields[2]), int(fields[3])
+            if n > sys.maxsize:
+                raise DimacsError(f"vertex count above {sys.maxsize}", line=lineno)
         elif fields[0] == "e":
             if n is None:
                 raise DimacsError("edge before problem line", line=lineno)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -343,35 +344,22 @@ class TestVerifyLemmas:
         assert code == 2
         assert len(calls) == len(rows) == 11
 
-    def test_no_more_workers_than_rows(self, small_manifest, capsys, monkeypatch):
-        # Records the pool size and maps in this process: no worker starts.
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        code, out, _ = run_cli(capsys, "verify-lemmas", str(small_manifest), "--jobs", "64")
-        assert code == 0 and json.loads(out)["files"] == 10
-        assert sizes == [10]
-
-    def test_parallel_jobs_agree(self, small_manifest, capsys):
+    def test_jobs_one_matches_default(self, small_manifest, capsys):
         code1, out1, _ = run_cli(capsys, "verify-lemmas", str(small_manifest))
         code2, out2, _ = run_cli(
-            capsys, "verify-lemmas", str(small_manifest), "--jobs", "2"
+            capsys, "verify-lemmas", str(small_manifest), "--jobs", "1"
         )
         assert code1 == code2 == 0
         assert strip_timings(out1) == strip_timings(out2)
+
+    @pytest.mark.parametrize("value", ["2", "64", "0", "-5", "x", "١٠", "1_000", "+3"])
+    def test_jobs_other_than_one_exits_one(self, small_manifest, capsys, monkeypatch, value):
+        calls = record_calls(monkeypatch, cli, "_verify_manifest_row")
+        code, out, err = run_cli(
+            capsys, "verify-lemmas", str(small_manifest), "--jobs", value
+        )
+        assert code == 1 and out == "" and calls == []
+        assert err.startswith("error: argument --jobs: ") and err.count("\n") == 1
 
     def test_planted_claw_exits_two(self, small_manifest, capsys, tmp_path):
         directory = small_manifest.parent
@@ -414,9 +402,10 @@ class TestVerifyLemmas:
             ("planted.col", 'not an object with a "file" string'),
             ({"file": "planted.col", "known": [2]}, '"known" is not an object'),
             ({"file": "planted.col", "known": None}, '"known" is not an object'),
+            ({"file": "a\u0000b"}, '"file" contains a NUL character'),
         ],
     )
-    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("jobs", ["1"])
     def test_malformed_row_rejected_before_dispatch(
         self, small_manifest, capsys, monkeypatch, row, problem, jobs
     ):
@@ -437,6 +426,7 @@ MALFORMED_GRAPHS = {
     "duplicate-edge": b"p edge 3 2\ne 1 2\ne 2 1\n",
     "negative-vertex-count": b"p edge -3 0\n",
     "non-ascii": "c caf\u00e9\np edge 2 1\ne 1 2\n".encode(),
+    "vertex-count-above-maxsize": b"p edge 99999999999999999999 0\n",
 }
 
 
@@ -498,10 +488,17 @@ class TestInputErrors:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
 
+    def test_vertex_count_beyond_memory_exits_three(self, tmp_path, capsys):
+        # [0] * sys.maxsize raises MemoryError before it allocates anything.
+        target = tmp_path / "huge.col"
+        target.write_text(f"p edge {sys.maxsize} 0\n", encoding="ascii")
+        code, out, err = run_cli(capsys, "color", str(target))
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: resource exhausted (MemoryError")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["-5", "0", "x", "١٠", "1_000", "+3"])
-    @pytest.mark.parametrize(
-        "argv", [["color", "g.col", "--node-limit"], ["verify-lemmas", "m.json", "--jobs"]]
-    )
+    @pytest.mark.parametrize("argv", [["color", "g.col", "--node-limit"]])
     def test_option_below_one_exits_one(self, capsys, argv, value):
         code, out, err = run_cli(capsys, *argv, value)
         assert code == 1 and out == ""
@@ -692,3 +689,46 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, "color", target, "--oracle")
         _, out2, _ = run_cli(capsys, "color", target, "--oracle")
         assert strip_timings(out1) == strip_timings(out2)
+
+
+def test_import_loads_no_process_pool():
+    # verify-lemmas runs every row in the calling process.
+    script = (
+        "import sys, clawsq.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def readme_commands():
+    """The argv of every ``clawsq`` line in the README's ``sh`` blocks, comments and pipes cut."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands = []
+    in_shell = False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_shell = line == "```sh"
+            continue
+        words = shlex.split(line.partition("|")[0], comments=True) if in_shell else []
+        if words[:1] == ["clawsq"] and words[1:] not in commands:
+            commands.append(words[1:])
+    return commands
+
+
+class TestReadmeCommands:
+    """The README's examples parse under today's options; nothing is run."""
+
+    def test_examples_found(self):
+        assert len(readme_commands()) >= 10
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_parses(self, argv):
+        cli.build_parser().parse_args(argv)

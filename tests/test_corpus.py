@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -175,6 +176,12 @@ class TestDimacs:
     def test_self_loop(self):
         with pytest.raises(DimacsError):
             parse_dimacs("p edge 3 1\ne 2 2\n")
+
+    def test_vertex_count_above_maxsize(self):
+        # build_graph's [0] * n would raise OverflowError past sys.maxsize
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs(f"p edge {sys.maxsize + 1} 0\n")
+        assert err.value.line == 1
 
     def test_negative_count_and_non_ascii(self, tmp_path):
         with pytest.raises(DimacsError):
