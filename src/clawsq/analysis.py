@@ -18,7 +18,15 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaError
-from .graph import Graph, bits, max_clique_within, square_row, two_clique_cover
+from .graph import (
+    NO_COVER,
+    Graph,
+    bits,
+    max_clique_within,
+    neighborhood_covers,
+    split_at_lowest,
+    square_row,
+)
 
 # Exact values of the Ramsey numbers R(k, 3) for small k; past the table the
 # binomial upper bound C(k+1, 2) is used, which keeps every bound valid.
@@ -66,14 +74,16 @@ def find_claw(g: Graph) -> ClawWitness | None:
 
     For each center the search walks non-adjacent leaf pairs inside the
     neighborhood with bitmask filters; a graph is claw-free iff this
-    returns None. A center that :func:`two_clique_cover` covers has no
-    independent triple, so skipping it keeps the first witness.
+    returns None. Only the centers whose neighborhood has no cover in g's
+    :func:`neighborhood_covers` table, which this builds when g has none,
+    are searched: a covered neighborhood has no independent triple, so
+    skipping the rest keeps the first witness.
     """
     adj = g._adj
-    for v in range(g.n):
-        nv = adj[v]
-        if nv.bit_count() < 3 or two_clique_cover(adj, nv) is not None:
+    for v, kind in enumerate(neighborhood_covers(g)):
+        if kind != NO_COVER:
             continue
+        nv = adj[v]
         for x in bits(nv):
             higher = nv >> (x + 1) << (x + 1)
             for y in bits(higher & ~adj[x]):
@@ -206,6 +216,7 @@ def _lemma_reports(g: Graph, omega: int) -> list[LemmaReport]:
     full = (1 << g.n) - 1
     anti = [full & ~(row | 1 << u) for u, row in enumerate(adj)]
     qs = q_rows(g)
+    kinds = neighborhood_covers(g)
     degree, exterior, second = [], [], []
     worst_v = 0
     worst = 0
@@ -214,11 +225,10 @@ def _lemma_reports(g: Graph, omega: int) -> list[LemmaReport]:
         degree.append(LemmaReport("degree-below-ramsey", v, None, deg, degree_cap))
         clique = max_clique_within(adj, nv)[0]
         degree.append(LemmaReport("neighborhood-clique-cap", v, None, clique, clique_cap))
-        cover = two_clique_cover(adj, nv)
-        if cover is None:
+        if kinds[v] == NO_COVER:
             stable = max_clique_within(anti, nv)[0]
         else:  # two cliques; B holds non-neighbors of A's lowest vertex
-            stable = 0 if not nv else 1 if not cover[1] else 2
+            stable = 0 if not nv else 1 if not split_at_lowest(adj, nv)[1] else 2
         degree.append(LemmaReport("neighborhood-stability-cap", v, None, stable, 2))
         sqd = square_row(g, v).bit_count()
         if sqd > worst:

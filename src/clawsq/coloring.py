@@ -12,11 +12,12 @@ vertices that see it, and per saturation, the uncolored vertices that see
 that many colors (:func:`_backtrack_within`).
 
 Peeling is incremental (:func:`_peel`): live components and triangle and
-K4 membership are kept across steps and updated only near the deleted
-vertex, a vertex's reduction case is worked out, from the square rows of
-its neighborhood, only when it could be the next pick, and each step
-records just (vertex, case, kprime); as the graph is claw-free, a
-deletion splits its component into at most two pieces (:func:`_pieces`).
+K4 membership, read at the start off the neighborhood clique numbers that
+the claw check's covers give, are kept across steps and updated only near
+the deleted vertex, a vertex's reduction case is worked out, from the
+square rows of its neighborhood, only when it could be the next pick, and
+each step records just (vertex, case, kprime); as the graph is claw-free,
+a deletion splits its component into at most two pieces (:func:`_pieces`).
 The base step colors all triangle-free leftover components with one call.
 Reinsertion works on the input graph with a mask of the vertices present,
 so no graph is kept per step, and with one vertex mask per color (a color
@@ -54,9 +55,11 @@ from .graph import (
     bits,
     connected_components,
     delete_vertex,
+    holds_clique,
     induced_subgraph,
     max_clique,
     max_degree,
+    neighborhood_cliques,
     reach,
     square,
     square_row,
@@ -421,16 +424,6 @@ def _lowest(mask: int) -> int:
     return mask & -mask
 
 
-def _holds_clique(adj, mask: int, size: int) -> bool:
-    """True iff the vertices of ``mask`` hold a clique of ``size`` >= 2, each grown up from its lowest."""
-    size -= 1
-    for x in bits(mask):
-        up = adj[x] & mask & -(2 << x)
-        if up.bit_count() >= size and (size == 1 or _holds_clique(adj, up, size)):
-            return True
-    return False
-
-
 def _pieces(adj, comp: int, nbrs: int) -> list[int]:
     """Connected pieces of ``comp``, a component that just lost a vertex v with neighbors ``nbrs``.
 
@@ -478,12 +471,14 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
     the live components (more than two vertices and clique number 3 or 4,
     ordered by smallest member), the vertices on a triangle and those on a
     K4 (the clique number is at most 4, so these give each component's
-    clique number), and three case masks: ``iii`` and ``ii`` cache the
-    case of each clean vertex, and ``dirty`` holds the vertices whose
-    cached case may be stale. No square rows are kept: a case is read off
-    the rows of ``cur`` within distance 3 of its vertex. Deleting v changes
-    triangles and K4s only on N(v). Only the component that held v can
-    split.
+    clique number; both are read off g's :func:`neighborhood_cliques`
+    table, a vertex being on a triangle when its neighborhood's value is
+    at least 2 and on a K4 when it is at least 3), and three case masks:
+    ``iii`` and ``ii`` cache the case of each clean vertex, and ``dirty``
+    holds the vertices whose cached case may be stale. No square rows are
+    kept: a case is read off the rows of ``cur`` within distance 3 of its
+    vertex. Deleting v changes triangles and K4s only on N(v). Only the
+    component that held v can split.
 
     Every vertex of a live component starts dirty. A deletion changes a
     vertex's case only within distance 3 of v, or on all of a piece whose
@@ -499,10 +494,10 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
     cur = g
     orig = list(range(g.n))
     tri = k4 = iii = ii = dirty = 0
-    for x in range(g.n):
-        if omega > 2 and _holds_clique(g._adj, g._adj[x], 2):
+    for x, size in enumerate(neighborhood_cliques(g)):
+        if omega > 2 and size >= 2:
             tri |= 1 << x
-            if omega > 3 and _holds_clique(g._adj, g._adj[x], 3):
+            if omega > 3 and size >= 3:
                 k4 |= 1 << x
 
     def omega_of(mask):
@@ -551,9 +546,9 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
         adj = cur._adj
         for x in bits(nbrs):
             bit = 1 << x
-            if tri & bit and not _holds_clique(adj, adj[x], 2):
+            if tri & bit and not holds_clique(adj, adj[x], 2):
                 tri ^= bit
-            if k4 & bit and not _holds_clique(adj, adj[x], 3):
+            if k4 & bit and not holds_clique(adj, adj[x], 3):
                 k4 ^= bit
         for piece in _pieces(adj, comp, nbrs):
             w_piece = omega_of(piece)
@@ -620,19 +615,21 @@ def greedy_reduce(
 
     For claw-free inputs, where a deletion splits a component into at most
     two pieces (:func:`_pieces`), of clique number at most ``omega``, which
-    must be 3 or 4; a clique of omega + 1 vertices raises ValueError. This
-    check searches only for that clique, so a caller that knows the clique
-    number hands it over as ``omega`` and no maximum clique is searched
-    again. Iteratively deletes reducible vertices (explicit stack,
-    no recursion), colors the base remainder per component, then reinserts
-    each vertex in reverse order, recoloring its neighborhood through
-    distinct available colors; one vertex mask per color, updated on every
-    assignment, gives the colors available. Neither claw-freeness nor the
-    result is checked here; :func:`color_square` checks both.
+    must be 3 or 4; a clique of omega + 1 vertices raises ValueError. That
+    check and the peel read g's :func:`neighborhood_cliques` table, built
+    on first use, so a caller that has built it hands it over with g: some
+    neighborhood's value, capped at 4, reaches omega exactly when such a
+    clique exists, and no clique search runs. Iteratively deletes reducible
+    vertices (explicit stack, no recursion), colors the base remainder per
+    component, then reinserts each vertex in reverse order, recoloring its
+    neighborhood through distinct available colors; one vertex mask per
+    color, updated on every assignment, gives the colors available. Neither
+    claw-freeness nor the result is checked here; :func:`color_square`
+    checks both.
     """
     if omega not in (3, 4):
         raise ValueError(f"the inductive engine is defined for omega 3 and 4, not {omega}")
-    if _holds_clique(g._adj, (1 << g.n) - 1, omega + 1):
+    if max(neighborhood_cliques(g), default=0) >= omega:
         raise ValueError(f"clique number exceeds omega {omega}")
     cur, orig, frames, tri, k4 = _peel(g, omega)
     colors = [UNCOLORED] * g.n
@@ -658,12 +655,24 @@ def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
     the claw as its witness, on a claw, and InternalBoundViolation when a
     component's palette exceeds its bound or the final coloring is not
     proper on the square; these checks do not depend on ``-O``.
+
+    The call works on a header of its own, ``Graph(g._adj)``, so the
+    neighborhood tables (:func:`neighborhood_covers`, one cover check per
+    vertex, and :func:`neighborhood_cliques`) end with the call and g
+    never holds them. The claw check checks each cover once, every later
+    step reads the result, and each component's subgraph takes it over
+    (:func:`induced_subgraph`). A component's clique number is one more
+    than its largest capped neighborhood value, and only a component where
+    that reaches 5 runs the exact :func:`max_clique`.
     """
+    g = Graph(g._adj)
     require_claw_free(g)
     colors = [UNCOLORED] * g.n
     for comp in connected_components(g):
         sub, old = induced_subgraph(g, comp)
-        w = max_clique(sub)[0]
+        w = 1 + max(neighborhood_cliques(sub))
+        if w > 4:
+            w = max_clique(sub)[0]
         if w <= 2:
             local = color_small_omega(sub)
         elif w <= 4:

@@ -3,7 +3,10 @@
 Vertices are dense 0-based indices; external formats are 1-based and get
 translated at the I/O boundary. Adjacency rows are Python ints used as
 bitsets, so graphs of any order work without a separate fallback
-representation. Vertex sets travel as plain frozensets.
+representation. Vertex sets travel as plain frozensets. Each neighborhood
+is read once for the claw check, the clique numbers and the Krausz step:
+:func:`neighborhood_covers` and :func:`neighborhood_cliques` keep what
+that read found, one small value per vertex.
 """
 
 from __future__ import annotations
@@ -40,6 +43,19 @@ def reach(rows, mask: int) -> int:
     return out
 
 
+def split_at_lowest(rows, mask: int) -> tuple[int, int]:
+    """``(A, B)`` with A = N[a] ∩ mask for the lowest vertex a of ``mask`` and B the rest.
+
+    ``(0, 0)`` for an empty mask. When A and B are cliques this is the
+    mask's :func:`two_clique_cover`, rebuilt without checking them.
+    """
+    if not mask:
+        return 0, 0
+    low = mask & -mask
+    side_a = (rows[low.bit_length() - 1] | low) & mask
+    return side_a, mask ^ side_a
+
+
 def two_clique_cover(rows, mask: int) -> tuple[int, int] | None:
     """Cover of ``mask`` by two cliques of ``rows``, read off its lowest vertex a.
 
@@ -47,17 +63,43 @@ def two_clique_cover(rows, mask: int) -> tuple[int, int] | None:
     else None; ``(0, 0)`` for an empty mask. Edges between A and B may
     remain, and B is empty iff the mask is a clique.
     """
-    if not mask:
-        return 0, 0
-    low = mask & -mask
-    side_a = (rows[low.bit_length() - 1] | low) & mask
-    side_b = mask ^ side_a
-    for side in (side_a, side_b):
+    cover = split_at_lowest(rows, mask)
+    for side in cover:
         size = side.bit_count() - 1
         for u in bits(side):
             if (rows[u] & side).bit_count() != size:
                 return None
-    return side_a, side_b
+    return cover
+
+
+# What :func:`cover_kind` says of a mask's two-clique cover.
+NO_COVER, JOINED_COVER, DISJOINT_COVER = 0, 1, 2
+
+
+def cover_kind(rows, mask: int) -> int:
+    """How :func:`two_clique_cover` covers ``mask``.
+
+    NO_COVER when it does not; JOINED_COVER when an edge joins its two
+    cliques; DISJOINT_COVER when none does, so that the mask induces their
+    disjoint union (an empty or one-clique mask included). A mask of at
+    most two vertices is always the latter, and is not checked.
+    """
+    if mask.bit_count() < 3:
+        return DISJOINT_COVER
+    cover = two_clique_cover(rows, mask)
+    if cover is None:
+        return NO_COVER
+    return JOINED_COVER if reach(rows, cover[1]) & cover[0] else DISJOINT_COVER
+
+
+def holds_clique(rows, mask: int, size: int) -> bool:
+    """True iff the vertices of ``mask`` hold a clique of ``size`` >= 2, each grown up from its lowest."""
+    size -= 1
+    for x in bits(mask):
+        up = rows[x] & mask & -(2 << x)
+        if up.bit_count() >= size and (size == 1 or holds_clique(rows, up, size)):
+            return True
+    return False
 
 
 class Graph:
@@ -65,14 +107,20 @@ class Graph:
 
     A graph is its adjacency rows; ``n`` and ``edge_count`` derive from
     them. Use :func:`build_graph` to construct one with validation; the raw
-    constructor trusts its rows to be symmetric and loop-free.
+    constructor trusts its rows to be symmetric and loop-free. Two per-vertex
+    tables derived from the rows, :func:`neighborhood_covers` and
+    :func:`neighborhood_cliques`, are filled on first use and kept with the
+    graph; ``Graph(g._adj)`` is a header that shares g's rows but not its
+    tables.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_covers", "_cliques")
 
     def __init__(self, adj: tuple[int, ...]):
         self.n = len(adj)
         self._adj = adj
+        self._covers = None
+        self._cliques = None
 
     @property
     def edge_count(self) -> int:
@@ -117,6 +165,44 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def neighborhood_covers(g: Graph) -> bytes:
+    """:func:`cover_kind` of every neighborhood N(v), by vertex; built once per graph.
+
+    A neighborhood with a cover holds no independent triple. Only the kinds
+    are kept, since two masks per vertex would take about twice the memory
+    of the rows; :func:`split_at_lowest` rebuilds a cover from two rows.
+    """
+    if g._covers is None:
+        adj = g._adj
+        g._covers = bytes(cover_kind(adj, row) for row in adj)
+    return g._covers
+
+
+def neighborhood_cliques(g: Graph) -> tuple[int, ...]:
+    """Clique number of every neighborhood N(v) capped at 4, by vertex; built once per graph.
+
+    Read off the cover (A, B) of N(v): when it is disjoint, N(v) is two
+    disjoint cliques and the value is max(|A|, |B|). Otherwise, or with no
+    cover, :func:`holds_clique` grows it from there one size at a time up
+    to 4. A component's clique number is one more than its largest value
+    when that value is below 4, and at least 5 otherwise.
+    """
+    if g._cliques is None:
+        adj = g._adj
+        out = []
+        for row, kind in zip(adj, neighborhood_covers(g)):
+            size = 1  # a neighborhood without a cover has three or more vertices
+            if kind != NO_COVER:
+                side_a, side_b = split_at_lowest(adj, row)
+                size = max(side_a.bit_count(), side_b.bit_count())
+            if kind != DISJOINT_COVER:
+                while size < 4 and holds_clique(adj, row, size + 1):
+                    size += 1
+            out.append(min(size, 4))
+        g._cliques = tuple(out)
+    return g._cliques
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from a vertex count and unordered index pairs.
 
@@ -150,7 +236,12 @@ def square(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by ``vertices`` plus the new-to-old index map; g itself for all of them."""
+    """Subgraph induced by ``vertices`` plus the new-to-old index map; g itself for all of them.
+
+    When ``vertices`` holds every neighbor of its members, a union of
+    components, each neighborhood is g's own in the same order, so the
+    subgraph takes over the neighborhood tables g has built.
+    """
     old = sorted(set(vertices))
     for v in old:
         g.check_vertex(v)
@@ -158,13 +249,21 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         return g, tuple(old)
     position = {v: i for i, v in enumerate(old)}
     rows = []
+    closed = True
     for v in old:
         row = 0
         for u in bits(g._adj[v]):
             if u in position:
                 row |= 1 << position[u]
+            else:
+                closed = False
         rows.append(row)
-    return Graph(tuple(rows)), tuple(old)
+    sub = Graph(tuple(rows))
+    if closed and g._covers is not None:
+        sub._covers = bytes(g._covers[v] for v in old)
+    if closed and g._cliques is not None:
+        sub._cliques = tuple(g._cliques[v] for v in old)
+    return sub, tuple(old)
 
 
 # The engine's peel loop calls delete_vertex once per peeled vertex, and

@@ -18,13 +18,15 @@ from .errors import (
     UnsupportedOmegaError,
 )
 from .graph import (
+    DISJOINT_COVER,
     Graph,
     bits,
     build_graph,
+    cover_kind,
     max_degree,
-    reach,
+    neighborhood_covers,
+    split_at_lowest,
     square_row,
-    two_clique_cover,
 )
 
 
@@ -97,15 +99,20 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     ``parts`` holds the two cliques :func:`_shape_masks` finds, as
     frozensets of g's labels with the smaller part first. Without a unique
     split it is None, with ``ambiguous`` set when several splits tie for
-    the fewest edges between the parts.
+    the fewest edges between the parts. The kind of N(v)'s cover comes from
+    g's :func:`neighborhood_covers` table when the claw check has built it;
+    otherwise only N(v)'s own cover is checked.
     """
-    found = _shape_masks(g._adj, g.adjacency_mask(v))
+    adj = g._adj
+    nbrs = g.adjacency_mask(v)
+    kind = cover_kind(adj, nbrs) if g._covers is None else g._covers[v]
+    found = _shape_masks(adj, nbrs, kind)
     if isinstance(found, bool):
         return NeighborhoodShape(None, ambiguous=found)
     return _split(*found)
 
 
-def _shape_masks(adj, nbrs: int) -> tuple[int, int] | bool:
+def _shape_masks(adj, nbrs: int, kind: int) -> tuple[int, int] | bool:
     """The two covering cliques of the neighborhood ``nbrs`` as masks, or whether splits tie.
 
     A split of N(v) into two cliques A and B is a proper 2-coloring of the
@@ -121,13 +128,13 @@ def _shape_masks(adj, nbrs: int) -> tuple[int, int] | bool:
     whose complement is again an odd cycle, has no split. ``adj`` holds
     the rows of g, so the parts come out in g's labels.
 
-    Fast path: when :func:`two_clique_cover` gives cliques A and B with no
-    edge between them, the complement is K_{|A|,|B|} (edgeless when B is
+    ``kind`` is ``cover_kind(adj, nbrs)``, which the caller has at hand.
+    Fast path: when it is DISJOINT_COVER, with cliques A and B and no edge
+    between them, the complement is K_{|A|,|B|} (edgeless when B is
     empty), whose unique split, with no cross edges, is (A, B).
     """
-    cover = two_clique_cover(adj, nbrs)
-    if cover is not None and not reach(adj, cover[1]) & cover[0]:
-        return cover
+    if kind == DISJOINT_COVER:
+        return split_at_lowest(adj, nbrs)
     h = nbrs.bit_count()
     sides = _complement_sides(adj, nbrs)
     if sides is None:
@@ -194,7 +201,9 @@ def _krausz_root(g: Graph, omega: int):
     """(cliques, root) when the designated cliques of g form a Krausz partition, else None.
 
     Designates, for every vertex v, the union of v with each of its two
-    covering cliques from :func:`_shape_masks`, as vertex masks. The two
+    covering cliques from :func:`_shape_masks`, as vertex masks; the kind
+    of each neighborhood's cover comes from g's :func:`neighborhood_covers`
+    table, which the claw check has usually built already. The two
     parts of v partition N(v), so every edge at v lies in one of v's
     designated cliques and no edge is left to cover. The cliques come as
     lists of their members in increasing order, the lists sorted. None when
@@ -205,8 +214,8 @@ def _krausz_root(g: Graph, omega: int):
     """
     adj = g._adj
     designated = set()
-    for v, row in enumerate(adj):
-        parts = _shape_masks(adj, row)
+    for v, (row, kind) in enumerate(zip(adj, neighborhood_covers(g))):
+        parts = _shape_masks(adj, row, kind)
         if isinstance(parts, bool):
             return None
         for part in parts:

@@ -2,7 +2,8 @@
 
 The benchmark's tracer wraps clawsq functions by name (``tracer.LAYERS``),
 counts peels and line-graph base cases through those wrappers, and its
-workloads call ``classify(sub, w, check_claw_free=False)``. The benchmark's
+workloads call ``classify(sub, w, check_claw_free=False)``; its tracer test
+expects ``color_square`` to build at least one square. The benchmark's
 own tests sit outside ``tests/``, so without this guard a renamed or
 deleted function would pass here and break every ``peel-large`` and
 ``base-large`` run. Only ``perfbench/tracer.py`` is imported.
@@ -61,3 +62,20 @@ def test_tracer_counts_peels_and_line_graph_bases(stress_family):
     assert after_base["peeled"] == after_peeling["peeled"]
     assert after_base["line_graph"] > after_peeling["line_graph"]
     assert outcome.kind == "line_graph"
+
+
+def test_color_square_builds_a_square():
+    # The benchmark's tracer test colors a path and expects graph.square
+    # among the traced calls; the final check's square is that call.
+    tracer = load_tracer()
+    mods = {ns: importlib.import_module("clawsq" + ns) for ns in tracer.NAMESPACES}
+    lib = mods[""]
+    tr = tracer.Tracer(mods)
+    tr.install()
+    try:
+        lib.color_square(lib.build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+        snap = tr.snapshot()
+    finally:
+        tr.remove()
+    assert snap["coloring.color_square.calls"] == 1
+    assert snap["graph.square.calls"] >= 1

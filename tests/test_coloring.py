@@ -47,6 +47,7 @@ from clawsq import graph
 from clawsq.graph import (
     UNCOLORED,
     Coloring,
+    Graph,
     build_graph,
     connected_components,
     delete_vertex,
@@ -186,7 +187,9 @@ class TestColorSquare:
 
 
 class TestOneCliqueSearch:
-    def test_one_max_clique_per_component(self, monkeypatch):
+    def test_max_clique_only_for_omega_five(self, monkeypatch):
+        # Neighborhood clique numbers capped at 4 settle omega up to 4; only
+        # the component whose cap reads 5 runs the exact search.
         parts = [
             gen_random_claw_free(60, 4, 1),
             gen_random_claw_free(60, 3, 2),
@@ -196,9 +199,41 @@ class TestOneCliqueSearch:
         g = disjoint_union(parts, random.Random(4))
         calls = record_calls(monkeypatch, graph, "max_clique")
         color_square(g)
-        searches = len(calls)
+        searched = [sub for sub, in calls]
         assert {max_clique(sub)[0] for sub in parts} == {2, 3, 4, 5}
-        assert searches == len(connected_components(g))
+        assert len(connected_components(g)) == 4
+        assert [max_clique(sub)[0] for sub in searched] == [5]
+
+
+class TestOneNeighborhoodPass:
+    # A fresh header of a session graph, so no table an earlier test built is read.
+    def test_one_cover_per_vertex_and_no_clique_search(self, monkeypatch, stress_family):
+        g = Graph(stress_family[0][3]._adj)
+        assert len(connected_components(g)) == 1
+        covers = record_calls(monkeypatch, graph, "two_clique_cover")
+        cliques = record_calls(monkeypatch, graph, "max_clique")
+        peels = record_calls(monkeypatch, graph, "delete_vertex")
+        color_square(g)
+        assert peels == [] and cliques == []
+        assert len(covers) == g.n
+
+    def test_components_take_over_the_covers(self, monkeypatch, stress_family):
+        parts = [stress_family[0][3], stress_family[2][3], cycle(7)]
+        g = disjoint_union(parts, random.Random(5))
+        covers = record_calls(monkeypatch, graph, "two_clique_cover")
+        cliques = record_calls(monkeypatch, graph, "max_clique")
+        color_square(g)
+        assert cliques == []
+        # A neighborhood of at most two vertices needs no check.
+        assert len(covers) == sum(g.degree(v) >= 3 for v in range(g.n)) == g.n - 7
+
+    def test_no_table_outlives_a_call(self, monkeypatch, stress_family):
+        g = Graph(stress_family[2][3]._adj)
+        covers = record_calls(monkeypatch, graph, "two_clique_cover")
+        first = color_square(g)
+        assert color_square(g) == first
+        assert len(covers) == 2 * g.n
+        assert g._covers is None and g._cliques is None
 
 
 class TestOneVerification:
@@ -249,7 +284,7 @@ class TestGreedyReduce:
             g = random_graph(rng, rng.randint(0, 10), rng.random())
             omega = brute_max_clique(g)
             for size in range(2, 6):
-                assert coloring._holds_clique(g._adj, (1 << g.n) - 1, size) == (omega >= size)
+                assert graph.holds_clique(g._adj, (1 << g.n) - 1, size) == (omega >= size)
 
     def test_reducibility_is_evaluated_only_near_the_next_pick(self, monkeypatch):
         # A case is worked out when its vertex could be the next pick, not

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clawsq.analysis import find_claw
 from clawsq.coloring import edge_conflict_graph
-from clawsq.corpus import cycle, complete, octahedron, path
+from clawsq.corpus import cocktail_party, cycle, complete, octahedron, path
 from clawsq.errors import (
     DuplicateEdgeError,
     SelfLoopError,
@@ -14,16 +15,24 @@ from clawsq.errors import (
     VertexOutOfRangeError,
 )
 from clawsq.graph import (
+    DISJOINT_COVER,
+    JOINED_COVER,
+    NO_COVER,
     UNCOLORED,
     Coloring,
     Graph,
     bits,
     build_graph,
     connected_components,
+    cover_kind,
     delete_vertex,
     induced_subgraph,
     max_clique,
+    max_clique_within,
     max_degree,
+    neighborhood_cliques,
+    neighborhood_covers,
+    split_at_lowest,
     square,
     two_clique_cover,
 )
@@ -151,14 +160,21 @@ class TestBitKernels:
             mask = rng.getrandbits(g.n)
             if not mask:
                 assert two_clique_cover(g._adj, mask) == (0, 0)
+                assert split_at_lowest(g._adj, mask) == (0, 0)
+                assert cover_kind(g._adj, mask) == DISJOINT_COVER
                 continue
             low = scan(mask)[0]
             side_a = [u for u in scan(mask) if u == low or g.has_edge(low, u)]
             side_b = [u for u in scan(mask) if u not in side_a]
+            split = (sum(1 << u for u in side_a), sum(1 << u for u in side_b))
+            assert split_at_lowest(g._adj, mask) == split
             want = None
             if brute_is_clique(g, side_a) and brute_is_clique(g, side_b):
-                want = (sum(1 << u for u in side_a), sum(1 << u for u in side_b))
+                want = split
             assert two_clique_cover(g._adj, mask) == want
+            joined = any(g.has_edge(a, b) for a in side_a for b in side_b)
+            kind = NO_COVER if want is None else JOINED_COVER if joined else DISJOINT_COVER
+            assert cover_kind(g._adj, mask) == kind
 
 
 class TestInducedAndDelete:
@@ -261,6 +277,59 @@ class TestComponentsAndCliques:
     @settings(deadline=None, max_examples=60)
     def test_max_clique_at_least_greedy(self, g):
         assert max_clique(g)[0] >= greedy_clique(g)
+
+
+class TestNeighborhoodTables:
+    @staticmethod
+    def assert_tables_exact(g):
+        adj = g._adj
+        assert neighborhood_covers(g) == bytes(cover_kind(adj, row) for row in adj)
+        want = tuple(min(max_clique_within(adj, row)[0], 4) for row in adj)
+        assert neighborhood_cliques(g) == want
+        for comp in connected_components(g):
+            sub, _ = induced_subgraph(g, comp)
+            assert 1 + max(neighborhood_cliques(sub)) == min(max_clique(sub)[0], 5)
+
+    def test_claw_free_families(self, corpus, stress_family, icosahedron):
+        graphs = [entry.graph for entry in corpus] + [g for *_, g in stress_family]
+        graphs += [cocktail_party(k) for k in range(1, 8)] + [icosahedron]
+        for g in graphs:
+            self.assert_tables_exact(Graph(g._adj))
+
+    def test_random_graphs_with_claws(self):
+        rng = random.Random(3000)
+        claws = 0
+        for _ in range(1000):
+            g = random_graph(rng, rng.randint(0, 18), rng.choice((0.2, 0.5, 0.8, 0.95)))
+            self.assert_tables_exact(g)
+            claws += find_claw(g) is not None
+        assert claws > 300
+
+    def test_tables_are_built_once(self):
+        g = octahedron()
+        assert neighborhood_covers(g) is neighborhood_covers(g)
+        assert neighborhood_cliques(g) is neighborhood_cliques(g)
+        header = Graph(g._adj)
+        assert header == g and header._covers is None and header._cliques is None
+
+    def test_component_subgraphs_take_over_the_tables(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 14), rng.choice((0.1, 0.25, 0.6)))
+            fresh = Graph(g._adj)
+            neighborhood_cliques(g)
+            for comp in connected_components(g):
+                sub, _ = induced_subgraph(g, comp)
+                if sub is g:
+                    continue
+                assert sub._covers is not None and sub._cliques is not None
+                again = Graph(sub._adj)
+                assert sub._covers == neighborhood_covers(again)
+                assert sub._cliques == neighborhood_cliques(again)
+                # A set that misses a neighbor of a member takes over nothing.
+                part, _ = induced_subgraph(g, list(comp)[1:])
+                assert len(comp) == 1 or part._covers is None
+                assert induced_subgraph(fresh, comp)[0]._covers is None
 
 
 class TestSmallHelpers:

@@ -22,6 +22,7 @@ from clawsq.errors import (
 from clawsq.graph import (
     build_graph,
     connected_components,
+    cover_kind,
     delete_vertex,
     induced_subgraph,
     max_clique,
@@ -448,7 +449,8 @@ class TestKrauszMatchesReference:
 
     def test_neighborhood_without_a_split(self, icosahedron):
         # Every neighborhood of the icosahedron is a five-cycle.
-        assert structure._shape_masks(icosahedron._adj, icosahedron._adj[0]) is False
+        adj = icosahedron._adj
+        assert structure._shape_masks(adj, adj[0], cover_kind(adj, adj[0])) is False
         assert same_krausz_as_reference(icosahedron, 3) is None
 
     def test_part_larger_than_omega_minus_one(self):
