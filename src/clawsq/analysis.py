@@ -192,8 +192,11 @@ def _second_degree_cap(omega: int) -> Fraction:
     return max(t1, t2, t3)
 
 
-def _lemma_reports(g: Graph, omega: int) -> list[LemmaReport]:
-    """Every report of the suite, from one sweep over g's rows.
+def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
+    """Every report of the suite at clique number ``omega``, from one sweep over g's rows.
+
+    The clique number of each neighborhood is searched first; ``omega``
+    defaults to g's own, max(2, 1 + the largest of them).
 
     Reports come in three families, each in vertex order:
     - per vertex: deg(v) <= R(omega,3)-1; no clique of size omega inside
@@ -209,10 +212,13 @@ def _lemma_reports(g: Graph, omega: int) -> list[LemmaReport]:
       degree globally.
     Each edge's exterior is computed once and read by both of its families.
     """
+    adj = g._adj
+    cliques = [max_clique_within(adj, nv)[0] for nv in adj]
+    if omega is None:
+        omega = max(2, 1 + max(cliques, default=-1))
     degree_cap = ramsey_bound(omega) - 1
     clique_cap = omega - 1
     cap = _second_degree_cap(omega) if omega >= 4 else None
-    adj = g._adj
     full = (1 << g.n) - 1
     anti = [full & ~(row | 1 << u) for u, row in enumerate(adj)]
     qs = q_rows(g)
@@ -220,10 +226,9 @@ def _lemma_reports(g: Graph, omega: int) -> list[LemmaReport]:
     degree, exterior, second = [], [], []
     worst_v = 0
     worst = 0
-    for v, nv in enumerate(adj):
+    for v, (nv, clique) in enumerate(zip(adj, cliques)):
         deg = nv.bit_count()
         degree.append(LemmaReport("degree-below-ramsey", v, None, deg, degree_cap))
-        clique = max_clique_within(adj, nv)[0]
         degree.append(LemmaReport("neighborhood-clique-cap", v, None, clique, clique_cap))
         if kinds[v] == NO_COVER:
             stable = max_clique_within(anti, nv)[0]
@@ -274,11 +279,12 @@ def _lemma_reports(g: Graph, omega: int) -> list[LemmaReport]:
     return degree + exterior + second
 
 
-def run_lemma_suite(g: Graph, omega: int) -> list[LemmaReport]:
-    """All lemma reports for one graph: degree caps, exteriors, second neighborhoods.
+def run_lemma_suite(g: Graph) -> list[LemmaReport]:
+    """All lemma reports for one graph at its clique number (at least 2).
 
     Checks claw-freeness once, raising NotClawFreeError with the claw as its
-    witness, and then evaluates every report in one sweep (``_lemma_reports``).
+    witness, and then evaluates every report in one sweep (``_lemma_reports``),
+    whose neighborhood clique searches give the clique number.
     """
     require_claw_free(g)
-    return _lemma_reports(g, omega)
+    return _lemma_reports(g)

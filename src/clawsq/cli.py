@@ -207,7 +207,7 @@ def _verify_manifest_row(base: Path, row: dict) -> dict:
     if "omega" in known and known["omega"] != omega:
         mismatches.append(f"omega recorded {known['omega']}, computed {omega}")
     try:
-        reports = run_lemma_suite(g, max(omega, 2))
+        reports = run_lemma_suite(g)
     except NotClawFreeError as exc:
         witness = exc.witness
         if known.get("claw_free"):

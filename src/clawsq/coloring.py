@@ -30,8 +30,7 @@ against its bound, whether or not Python runs with ``-O``, and raises
 InternalBoundViolation when either fails. The building blocks it calls
 (:func:`greedy_reduce`, :func:`color_small_omega`,
 :func:`trivial_greedy_square`) return unverified colorings;
-:func:`verify_coloring` checks one. :func:`color_icosahedron` still checks
-the pairing it is handed, because that comes from the caller.
+:func:`verify_coloring` checks one.
 """
 
 from __future__ import annotations
@@ -68,6 +67,7 @@ from .structure import (
     RootGraph,
     classify,
     neighbor_degree_cap,
+    recognize_icosahedron,
     reduction_case,
     reduction_threshold,
 )
@@ -91,17 +91,17 @@ def verify_coloring(g: Graph, coloring: Coloring) -> bool:
 def trivial_greedy_square(g: Graph) -> Coloring:
     """Greedy square coloring in non-increasing square-degree order.
 
-    Uses at most one more color than the maximum square degree, which for
-    claw-free inputs stays within 2*omega*(omega-1)+1.
+    Each vertex takes the smallest color whose class, a vertex mask, misses
+    its square row. Uses at most one more color than the maximum square
+    degree, which for claw-free inputs stays within 2*omega*(omega-1)+1.
     """
-    sq = square(g)
-    order = sorted(range(g.n), key=lambda v: (-sq.degree(v), v))
+    rows = [square_row(g, v) for v in range(g.n)]
+    order = sorted(range(g.n), key=lambda v: (-rows[v].bit_count(), v))
     colors = [UNCOLORED] * g.n
+    classes = [0] * g.n  # no vertex has more than n - 1 square neighbors
     for v in order:
-        taken = {colors[u] for u in sq.neighbors(v) if colors[u] != UNCOLORED}
-        c = 0
-        while c in taken:
-            c += 1
+        c = next(c for c, cls in enumerate(classes) if not cls & rows[v])
+        classes[c] |= 1 << v
         colors[v] = c
     return Coloring(colors)
 
@@ -157,24 +157,18 @@ def color_small_omega(g: Graph) -> Coloring:
     return Coloring(colors)
 
 
-def color_icosahedron(g: Graph, pairing) -> Coloring:
+def color_icosahedron(g: Graph) -> Coloring:
     """Six colors on the icosahedron, one per antipodal pair.
 
-    Raises InvalidPairingError unless the pairing covers the 12 vertices
-    with pairs of two and the two vertices of each pair are not adjacent in
-    the square; in the icosahedron that holds exactly for antipodes.
+    The pairs are :func:`recognize_icosahedron`'s, in order of their lower
+    vertex; raises InvalidPairingError when g is not the icosahedron.
     """
-    pairs = [tuple(p) for p in pairing]
-    covered = sorted(v for p in pairs for v in p)
-    if g.n != 12 or any(len(p) != 2 for p in pairs) or covered != list(range(12)):
-        raise InvalidPairingError("pairing must cover the 12 vertices in 6 pairs")
-    for a, b in pairs:
-        if square_row(g, a) >> b & 1:
-            raise InvalidPairingError(f"vertices {a} and {b} are within distance 2")
+    pairing = recognize_icosahedron(g)
+    if pairing is None:
+        raise InvalidPairingError("the graph is not the icosahedron")
     colors = [UNCOLORED] * 12
-    for i, (a, b) in enumerate(sorted(pairs)):
-        colors[a] = i
-        colors[b] = i
+    for i, (a, b) in enumerate(pairing):
+        colors[a] = colors[b] = i
     return Coloring(colors)
 
 
@@ -456,8 +450,8 @@ def _pieces(adj, comp: int, nbrs: int) -> list[int]:
             held[i] |= frontiers[i]
 
 
-def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, int]], int, int]:
-    """Delete reducible vertices of g, of clique number at most ``omega``, until none is left.
+def _peel(g: Graph) -> tuple[Graph, list[int], list[tuple[int, str, int]], int, int]:
+    """Delete reducible vertices of g, of clique number at most 4, until none is left.
 
     Returns the remaining graph, the original label of each of its
     vertices, one frame (original label, case, kprime) per deleted vertex
@@ -495,9 +489,9 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
     orig = list(range(g.n))
     tri = k4 = iii = ii = dirty = 0
     for x, size in enumerate(neighborhood_cliques(g)):
-        if omega > 2 and size >= 2:
+        if size >= 2:
             tri |= 1 << x
-            if omega > 3 and size >= 3:
+            if size >= 3:
                 k4 |= 1 << x
 
     def omega_of(mask):
@@ -560,12 +554,13 @@ def _peel(g: Graph, omega: int) -> tuple[Graph, list[int], list[tuple[int, str, 
 
 def _color_line_graph_base(sub: Graph, root: RootGraph, node_limit: int) -> list:
     # A base root has max degree 3 or 4, the line graph's clique number, and
-    # its strong chromatic index is within that clique number's bound.
+    # its strong chromatic index is within that clique number's bound. A
+    # spent node budget is the caller's limit, not a bug, so it passes.
     delta = max_degree(root.f)
     budget = palette_bound(delta)
     try:
         sec = strong_edge_color(root.f, budget, node_limit)
-    except (BudgetExhaustedError, NodeLimitExceeded) as exc:
+    except BudgetExhaustedError as exc:
         raise InternalBoundViolation(
             f"strong edge coloring within {budget} colors failed on a root graph "
             f"with max degree {delta}: {exc}"
@@ -594,7 +589,7 @@ def _color_base_components(cur: Graph, tri: int, k4: int, node_limit: int) -> li
         sub, old = induced_subgraph(cur, comp)
         outcome = classify(sub, 4 if mask & k4 else 3, check_claw_free=False)
         if outcome.kind == "icosahedron":
-            local = color_icosahedron(sub, outcome.antipodal_pairs).colors
+            local = color_icosahedron(sub).colors
         elif outcome.kind == "line_graph":
             local = _color_line_graph_base(sub, outcome.root, node_limit)
         else:
@@ -608,30 +603,26 @@ def _color_base_components(cur: Graph, tri: int, k4: int, node_limit: int) -> li
     return colors
 
 
-def greedy_reduce(
-    g: Graph, omega: int, *, node_limit: int = DEFAULT_NODE_LIMIT
-) -> Coloring:
+def greedy_reduce(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
     """Inductive square coloring within palette_bound(omega) colors, unverified.
 
     For claw-free inputs, where a deletion splits a component into at most
-    two pieces (:func:`_pieces`), of clique number at most ``omega``, which
-    must be 3 or 4; a clique of omega + 1 vertices raises ValueError. That
-    check and the peel read g's :func:`neighborhood_cliques` table, built
-    on first use, so a caller that has built it hands it over with g: some
-    neighborhood's value, capped at 4, reaches omega exactly when such a
-    clique exists, and no clique search runs. Iteratively deletes reducible
-    vertices (explicit stack, no recursion), colors the base remainder per
+    two pieces (:func:`_pieces`), of clique number omega at most 4; past 4
+    raises ValueError. omega is one more than the largest value of g's
+    :func:`neighborhood_cliques` table, which the peel reads too; it is
+    built on first use, so a caller that has built it hands it over with g
+    and no clique search runs. Iteratively deletes reducible vertices
+    (explicit stack, no recursion), colors the base remainder per
     component, then reinserts each vertex in reverse order, recoloring its
     neighborhood through distinct available colors; one vertex mask per
     color, updated on every assignment, gives the colors available. Neither
     claw-freeness nor the result is checked here; :func:`color_square`
     checks both.
     """
-    if omega not in (3, 4):
-        raise ValueError(f"the inductive engine is defined for omega 3 and 4, not {omega}")
-    if max(neighborhood_cliques(g), default=0) >= omega:
-        raise ValueError(f"clique number exceeds omega {omega}")
-    cur, orig, frames, tri, k4 = _peel(g, omega)
+    omega = 1 + max(neighborhood_cliques(g), default=-1)
+    if omega > 4:
+        raise ValueError("the inductive engine is defined up to clique number 4, not 5 or more")
+    cur, orig, frames, tri, k4 = _peel(g)
     colors = [UNCOLORED] * g.n
     classes = [0] * palette_bound(omega)
     alive = 0
@@ -648,13 +639,14 @@ def greedy_reduce(
 def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
     """Proper coloring of the square of a claw-free graph within its bound.
 
-    Components are colored independently from a shared palette: paths and
-    cycles directly, clique number 3 and 4 through the inductive engine,
-    and clique number 5 and up through the greedy square coloring whose
-    palette the maximum square degree caps. Raises NotClawFreeError, with
-    the claw as its witness, on a claw, and InternalBoundViolation when a
-    component's palette exceeds its bound or the final coloring is not
-    proper on the square; these checks do not depend on ``-O``.
+    Components are colored independently from a shared palette: clique
+    number up to 4 through the inductive engine, whose base step colors
+    paths and cycles directly, and 5 and up through the greedy square
+    coloring whose palette the maximum square degree caps. Raises
+    NotClawFreeError, with the claw as its witness, on a claw, and
+    InternalBoundViolation when a component's palette exceeds its bound or
+    the final coloring is not proper on the square; these checks do not
+    depend on ``-O``.
 
     The call works on a header of its own, ``Graph(g._adj)``, so the
     neighborhood tables (:func:`neighborhood_covers`, one cover check per
@@ -671,13 +663,10 @@ def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
     for comp in connected_components(g):
         sub, old = induced_subgraph(g, comp)
         w = 1 + max(neighborhood_cliques(sub))
-        if w > 4:
-            w = max_clique(sub)[0]
-        if w <= 2:
-            local = color_small_omega(sub)
-        elif w <= 4:
-            local = greedy_reduce(sub, w, node_limit=node_limit)
+        if w <= 4:
+            local = greedy_reduce(sub, node_limit=node_limit)
         else:
+            w = max_clique(sub)[0]
             local = trivial_greedy_square(sub)
         if local.palette_size > palette_bound(w):
             raise InternalBoundViolation(

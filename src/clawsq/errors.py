@@ -42,7 +42,7 @@ class NotSmallOmegaError(ValueError):
 
 
 class InvalidPairingError(ValueError):
-    """The supplied vertex pairing is not an antipodal pairing for this graph."""
+    """The graph is not the icosahedron, so it has no antipodal pairing to color by."""
 
 
 class InvalidPartitionError(ValueError):

@@ -368,13 +368,16 @@ def reduction_case(g: Graph, v: int, kprime: int, neighbor_cap: int | None = Non
     return None
 
 
-def find_reducible_vertex(g: Graph, kprime: int, *, neighbor_cap: int | None = None):
+def find_reducible_vertex(g: Graph, omega: int):
     """Smallest-index reducible vertex, preferring case iii over case ii.
 
-    Applies :func:`reduction_case` to every vertex: the first case-iii
-    vertex wins, otherwise the first case-ii one, with its smallest
-    neighbor of square degree at most kprime+1 as xstar.
+    Applies :func:`reduction_case` to every vertex, under the thresholds
+    of clique number ``omega`` (:func:`reduction_threshold` as kprime and
+    :func:`neighbor_degree_cap`): the first case-iii vertex wins, otherwise
+    the first case-ii one, with its smallest neighbor of square degree at
+    most kprime+1 as xstar. Raises UnsupportedOmegaError below omega 3.
     """
+    kprime, neighbor_cap = reduction_threshold(omega), neighbor_degree_cap(omega)
     first_ii = None
     for v in range(g.n):
         case = reduction_case(g, v, kprime, neighbor_cap)
@@ -434,9 +437,7 @@ def classify(g: Graph, omega: int, *, check_claw_free: bool = True) -> Classific
         require_claw_free(g)
     if omega <= 2:
         return Classification("small_omega", omega)
-    red = find_reducible_vertex(
-        g, reduction_threshold(omega), neighbor_cap=neighbor_degree_cap(omega)
-    )
+    red = find_reducible_vertex(g, omega)
     # A case-ii result means no vertex is reducible by case iii.
     if red is not None and (red.case == "iii" or omega <= 4):
         return Classification("reducible", omega, reduction=red)

@@ -5,7 +5,8 @@ assignment enumeration, all-pairs scans) and deliberately shares no code
 path with the library routines it validates. Where the library replaced a
 simple routine with a faster one, the simple one lives on here unchanged.
 Also here: the girth-5 base-case stress family, the peeling scaling
-family, the omega sweep of the lemma suite, relabelings and disjoint
+family, seeded circular-interval graphs and complements of triangle-free
+graphs, the omega sweep of the lemma suite, relabelings and disjoint
 unions, the coloring digest the golden file uses, a call recorder for the
 tests that pin how often a fact is checked, and a deliberately broken
 recoloring step.
@@ -57,13 +58,7 @@ from clawsq.graph import (
     square,
     square_row,
 )
-from clawsq.structure import (
-    NeighborhoodShape,
-    RootGraph,
-    find_reducible_vertex,
-    neighbor_degree_cap,
-    reduction_threshold,
-)
+from clawsq.structure import NeighborhoodShape, RootGraph, find_reducible_vertex
 
 
 def bfs_distances(g, source):
@@ -421,6 +416,47 @@ def base_pin_roots():
     )
 
 
+def circular_interval_graph(n, seed):
+    """A seeded circular-interval graph on ``n`` points, for 2 <= n <= 40.
+
+    The points 0..n-1 sit on a circle in order, and n arcs of 1 to
+    ``longest`` consecutive points are drawn, ``longest`` being 2 to 6 and
+    below n; two points are adjacent when some arc holds both. The points
+    of N(v) on each side of v lie in the arc through v that reaches
+    furthest that way, so two cliques cover N(v) and the graph is
+    claw-free.
+    """
+    rng = random.Random(seed)
+    longest = min(rng.randint(2, 6), n - 1)
+    edges = set()
+    for _ in range(n):
+        start, size = rng.randrange(n), rng.randint(1, longest)
+        arc = sorted((start + i) % n for i in range(size))
+        edges.update(combinations(arc, 2))
+    return build_graph(n, sorted(edges))
+
+
+def triangle_free_complement(n, seed):
+    """The complement of a seeded triangle-free graph on ``n`` vertices, for n <= 16.
+
+    The pairs are offered in random order, each kept with one probability
+    drawn per graph unless it closes a triangle. The complement of a
+    triangle-free graph has no independent triple, so it is claw-free, and
+    its clique number is the independence number of the triangle-free
+    graph.
+    """
+    rng = random.Random(seed)
+    keep = rng.random()
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    rows = [0] * n
+    for u, v in pairs:
+        if rng.random() < keep and not rows[u] & rows[v]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if not rows[u] >> v & 1])
+
+
 def lemma_sweep_instances():
     """(name, graph, omega) for the lemma suite at every omega from 2 to the clique number.
 
@@ -718,6 +754,21 @@ def brute_second_neighborhood_reports(g: Graph, omega: int) -> list[LemmaReport]
     return reports
 
 
+# The square-graph greedy coloring the library replaced with color classes.
+def brute_trivial_greedy_square(g: Graph) -> Coloring:
+    """Greedy square coloring in non-increasing square-degree order, on the square graph."""
+    sq = square(g)
+    order = sorted(range(g.n), key=lambda v: (-sq.degree(v), v))
+    colors = [UNCOLORED] * g.n
+    for v in order:
+        taken = {colors[u] for u in sq.neighbors(v) if colors[u] != UNCOLORED}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return Coloring(colors)
+
+
 def brute_color_small_omega(g: Graph) -> Coloring:
     """Color the square of a disjoint union of paths and cycles with at most 5 colors.
 
@@ -887,11 +938,7 @@ def _brute_component_reduction(cur):
         w = max_clique(sub)[0]
         if w <= 2:
             continue
-        red = find_reducible_vertex(
-            sub,
-            reduction_threshold(w),
-            neighbor_cap=neighbor_degree_cap(w),
-        )
+        red = find_reducible_vertex(sub, w)
         if red is not None:
             return old[red.vertex], red.case, red.kprime
     return None
@@ -950,13 +997,13 @@ def brute_peel(g):
     return cur, frames
 
 
-def brute_greedy_reduce(g, omega, node_limit=DEFAULT_NODE_LIMIT):
+def brute_greedy_reduce(g, node_limit=DEFAULT_NODE_LIMIT):
     """The inductive engine with one graph copy and a full recomputation per peel.
 
     The base coloring, the distinct-representative matching and the
-    reducibility test are the library's; the peel loop, the reinsertion
-    and the triangle and K4 masks of the base remainder are recomputed
-    from scratch where the engine keeps them incrementally.
+    reducibility test are the library's; the clique number, the peel loop,
+    the reinsertion and the triangle and K4 masks of the base remainder are
+    recomputed from scratch where the engine keeps them incrementally.
     """
     cur, frames = brute_peel(g)
 
@@ -966,7 +1013,7 @@ def brute_greedy_reduce(g, omega, node_limit=DEFAULT_NODE_LIMIT):
     tri = sum(1 << v for v in range(cur.n) if on_clique(v, 2))
     k4 = sum(1 << v for v in range(cur.n) if on_clique(v, 3))
     colors = _color_base_components(cur, tri, k4, node_limit)
-    K = palette_bound(omega) - 1
+    K = palette_bound(max_clique(g)[0]) - 1
     for gr, v, case, kprime in reversed(frames):
         colors = brute_reinsert_vertex(gr, v, case, kprime, colors, K)
     return Coloring(colors)

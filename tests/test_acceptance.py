@@ -180,8 +180,7 @@ def test_criterion_6_lemma_suite(corpus):
     started = time.perf_counter()
     failures = []
     for entry in corpus:
-        omega = max(entry.known["omega"], 2)
-        for rep in run_lemma_suite(entry.graph, omega):
+        for rep in run_lemma_suite(entry.graph):
             if not rep.holds:
                 failures.append((entry.id, rep.lemma_id, rep.vertex))
     elapsed = time.perf_counter() - started

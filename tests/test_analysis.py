@@ -142,9 +142,9 @@ SECOND_NEIGHBORHOOD_LEMMAS = {
 }
 
 
-def lemma_reports(g, omega, family):
+def lemma_reports(g, family):
     """The reports of run_lemma_suite whose lemma id is in ``family``, in suite order."""
-    return [r for r in run_lemma_suite(g, omega) if r.lemma_id in family]
+    return [r for r in run_lemma_suite(g) if r.lemma_id in family]
 
 
 class TestRamseyBound:
@@ -167,21 +167,21 @@ class TestRamseyBound:
 
 class TestDegreeLemma:
     def test_icosahedron(self, icosahedron):
-        reports = lemma_reports(icosahedron, 3, DEGREE_LEMMAS)
+        reports = lemma_reports(icosahedron, DEGREE_LEMMAS)
         assert len(reports) == 36
         assert all(r.holds for r in reports)
         degree_caps = [r for r in reports if r.lemma_id == "degree-below-ramsey"]
         assert all(r.lhs == 5 and r.rhs == 5 for r in degree_caps)
 
     def test_k4(self):
-        reports = lemma_reports(complete(4), 4, DEGREE_LEMMAS)
+        reports = lemma_reports(complete(4), DEGREE_LEMMAS)
         assert all(r.holds for r in reports)
         caps = [r for r in reports if r.lemma_id == "degree-below-ramsey"]
         assert all(r.lhs == 3 and r.rhs == 8 for r in caps)
 
     def test_claw_input_rejected_with_witness(self):
         with pytest.raises(NotClawFreeError) as err:
-            run_lemma_suite(claw(), 2)
+            run_lemma_suite(claw())
         assert err.value.witness.center == 0
 
 
@@ -189,8 +189,7 @@ class TestExteriorNeighbors:
     def test_exterior_reports_on_samples(self):
         for seed in range(10):
             g = gen_random_claw_free(14, 4, seed, strategy="line-graph")
-            omega = max_clique(g)[0]
-            assert all(r.holds for r in lemma_reports(g, max(omega, 2), EXTERIOR_LEMMAS))
+            assert all(r.holds for r in lemma_reports(g, EXTERIOR_LEMMAS))
 
 
 class TestZSet:
@@ -247,26 +246,26 @@ class TestQValue:
 
 class TestSecondNeighborhoodBounds:
     def test_icosahedron_is_tight(self, icosahedron):
-        reports = lemma_reports(icosahedron, 3, SECOND_NEIGHBORHOOD_LEMMAS)
+        reports = lemma_reports(icosahedron, SECOND_NEIGHBORHOOD_LEMMAS)
         assert all(r.holds for r in reports)
         z_bounds = [r for r in reports if r.lemma_id == "second-neighborhood-z"]
         assert all(r.lhs == 5 and r.rhs == Fraction(5) for r in z_bounds)
 
     def test_k4_trivial(self):
-        reports = lemma_reports(complete(4), 4, SECOND_NEIGHBORHOOD_LEMMAS)
+        reports = lemma_reports(complete(4), SECOND_NEIGHBORHOOD_LEMMAS)
         assert all(r.holds for r in reports)
         assert all(
             r.lhs == 0 for r in reports if r.lemma_id == "second-neighborhood-z"
         )
 
     def test_blowup_line_graph_square_degree(self, sharp_blowup_line):
-        reports = lemma_reports(sharp_blowup_line, 3, SECOND_NEIGHBORHOOD_LEMMAS)
+        reports = lemma_reports(sharp_blowup_line, SECOND_NEIGHBORHOOD_LEMMAS)
         assert all(r.holds for r in reports)
         top = [r for r in reports if r.lemma_id == "max-square-degree"]
         assert len(top) == 1 and top[0].lhs == 9 and top[0].rhs == 12
 
     def test_corollaries_gated_by_degree_and_omega(self, icosahedron):
-        reports = lemma_reports(icosahedron, 3, SECOND_NEIGHBORHOOD_LEMMAS)
+        reports = lemma_reports(icosahedron, SECOND_NEIGHBORHOOD_LEMMAS)
         ids = {r.lemma_id for r in reports}
         # degree 5 = 2*omega - 1 triggers the saturation report, but the
         # matching-weighted degree bound stays out at omega 3
@@ -289,7 +288,7 @@ class TestSecondNeighborhoodBounds:
         assert brute_force_claw_free(g)
         assert max_clique(g)[0] == 4
         assert g.degree(7) == 7
-        reports = lemma_reports(g, 4, SECOND_NEIGHBORHOOD_LEMMAS)
+        reports = lemma_reports(g, SECOND_NEIGHBORHOOD_LEMMAS)
         assert all(r.holds for r in reports)
         apex_ids = {r.lemma_id for r in reports if r.vertex == 7}
         assert "matching-weighted-degree-bound" in apex_ids
@@ -298,18 +297,17 @@ class TestSecondNeighborhoodBounds:
 
     def test_rejects_claw(self):
         with pytest.raises(NotClawFreeError):
-            run_lemma_suite(claw(), 2)
+            run_lemma_suite(claw())
 
 
 class TestLemmaSuite:
     def test_all_hold_on_samples(self, icosahedron, line_petersen, octahedron_graph):
         for g in (icosahedron, line_petersen, octahedron_graph):
-            omega = max_clique(g)[0]
-            reports = run_lemma_suite(g, omega)
+            reports = run_lemma_suite(g)
             assert reports and all(r.holds for r in reports)
 
     def test_report_dict_shape(self, octahedron_graph):
-        report = run_lemma_suite(octahedron_graph, 3)[0]
+        report = run_lemma_suite(octahedron_graph)[0]
         d = report.as_dict()
         assert set(d) == {"lemma", "vertex", "neighbor", "lhs", "rhs", "holds"}
 
@@ -350,8 +348,17 @@ def reference_reports(corpus):
 
 @pytest.fixture(scope="module")
 def suite_reports(reference_reports):
-    """run_lemma_suite's reports for each case of ``reference_reports``, in order."""
-    return [run_lemma_suite(g, omega) for g, omega, *_ in reference_reports]
+    """The library's reports for each case of ``reference_reports``, in order.
+
+    run_lemma_suite evaluates a graph at its own clique number; the smaller
+    omegas of the sweep go to the evaluator behind it.
+    """
+    return [
+        run_lemma_suite(g)
+        if omega == max(max_clique(g)[0], 2)
+        else analysis._lemma_reports(g, omega)
+        for g, omega, *_ in reference_reports
+    ]
 
 
 class TestReportsMatchReference:
@@ -389,6 +396,6 @@ class TestLemmaSuiteCalls:
         qs = record_calls(monkeypatch, analysis, "q_value")
         for g in [entry.graph for entry in corpus[::25]] + [cocktail_party(6)]:
             qs.clear()
-            run_lemma_suite(g, max(max_clique(g)[0], 2))
+            run_lemma_suite(g)
             assert sorted(tuple(sorted(args[1:])) for args in qs) == sorted(g.edges())
         assert subgraphs == []

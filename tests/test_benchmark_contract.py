@@ -30,12 +30,11 @@ def test_tracer_counts_one_peel_per_frame():
     mods = {ns: importlib.import_module("clawsq" + ns) for ns in tracer.NAMESPACES}
     lib = mods[""]
     g = lib.gen_random_claw_free(60, 4, 1)
-    omega = lib.max_clique(g)[0]
-    frames = mods[".coloring"]._peel(g, omega)[2]
+    frames = mods[".coloring"]._peel(g)[2]
     tr = tracer.Tracer(mods)
     tr.install()
     try:
-        lib.greedy_reduce(g, omega)
+        lib.greedy_reduce(g)
     finally:
         tr.remove()
     assert len(frames) > 0

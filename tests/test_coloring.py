@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawsq import coloring
+from clawsq.analysis import q_rows, run_lemma_suite
 from clawsq.coloring import (
     DEFAULT_NODE_LIMIT,
     color_icosahedron,
@@ -56,7 +57,7 @@ from clawsq.graph import (
     max_degree,
     square,
 )
-from clawsq.oracle import exact_chromatic
+from clawsq.oracle import brute_force_claw_free, exact_chromatic
 from clawsq.structure import (
     classify,
     krausz_partition,
@@ -77,12 +78,16 @@ from helpers import (
     brute_is_strong_edge_coloring,
     brute_peel,
     brute_pieces,
+    brute_q_value,
     brute_square,
+    brute_trivial_greedy_square,
+    circular_interval_graph,
     disjoint_union,
     random_graph,
     record_calls,
     regular_root_girth5,
     relabel,
+    triangle_free_complement,
 )
 
 
@@ -177,6 +182,12 @@ class TestColorSquare:
         assert coloring.palette_size == 1100
         assert verify_coloring(g, coloring)
 
+    def test_spent_node_budget_passes_through(self, line_petersen):
+        # Nothing in L(Petersen) peels, so the base step's strong edge
+        # coloring runs out of nodes: the caller's limit, not a bug.
+        with pytest.raises(NodeLimitExceeded):
+            color_square(line_petersen, node_limit=1)
+
     def test_random_claw_free_all_within_bounds(self):
         for seed in range(15):
             g = gen_random_claw_free(18, 5, seed, strategy="line-graph")
@@ -256,27 +267,29 @@ class TestOneVerification:
 
 class TestGreedyReduce:
     def test_octahedron_matches_oracle(self, octahedron_graph):
-        coloring = greedy_reduce(octahedron_graph, 3)
+        coloring = greedy_reduce(octahedron_graph)
         assert verify_coloring(octahedron_graph, coloring)
         # The square of the octahedron is K6, so 6 colors are forced.
         assert coloring.palette_size == 6
         assert exact_chromatic(square(octahedron_graph), 10).value == 6
 
     def test_single_vertex(self):
-        coloring = greedy_reduce(build_graph(1, []), 3)
+        coloring = greedy_reduce(build_graph(1, []))
         assert coloring.colors == (0,)
 
     def test_two_disjoint_edges(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        coloring = greedy_reduce(g, 3)
+        coloring = greedy_reduce(g)
         assert verify_coloring(g, coloring)
         assert coloring.palette_size == 2
 
     def test_rejects_oversized_clique(self):
+        # The engine reads the clique number off the graph and stops at 4.
+        assert verify_coloring(complete(4), greedy_reduce(complete(4)))
         with pytest.raises(ValueError):
-            greedy_reduce(complete(4), 3)
+            greedy_reduce(complete(5))
         with pytest.raises(ValueError):
-            greedy_reduce(disjoint_union([cycle(7), complete(5)], random.Random(1)), 4)
+            greedy_reduce(disjoint_union([cycle(7), complete(5)], random.Random(1)))
 
     def test_clique_test_matches_brute_force(self):
         rng = random.Random(8)
@@ -290,29 +303,29 @@ class TestGreedyReduce:
         # A case is worked out when its vertex could be the next pick, not
         # again for every vertex within distance 3 of each deletion.
         calls = record_calls(monkeypatch, coloring, "reduction_case")
-        for g, omega in (
-            (gen_random_claw_free(150, 4, 1), 4),
-            (gen_random_claw_free(170, 3, 1), 3),
-            (squared_cycle(160), 3),
+        for g in (
+            gen_random_claw_free(150, 4, 1),
+            gen_random_claw_free(170, 3, 1),
+            squared_cycle(160),
         ):
             calls.clear()
-            greedy_reduce(g, omega)
+            greedy_reduce(g)
             assert 0 < len(calls) <= 3 * g.n
 
     def test_omega_four_run(self):
         g, seeds_used = None, 0
         g = gen_random_claw_free(20, 4, 3, strategy="line-graph")
         assert max_clique(g)[0] == 4
-        coloring = greedy_reduce(g, 4)
+        coloring = greedy_reduce(g)
         assert verify_coloring(g, coloring)
         assert coloring.palette_size <= 22
 
     def test_params_validation(self):
-        # The engine is defined for omega 3 and 4 only.
+        # The engine is defined up to clique number 4; below 3 its base step
+        # colors the paths and cycles.
         with pytest.raises(ValueError):
-            greedy_reduce(gen_random_claw_free(20, 5, 0), 5)
-        with pytest.raises(ValueError):
-            greedy_reduce(path(4), 2)
+            greedy_reduce(gen_random_claw_free(20, 5, 0))
+        assert greedy_reduce(path(4)) == color_small_omega(path(4))
 
 
 class TestPeelMatchesReference:
@@ -323,12 +336,12 @@ class TestPeelMatchesReference:
     def same_as_reference(self, monkeypatch):
         calls = record_calls(monkeypatch, graph, "delete_vertex")
 
-        def check(g, omega):
+        def check(g):
             calls.clear()
-            coloring = greedy_reduce(g, omega)
+            coloring = greedy_reduce(g)
             engine_calls = list(calls)
             calls.clear()
-            assert coloring == brute_greedy_reduce(g, omega)
+            assert coloring == brute_greedy_reduce(g)
             assert engine_calls == calls
             return len(calls)
 
@@ -341,7 +354,7 @@ class TestPeelMatchesReference:
                 sub, _ = induced_subgraph(entry.graph, comp)
                 omega = max_clique(sub)[0]
                 if omega in (3, 4):
-                    peeled += same_as_reference(sub, omega)
+                    peeled += same_as_reference(sub)
                     components += 1
         assert components > 250 and peeled > 1000
 
@@ -351,7 +364,7 @@ class TestPeelMatchesReference:
             strategy = "line-graph" if i % 2 == 0 else "blowup"
             n, omega, seed = rng.randint(10, 120), rng.choice((3, 4)), rng.randrange(10**6)
             g = gen_random_claw_free(n, omega, seed, strategy)
-            same_as_reference(g, max(3, max_clique(g)[0]))
+            same_as_reference(g)
 
     def test_clique_number_drop_rethresholds_the_whole_component(self, same_as_reference):
         # A pendant edge at root vertex 0 makes the edges there the only K4.
@@ -362,11 +375,11 @@ class TestPeelMatchesReference:
         assert len(connected_components(g)) == 1 and max_clique(g)[0] == 4
         kprimes = [kprime for _, _, _, kprime in brute_peel(g)[1]]
         assert kprimes[0] == 19 and set(kprimes[1:]) == {9}
-        assert same_as_reference(g, 4) == len(kprimes)
+        assert same_as_reference(g) == len(kprimes)
 
     def test_squared_cycles(self, same_as_reference):
         for n in (*range(7, 30), 64, 101):
-            assert same_as_reference(squared_cycle(n), 3) > 0
+            assert same_as_reference(squared_cycle(n)) > 0
 
     def test_unreducible_component_beside_a_peeling_one(self, same_as_reference):
         # Nothing in the line graph of a girth-5 cubic root is reducible: its
@@ -376,7 +389,7 @@ class TestPeelMatchesReference:
         assert classify(base, 3).kind == "line_graph"
         for seed in range(3):
             g = disjoint_union([base, gen_random_claw_free(60, 3, seed)], random.Random(seed))
-            assert same_as_reference(g, 3) > 0
+            assert same_as_reference(g) > 0
 
     def test_disjoint_unions_with_interleaved_labels(self, same_as_reference):
         rng = random.Random(6)
@@ -386,14 +399,14 @@ class TestPeelMatchesReference:
                 for _ in range(rng.randint(2, 3))
             ]
             g = disjoint_union(parts, rng)
-            same_as_reference(g, max(3, max_clique(g)[0]))
+            same_as_reference(g)
 
     def test_no_whole_graph_work_between_peels(self, monkeypatch):
         log = []
         watched = ("delete_vertex", "square", "induced_subgraph", "connected_components", "max_clique")
         for name in watched:
             record_calls(monkeypatch, graph, name, log=log)
-        greedy_reduce(gen_random_claw_free(150, 4, 1), 4)
+        greedy_reduce(gen_random_claw_free(150, 4, 1))
         first = log.index("delete_vertex")
         last = len(log) - 1 - log[::-1].index("delete_vertex")
         assert last - first > 100
@@ -455,18 +468,18 @@ class TestPiecesMatchReference:
                 sub, _ = induced_subgraph(entry.graph, comp)
                 omega = max_clique(sub)[0]
                 if omega in (3, 4):
-                    greedy_reduce(sub, omega)
+                    greedy_reduce(sub)
         assert set(outcomes) == {"connected", "meet", "split"}
 
     def test_random_line_graphs(self, outcomes):
         for seed in (1, 2, 3):
-            greedy_reduce(gen_random_claw_free(170, 3, seed), 3)
-            greedy_reduce(gen_random_claw_free(150, 4, seed), 4)
+            greedy_reduce(gen_random_claw_free(170, 3, seed))
+            greedy_reduce(gen_random_claw_free(150, 4, seed))
         assert set(outcomes) == {"connected", "meet", "split"}
 
     def test_squared_cycles(self, outcomes):
         for n in (*range(7, 30), 64, 101, 150):
-            greedy_reduce(squared_cycle(n), 3)
+            greedy_reduce(squared_cycle(n))
         assert outcomes["connected"] and outcomes["meet"]
 
 
@@ -521,8 +534,17 @@ class TestMetamorphic:
 @st.composite
 def claw_free_parts(draw):
     """A random line graph of maximum degree 2 to 5, the line graph of a C5
-    blow-up, a squared cycle or a cycle."""
-    family = draw(st.sampled_from(("line-graph", "blowup", "squared-cycle", "cycle")))
+    blow-up, a squared cycle, a cycle, a circular-interval graph or the
+    complement of a triangle-free graph."""
+    family = draw(
+        st.sampled_from(
+            ("line-graph", "blowup", "squared-cycle", "cycle", "circular", "co-triangle-free")
+        )
+    )
+    if family == "circular":
+        return circular_interval_graph(draw(st.integers(2, 40)), draw(st.integers(0, 2**16)))
+    if family == "co-triangle-free":
+        return triangle_free_complement(draw(st.integers(0, 16)), draw(st.integers(0, 2**16)))
     if family == "line-graph":
         cap = draw(st.sampled_from((2, 3, 4, 5)))
         return gen_random_claw_free(draw(st.integers(0, 30)), cap, draw(st.integers(0, 2**16)))
@@ -555,6 +577,34 @@ class TestDisjointUnions:
             block = Coloring(colors[start : start + part.n]).compacted()
             assert block == color_square(part)
             start += part.n
+
+
+class TestStructureTheoremFamilies:
+    """Seeded circular-interval graphs and complements of triangle-free
+    graphs, two families of the claw-free structure theorem beyond the
+    corpus, each checked against the brute-force references."""
+
+    @pytest.mark.parametrize(
+        "family, largest",
+        [(circular_interval_graph, 40), (triangle_free_complement, 16)],
+        ids=["circular-interval", "triangle-free-complement"],
+    )
+    def test_draws(self, family, largest):
+        rng = random.Random(23)
+        omegas = set()
+        for _ in range(60):
+            g = family(rng.randint(4, largest), rng.randrange(10**6))
+            assert brute_force_claw_free(g)
+            omega = max_clique(g)[0]
+            coloring = color_square(g)
+            assert brute_is_proper(brute_square(g), coloring.colors)
+            assert coloring.palette_size <= palette_bound(omega)
+            assert all(r.holds for r in run_lemma_suite(g))
+            assert q_rows(g) == [
+                {w: brute_q_value(g, v, w) for w in g.neighbors(v)} for v in range(g.n)
+            ]
+            omegas.add(min(omega, 5))
+        assert {3, 4, 5} <= omegas
 
 
 def color_classes(colors, size):
@@ -805,7 +855,7 @@ class TestBacktrackWithin:
 class TestIcosahedronColoring:
     def test_antipodal_six(self, icosahedron):
         pairing = recognize_icosahedron(icosahedron)
-        coloring = color_icosahedron(icosahedron, pairing)
+        coloring = color_icosahedron(icosahedron)
         assert coloring.palette_size == 6
         for a, b in pairing:
             assert coloring.colors[a] == coloring.colors[b]
@@ -817,37 +867,15 @@ class TestIcosahedronColoring:
         rng.shuffle(perm)
         base = gen_icosahedron()
         g = build_graph(12, [(perm[u], perm[v]) for u, v in base.edges()])
-        pairing = recognize_icosahedron(g)
-        assert pairing is not None
-        coloring = color_icosahedron(g, pairing)
+        coloring = color_icosahedron(g)
         assert coloring.palette_size == 6
         assert verify_coloring(g, coloring)
 
     def test_rejects_non_icosahedron(self, octahedron_graph):
-        with pytest.raises(InvalidPairingError):
-            color_icosahedron(octahedron_graph, [(0, 1), (2, 3), (4, 5)])
-
-    def test_accepts_any_pairing_outside_the_square(self):
-        # The check is only that no pair is adjacent in the square; here the
-        # pairs are at distance 6.
-        g = cycle(12)
-        coloring = color_icosahedron(g, [(v, v + 6) for v in range(6)])
-        assert coloring.palette_size == 6
-        assert verify_coloring(g, coloring)
-
-    def test_rejects_wrong_pairing(self, icosahedron):
-        pairs = [(v, v + 6) for v in range(6)]
-        with pytest.raises(InvalidPairingError):
-            color_icosahedron(icosahedron, pairs)
-
-    def test_rejects_pairs_of_other_sizes(self, icosahedron):
-        # Six tuples that cover the 12 vertices, but not two to a tuple.
-        for pairs in (
-            [(0, 11, 1), (9,), (2, 10), (3, 6), (4, 7), (5, 8)],
-            [(0, 11, 1, 9), (), (2, 10), (3, 6), (4, 7), (5, 8)],
-        ):
+        # Twelve vertices are not enough: the 12-cycle has antipodes too.
+        for g in (octahedron_graph, cycle(12)):
             with pytest.raises(InvalidPairingError):
-                color_icosahedron(icosahedron, pairs)
+                color_icosahedron(g)
 
 
 class TestSmallOmega:
@@ -913,6 +941,15 @@ class TestTrivialGreedy:
 
     def test_edgeless(self):
         assert trivial_greedy_square(build_graph(5, [])).palette_size == 1
+
+    def test_matches_square_graph_reference(self, corpus):
+        rng = random.Random(29)
+        graphs = [entry.graph for entry in corpus[::4]]
+        graphs += [cocktail_party(k) for k in range(2, 9)]
+        graphs += [gen_random_claw_free(rng.randint(5, 60), 5, seed) for seed in range(10)]
+        graphs += [random_graph(rng, rng.randint(0, 30), rng.random()) for _ in range(40)]
+        for g in graphs:
+            assert trivial_greedy_square(g) == brute_trivial_greedy_square(g)
 
 
 class TestVerifyColoring:

@@ -7,8 +7,8 @@ scaling family, and two line graphs of girth-5 roots on about 1600
 vertices that go straight to the base case. ``golden_reports.json`` holds the
 sha256 of the ``as_dict`` list that ``run_lemma_suite`` returns for every
 corpus entry and every stress-family instance (at the graph's clique
-number, at least 2) and for every case of the omega sweep, and the sha256
-of every corpus entry's ``clawsq analyze`` and ``clawsq color`` reports
+number, at least 2) and that its evaluator ``_lemma_reports`` returns for
+every case of the omega sweep, and the sha256 of every corpus entry's ``clawsq analyze`` and ``clawsq color`` reports
 without ``timings`` and with ``input`` cut to the file name. A change that
 alters any of these on purpose regenerates both files with
 ``PYTHONPATH=src:tests python tests/test_golden.py`` and says why.
@@ -28,11 +28,10 @@ from helpers import (
     stress_instances,
 )
 
-from clawsq.analysis import run_lemma_suite
+from clawsq.analysis import _lemma_reports, run_lemma_suite
 from clawsq.cli import main
 from clawsq.coloring import color_square
 from clawsq.corpus import default_corpus, write_corpus
-from clawsq.graph import max_clique
 
 GOLDEN = Path(__file__).with_name("golden_colorings.json")
 GOLDEN_REPORTS = Path(__file__).with_name("golden_reports.json")
@@ -52,17 +51,15 @@ def text_digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def lemma_digest(g, omega):
-    return text_digest(json.dumps([r.as_dict() for r in run_lemma_suite(g, omega)]))
+def lemma_digest(reports):
+    return text_digest(json.dumps([r.as_dict() for r in reports]))
 
 
 def lemma_digests(corpus, stress, sweep):
     return {
-        "corpus": {e.id: lemma_digest(e.graph, max(e.known["omega"], 2)) for e in corpus},
-        "stress": {
-            name: lemma_digest(g, max(max_clique(g)[0], 2)) for name, _, _, g in stress
-        },
-        "sweep": {name: lemma_digest(g, omega) for name, g, omega in sweep},
+        "corpus": {e.id: lemma_digest(run_lemma_suite(e.graph)) for e in corpus},
+        "stress": {name: lemma_digest(run_lemma_suite(g)) for name, _, _, g in stress},
+        "sweep": {name: lemma_digest(_lemma_reports(g, omega)) for name, g, omega in sweep},
     }
 
 

@@ -35,11 +35,9 @@ from clawsq.structure import (
     classify,
     find_reducible_vertex,
     krausz_partition,
-    neighbor_degree_cap,
     neighborhood_shape,
     recognize_icosahedron,
     reduction_case,
-    reduction_threshold,
     root_graph,
 )
 import clawsq.structure as structure
@@ -483,14 +481,7 @@ class TestStressFamily:
         for name, d, _, g in stress_family:
             omega = max_clique(g)[0]
             assert omega == d, name
-            assert (
-                find_reducible_vertex(
-                    g,
-                    reduction_threshold(omega),
-                    neighbor_cap=neighbor_degree_cap(omega),
-                )
-                is None
-            ), name
+            assert find_reducible_vertex(g, omega) is None, name
             outcome = classify(g, omega)
             assert outcome.kind == "line_graph", name
             assert max_degree(outcome.root.f) == d, name
@@ -499,20 +490,20 @@ class TestStressFamily:
 
 class TestFindReducible:
     def test_octahedron(self, octahedron_graph):
-        red = find_reducible_vertex(octahedron_graph, 9, neighbor_cap=11)
+        red = find_reducible_vertex(octahedron_graph, 3)
         assert red.vertex == 0 and red.case == "iii" and red.xstar is None
 
     def test_icosahedron_none(self, icosahedron):
-        assert find_reducible_vertex(icosahedron, 9, neighbor_cap=11) is None
+        assert find_reducible_vertex(icosahedron, 3) is None
 
     def test_line_petersen_none(self, line_petersen):
         # Square degrees are all 12 > 9, so nothing qualifies.
         sq = square(line_petersen)
         assert all(sq.degree(v) == 12 for v in range(15))
-        assert find_reducible_vertex(line_petersen, 9, neighbor_cap=11) is None
+        assert find_reducible_vertex(line_petersen, 3) is None
 
     def test_case_condition_verified_against_full_square(self, octahedron_graph):
-        red = find_reducible_vertex(octahedron_graph, 9, neighbor_cap=11)
+        red = find_reducible_vertex(octahedron_graph, 3)
         sq = square(octahedron_graph)
         assert sq.degree(red.vertex) <= red.kprime
         bad = [
@@ -620,8 +611,7 @@ class TestClassify:
         assert max_clique(rook)[0] == 5
         assert classify(rook, 5).reduction.case == "iii"
         monkeypatch.setattr(structure, "reduction_case", lambda *args: "ii")
-        kprime, cap = reduction_threshold(5), neighbor_degree_cap(5)
-        assert find_reducible_vertex(rook, kprime, neighbor_cap=cap).case == "ii"
+        assert find_reducible_vertex(rook, 5).case == "ii"
         assert classify(rook, 5).kind == "line_graph"
         assert classify(line_k5(), 4).reduction.case == "ii"
 
