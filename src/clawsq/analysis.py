@@ -7,18 +7,23 @@ integers or rationals (`fractions.Fraction`), never floating point, so
 ``holds``, which is ``lhs <= rhs``, is never a tolerance question. One sweep
 over the adjacency rows computes every report: ω and α of N(v) by clique
 searches (α off two covering cliques when they exist), each exterior once
-per directed edge by popcounts, and q once per edge, since it is symmetric
-and Z(v) is where it is positive.
+per directed edge by popcounts, and q at most once per edge, since it is
+symmetric and Z(v) is where it is positive. q is a matching number: a
+greedy matching grown by Edmonds' blossom algorithm, polynomial and
+without recursion, and no search at all on an edge whose cover table entry
+forces 0.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaError
 from .graph import (
+    DISJOINT_COVER,
     NO_COVER,
     Graph,
     bits,
@@ -128,29 +133,113 @@ def z_set(g: Graph, v: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _max_matching_mask(adj, mask, memo):
-    """Maximum matching size in the complement of g's rows ``adj`` on ``mask`` (exhaustive)."""
-    if mask in memo:
-        return memo[mask]
-    best = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        partners = mask & ~adj[i] & ~low
+def _complement_matching(adj, mask: int) -> int:
+    """Matching number of the complement of g[mask], with ``adj`` the rows of g.
+
+    A greedy pass on masks matches each vertex, lowest first, with its
+    lowest free complement neighbor. That matching is maximal, so an
+    augmenting path joins two free vertices that each have a complement
+    neighbor; with fewer than two of them it is maximum. Otherwise
+    :func:`_blossom_matching` grows it to a maximum one.
+    """
+    free = todo = mask
+    pairs = []
+    while todo:
+        low = todo & -todo
+        u = low.bit_length() - 1
+        partners = free & ~adj[u] & ~low
         if partners:
-            without_i = mask ^ low
-            best = _max_matching_mask(adj, without_i, memo)
-            for j in bits(partners):
-                cand = 1 + _max_matching_mask(adj, without_i & ~(1 << j), memo)
-                if cand > best:
-                    best = cand
-            break
-        # isolated vertices never matter; drop and continue
-        mask ^= low
-        rest ^= low
-    memo[mask] = best
-    return best
+            other = partners & -partners
+            free ^= low | other
+            todo &= ~(low | other)
+            pairs.append((u, other.bit_length() - 1))
+        else:
+            todo ^= low
+    hungry = 0
+    for u in bits(free):
+        if mask & ~adj[u] & ~(1 << u):
+            hungry += 1
+            if hungry == 2:
+                return _blossom_matching(adj, mask, pairs)
+    return len(pairs)
+
+
+def _blossom_matching(adj, mask: int, pairs: list[tuple[int, int]]) -> int:
+    """Size of a maximum matching of the complement of g[mask] that grows from ``pairs``.
+
+    Edmonds' blossom algorithm (Edmonds 1965, "Paths, trees, and flowers")
+    on local indices, with an explicit queue: one alternating-tree search
+    from each free vertex, contracting an odd cycle into its base when the
+    search closes one, and augmenting along the path when it reaches
+    another free vertex. A vertex with no augmenting path from it never
+    gets one later, so each is searched once. ``pairs`` is a matching of
+    the complement, in g's labels.
+    """
+    verts = bits(mask)
+    h = len(verts)
+    local = {x: i for i, x in enumerate(verts)}
+    nbrs = [[local[y] for y in bits(mask & ~adj[x] & ~(1 << x))] for x in verts]
+    match = [-1] * h
+    for x, y in pairs:
+        match[local[x]], match[local[y]] = local[y], local[x]
+    size = len(pairs)
+    for root in range(h):
+        if match[root] != -1 or not nbrs[root]:
+            continue
+        parent = [-1] * h  # the odd vertices' tree parents
+        base = list(range(h))  # each vertex's blossom base
+        outer = [False] * h
+        outer[root] = True
+        queue = deque([root])
+        end = -1
+        while queue and end == -1:
+            v = queue.popleft()
+            for to in nbrs[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or match[to] != -1 and parent[match[to]] != -1:
+                    # v and to are both outer, so the edge closes an odd
+                    # cycle, a blossom, whose base is the first base their
+                    # paths to the root share.
+                    on_path = [False] * h
+                    x = v
+                    while True:
+                        x = base[x]
+                        on_path[x] = True
+                        if match[x] == -1:
+                            break
+                        x = parent[match[x]]
+                    top = base[to]
+                    while not on_path[top]:
+                        top = base[parent[match[top]]]
+                    inside = [False] * h
+                    for x, child in ((v, to), (to, v)):
+                        while base[x] != top:
+                            inside[base[x]] = inside[base[match[x]]] = True
+                            parent[x] = child
+                            child = match[x]
+                            x = parent[child]
+                    for i in range(h):
+                        if inside[base[i]]:
+                            base[i] = top
+                            if not outer[i]:
+                                outer[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        end = to
+                        break
+                    outer[match[to]] = True
+                    queue.append(match[to])
+        while end != -1:
+            v = parent[end]
+            after = match[v]
+            match[end], match[v] = v, end
+            end = after
+        if match[root] != -1:
+            size += 1
+    return size
 
 
 def q_value(g: Graph, v: int, w: int) -> int:
@@ -158,26 +247,38 @@ def q_value(g: Graph, v: int, w: int) -> int:
 
     That neighborhood is N(v) ∩ N(w), so q depends on the edge alone and
     q(v, w) = q(w, v); it is positive iff N(v) ∩ N(w) is not a clique, so
-    ``z_set(g, v)`` = {w : q(v, w) >= 1}. The search is exhaustive, with
-    memoization on vertex masks, and reads the complement of the common
-    neighborhood straight off g's rows. The Ramsey bound keeps it small on
-    claw-free graphs of fixed clique number only: ``K2 ∨ (K_t + K_t)`` is
-    claw-free and takes about a minute at t = 18 (ROADMAP item 2).
+    ``z_set(g, v)`` = {w : q(v, w) >= 1}. :func:`_complement_matching`
+    reads the complement straight off g's rows, in polynomial time and
+    without recursion.
     """
     if not g.has_edge(v, w):
         raise NotNeighborError(f"{w} is not a neighbor of {v}")
     adj = g._adj
-    return _max_matching_mask(adj, adj[v] & adj[w], {})
+    return _complement_matching(adj, adj[v] & adj[w])
 
 
 def q_rows(g: Graph) -> list[dict[int, int]]:
     """``rows[v][w] = q_value(g, v, w)`` for every edge, each row in increasing w.
 
-    q is symmetric, so each edge's value is computed once and put in both rows.
+    q is symmetric, so each edge's value is computed once and put in both
+    rows. An edge with an endpoint whose neighborhood g's
+    :func:`neighborhood_covers` table marks DISJOINT_COVER gets 0 without a
+    search: that N(v) is two cliques with no edge between them, so
+    N(v) ∩ N(w) lies inside the one that holds w, and its complement has
+    no edge.
     """
+    adj = g._adj
+    kinds = neighborhood_covers(g)
     rows = [{} for _ in range(g.n)]
-    for v, w in g.edges():
-        rows[v][w] = rows[w][v] = q_value(g, v, w)
+    for v, nv in enumerate(adj):
+        row = rows[v]
+        split = kinds[v] == DISJOINT_COVER
+        for w in bits(nv >> v + 1 << v + 1):
+            if split or kinds[w] == DISJOINT_COVER:
+                q = 0
+            else:
+                q = _complement_matching(adj, nv & adj[w])
+            row[w] = rows[w][v] = q
     return rows
 
 

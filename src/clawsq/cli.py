@@ -56,9 +56,18 @@ from .errors import (
     NotClawFreeError,
     UnclassifiableGraphError,
 )
-from .graph import Graph, connected_components, induced_subgraph, max_clique, square, square_row
+from .graph import (
+    DISJOINT_COVER,
+    Graph,
+    connected_components,
+    induced_subgraph,
+    max_clique,
+    neighborhood_covers,
+    square,
+    square_row,
+)
 from .oracle import exact_chromatic
-from .structure import classify, neighborhood_shape
+from .structure import _shape_masks, classify
 
 SCHEMA = "clawsq/2"
 
@@ -121,14 +130,18 @@ def cmd_analyze(args) -> int:
         "z_sets": None,
         "q_values": None,
         "classification": None,
+        # neighborhood_shape(g, v).ambiguous, without building the parts:
+        # the claw check has built the cover table, and a disjoint cover
+        # has a unique split.
         "ambiguous_neighborhoods": [
-            v for v in range(g.n) if neighborhood_shape(g, v).ambiguous
+            v
+            for v, (row, kind) in enumerate(zip(g._adj, neighborhood_covers(g)))
+            if kind != DISJOINT_COVER and _shape_masks(g._adj, row, kind) is True
         ],
     }
-    # q_value is an exhaustive matching search. On a claw it can take
-    # exponential time, so q and Z stay null there, as classification does.
-    # Claw-freeness alone does not keep it small either: the Ramsey bound
-    # caps a neighborhood only for fixed omega (ROADMAP item 2).
+    # q and Z stay null on a claw, as classification does (schema clawsq/2);
+    # q_rows reads the same cover table and searches only the edges it
+    # leaves open, each in polynomial time.
     if witness is None:
         qs = q_rows(g)
         report["z_sets"] = {v: [w for w, q in row.items() if q] for v, row in enumerate(qs)}

@@ -575,10 +575,14 @@ def _color_base_components(cur: Graph, tri: int, k4: int, node_limit: int) -> li
     The components without a triangle in ``tri`` (paths, cycles, edges and
     single vertices) are colored together by one :func:`color_small_omega`
     call on the subgraph their union induces; that subgraph keeps their
-    vertex order, so each is colored as it would be alone. Each other
-    component is classified, at clique number 4 if it meets ``k4`` and 3
-    if not, and colored on its own. :func:`_peel` returns the two masks.
+    vertex order, so each is colored as it would be alone. With no triangle
+    at all, that subgraph is ``cur`` itself, which is colored directly.
+    Each other component is classified, at clique number 4 if it meets
+    ``k4`` and 3 if not, and colored on its own. :func:`_peel` returns the
+    two masks.
     """
+    if not tri:
+        return list(color_small_omega(cur).colors)
     colors = [UNCOLORED] * cur.n
     small = []
     for comp in connected_components(cur):

@@ -5,17 +5,17 @@ assignment enumeration, all-pairs scans) and deliberately shares no code
 path with the library routines it validates. Where the library replaced a
 simple routine with a faster one, the simple one lives on here unchanged.
 Also here: the girth-5 base-case stress family, the peeling scaling
-family, seeded circular-interval graphs and complements of triangle-free
-graphs, the omega sweep of the lemma suite, relabelings and disjoint
-unions, the coloring digest the golden file uses, a call recorder for the
-tests that pin how often a fact is checked, and a deliberately broken
-recoloring step.
+family, seeded circular-interval graphs, complements of triangle-free
+graphs and ``K2 ∨ (K_s + K_t)``, the omega sweep of the lemma suite,
+relabelings and disjoint unions, the coloring digest the golden file
+uses, a call recorder for the tests that pin how often a fact is
+checked, and a deliberately broken recoloring step.
 """
 
 import hashlib
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -437,7 +437,7 @@ def circular_interval_graph(n, seed):
 
 
 def triangle_free_complement(n, seed):
-    """The complement of a seeded triangle-free graph on ``n`` vertices, for n <= 16.
+    """The complement of a seeded triangle-free graph on ``n`` vertices, for n <= 20.
 
     The pairs are offered in random order, each kept with one probability
     drawn per graph unless it closes a triangle. The complement of a
@@ -455,6 +455,25 @@ def triangle_free_complement(n, seed):
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if not rows[u] >> v & 1])
+
+
+def k2_join_cliques(s, t, seed=None):
+    """``K2 ∨ (K_s + K_t)``: two adjacent vertices joined to two disjoint cliques.
+
+    Without a seed the K2 is {0, 1}, K_s is 2..s+1 and K_t the rest;
+    with one, the labels are shuffled by it. N(x) for x in the K2 is the
+    other end plus K_s + K_t, so it holds no independent triple, and every
+    other neighborhood is a clique: the graph is claw-free, with clique
+    number 2 + max(s, t), and q over the K2 is min(s, t).
+    """
+    n = s + t + 2
+    label = list(range(n))
+    if seed is not None:
+        random.Random(seed).shuffle(label)
+    cliques = (range(2, s + 2), range(s + 2, n))
+    edges = [(0, 1)] + [(x, y) for x in (0, 1) for y in range(2, n)]
+    edges += [pair for clique in cliques for pair in combinations(clique, 2)]
+    return build_graph(n, [(label[x], label[y]) for x, y in edges])
 
 
 def lemma_sweep_instances():
@@ -600,8 +619,9 @@ def brute_is_proper(g, colors):
 def brute_max_matching(adj_masks, mask, memo):
     """Maximum matching size in the graph ``adj_masks`` restricted to ``mask``.
 
-    The library's search before it read complement rows off g: exhaustive,
-    memoized on vertex masks, over the rows it is given.
+    The library's search before its greedy-and-blossom matching:
+    exhaustive, memoized on vertex masks, over the rows it is given, and
+    exponential, so only for small inputs.
     """
     if mask in memo:
         return memo[mask]
@@ -630,9 +650,9 @@ def brute_max_matching(adj_masks, mask, memo):
 def brute_q_value(g: Graph, v: int, w: int) -> int:
     """Matching number of the complement of w's neighborhood inside N(v).
 
-    Neighborhoods are Ramsey-bounded, so an exhaustive matching search
-    (with memoization on vertex masks) beats carrying a blossom
-    implementation around.
+    The reference for the library's blossom matching: the induced subgraph
+    on N(v) ∩ N(w), its complement by pair scans, and the exhaustive
+    :func:`brute_max_matching` on it.
     """
     if not g.has_edge(v, w):
         raise NotNeighborError(f"{w} is not a neighbor of {v}")
@@ -839,6 +859,37 @@ def record_calls(monkeypatch, owner, name, log=None):
             if value is original:
                 monkeypatch.setattr(module, attr, recorded)
     return calls
+
+
+def brute_two_disjoint_cliques(g, v):
+    """Whether N(v) induces the disjoint union of at most two cliques, by pair scans."""
+    classes = []
+    for x in g.neighbors(v):
+        home = [c for c in classes if g.has_edge(x, c[0])]
+        if home:
+            home[0].append(x)
+        else:
+            classes.append([x])
+    return len(classes) <= 2 and all(
+        g.has_edge(x, y) == (cx is cy)
+        for cx in classes
+        for cy in classes
+        for x in cx
+        for y in cy
+        if x != y
+    )
+
+
+def open_edge_masks(g):
+    """Counter of N(v) ∩ N(w) over the edges vw where neither N(v) nor N(w)
+    is two cliques with no edge between them.
+
+    Only these edges need a matching search for q: at such an end, the
+    common neighborhood lies inside one clique, so q = 0.
+    """
+    split = [brute_two_disjoint_cliques(g, v) for v in range(g.n)]
+    adj = g._adj
+    return Counter(adj[v] & adj[w] for v, w in g.edges() if not split[v] and not split[w])
 
 
 def one_color_matching(match):

@@ -1,8 +1,12 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawsq import analysis, graph
 from clawsq.analysis import (
@@ -28,10 +32,12 @@ from clawsq.oracle import brute_force_claw_free
 from helpers import (
     brute_degree_reports,
     brute_exterior_reports,
+    brute_max_matching,
     brute_q_value,
     brute_second_neighborhood_reports,
     has_claw_triples,
     lemma_sweep_instances,
+    open_edge_masks,
     random_graph,
     record_calls,
     relabel,
@@ -243,6 +249,45 @@ class TestQValue:
             for v, w in g.edges():
                 assert q_value(g, v, w) == brute_q_value(g, v, w), (g, v, w)
 
+    def test_no_recursion_limit(self):
+        # K_{1100 x 2}: N(0) ∩ N(2) is K_{1098 x 2}, whose complement is a
+        # perfect matching on more vertices than the recursion limit.
+        g = cocktail_party(1100)
+        assert sys.getrecursionlimit() < g.n
+        assert q_value(g, 0, 2) == 1098
+
+
+class TestComplementMatching:
+    def test_matches_brute_force(self, monkeypatch):
+        # The blossom step must run and grow the greedy matching at least
+        # once across the draws, or the comparison would test greedy alone.
+        # Each draw seeds the graph, its density and the mask, which keeps
+        # them spread out; about one draw in fifteen gains.
+        gains = []
+        blossom = analysis._blossom_matching
+
+        def recorded(adj, mask, pairs):
+            size = blossom(adj, mask, pairs)
+            gains.append(size - len(pairs))
+            return size
+
+        monkeypatch.setattr(analysis, "_blossom_matching", recorded)
+
+        @given(st.integers(1, 20), st.integers(0, 2**32))
+        @settings(deadline=None, max_examples=150)
+        def agrees(n, seed):
+            rng = random.Random(seed)
+            g = random_graph(rng, n, rng.random())
+            mask = rng.getrandbits(n)
+            full = (1 << n) - 1
+            complement = [full & ~row & ~(1 << u) for u, row in enumerate(g._adj)]
+            assert analysis._complement_matching(g._adj, mask) == brute_max_matching(
+                complement, mask, {}
+            )
+
+        agrees()
+        assert max(gains, default=0) > 0
+
 
 class TestSecondNeighborhoodBounds:
     def test_icosahedron_is_tight(self, icosahedron):
@@ -392,10 +437,15 @@ class TestReportsMatchReference:
 
 class TestLemmaSuiteCalls:
     def test_no_subgraphs_and_one_q_value_per_edge(self, monkeypatch, corpus):
+        # At most one matching search per edge, and none on an edge with an
+        # end whose neighborhood is two cliques with no edge between them.
         subgraphs = record_calls(monkeypatch, graph, "induced_subgraph")
-        qs = record_calls(monkeypatch, analysis, "q_value")
+        searches = record_calls(monkeypatch, analysis, "_complement_matching")
         for g in [entry.graph for entry in corpus[::25]] + [cocktail_party(6)]:
-            qs.clear()
+            searches.clear()
             run_lemma_suite(g)
-            assert sorted(tuple(sorted(args[1:])) for args in qs) == sorted(g.edges())
+            assert Counter(mask for _, mask in searches) <= open_edge_masks(g)
+        # no neighborhood of K_{6 x 2}, the last graph, has a cover, so
+        # every one of its edges is searched
+        assert len(searches) == g.edge_count
         assert subgraphs == []

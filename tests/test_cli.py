@@ -4,10 +4,19 @@ import random
 import shlex
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from helpers import disjoint_union, one_color_matching, random_graph, record_calls
+from helpers import (
+    disjoint_union,
+    k2_join_cliques,
+    one_color_matching,
+    open_edge_masks,
+    random_graph,
+    record_calls,
+)
 
 from clawsq import analysis, cli, coloring, graph, structure
 from clawsq.cli import main
@@ -114,23 +123,37 @@ class TestAnalyze:
         assert len(calls) == 5
 
     def test_one_q_value_per_edge(self, tmp_path, capsys, monkeypatch):
-        # q is symmetric, so analyze computes it once per edge and mirrors it.
+        # q is symmetric, so analyze searches each edge at most once and
+        # mirrors the value; an edge with an end whose neighborhood is two
+        # cliques with no edge between them needs no search at all.
         g = disjoint_union([gen_icosahedron(), gen_random_claw_free(40, 4, 5), cycle(7)])
         target = write_graph(tmp_path, "union.col", g)
-        calls = record_calls(monkeypatch, analysis, "q_value")
+        calls = record_calls(monkeypatch, analysis, "_complement_matching")
         code, out, _ = run_cli(capsys, "analyze", target)
         assert code == 0
-        assert sorted(tuple(sorted(args[1:])) for args in calls) == sorted(g.edges())
+        assert Counter(mask for _, mask in calls) <= open_edge_masks(g)
+        assert len(calls) >= 30  # every icosahedron edge
         q = json.loads(out)["q_values"]
         assert all(q[v][w] == q[w][v] for v in q for w in q[v])
         assert sum(len(row) for row in q.values()) == 2 * g.edge_count
 
+    def test_k2_join_two_large_cliques(self, tmp_path, capsys):
+        # q(0, 1) is the matching number of K_{18,18}, the complement of
+        # K_18 + K_18, too large for a search over vertex subsets to finish
+        # within the bound.
+        target = write_graph(tmp_path, "join.col", k2_join_cliques(18, 18))
+        started = time.perf_counter()
+        code, out, _ = run_cli(capsys, "analyze", target)
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        assert json.loads(out)["q_values"]["0"]["1"] == 18
+
     def test_no_q_values_on_a_claw(self, tmp_path, capsys, monkeypatch):
-        # q_value is an exhaustive matching search, bounded only on claw-free
-        # neighborhoods; on G(n, 1/2) its cost grows exponentially with n.
+        # q and Z are defined for claw-free graphs only (schema clawsq/2),
+        # so a claw leaves them null without a single matching search.
         g = random_graph(random.Random(1), 40, 0.5)
         target = write_graph(tmp_path, "dense.col", g)
-        calls = record_calls(monkeypatch, analysis, "q_value")
+        calls = record_calls(monkeypatch, analysis, "_complement_matching")
         code, out, _ = run_cli(capsys, "analyze", target)
         assert code == 0
         report = json.loads(out)

@@ -83,6 +83,7 @@ from helpers import (
     brute_trivial_greedy_square,
     circular_interval_graph,
     disjoint_union,
+    k2_join_cliques,
     random_graph,
     record_calls,
     regular_root_girth5,
@@ -245,6 +246,22 @@ class TestOneNeighborhoodPass:
         assert color_square(g) == first
         assert len(covers) == 2 * g.n
         assert g._covers is None and g._cliques is None
+
+
+class TestTriangleFreeBase:
+    def test_remainder_colored_without_a_subgraph(self, monkeypatch):
+        # With no triangle left, the base remainder goes to color_small_omega
+        # as it is: one component split each in color_square, _peel and
+        # color_small_omega, and one subgraph, color_square's.
+        calls = {
+            name: record_calls(monkeypatch, graph, name)
+            for name in ("connected_components", "induced_subgraph")
+        }
+        assert color_square(cycle(7)).colors == (0, 1, 2, 0, 1, 2, 3)
+        assert {name: len(log) for name, log in calls.items()} == {
+            "connected_components": 3,
+            "induced_subgraph": 1,
+        }
 
 
 class TestOneVerification:
@@ -534,13 +551,24 @@ class TestMetamorphic:
 @st.composite
 def claw_free_parts(draw):
     """A random line graph of maximum degree 2 to 5, the line graph of a C5
-    blow-up, a squared cycle, a cycle, a circular-interval graph or the
-    complement of a triangle-free graph."""
+    blow-up, a squared cycle, a cycle, a circular-interval graph, the
+    complement of a triangle-free graph or K2 ∨ (K_s + K_t)."""
     family = draw(
         st.sampled_from(
-            ("line-graph", "blowup", "squared-cycle", "cycle", "circular", "co-triangle-free")
+            (
+                "line-graph",
+                "blowup",
+                "squared-cycle",
+                "cycle",
+                "circular",
+                "co-triangle-free",
+                "k2-join",
+            )
         )
     )
+    if family == "k2-join":
+        sizes = draw(st.lists(st.integers(0, 10), min_size=2, max_size=2))
+        return k2_join_cliques(*sizes, draw(st.integers(0, 2**16)))
     if family == "circular":
         return circular_interval_graph(draw(st.integers(2, 40)), draw(st.integers(0, 2**16)))
     if family == "co-triangle-free":
@@ -580,20 +608,27 @@ class TestDisjointUnions:
 
 
 class TestStructureTheoremFamilies:
-    """Seeded circular-interval graphs and complements of triangle-free
-    graphs, two families of the claw-free structure theorem beyond the
-    corpus, each checked against the brute-force references."""
+    """Seeded circular-interval graphs, complements of triangle-free graphs
+    and K2 ∨ (K_s + K_t), families of the claw-free structure theorem
+    beyond the corpus, each checked against the brute-force references."""
 
     @pytest.mark.parametrize(
-        "family, largest",
-        [(circular_interval_graph, 40), (triangle_free_complement, 16)],
-        ids=["circular-interval", "triangle-free-complement"],
+        "draw",
+        [
+            lambda rng: circular_interval_graph(rng.randint(4, 40), rng.randrange(10**6)),
+            lambda rng: triangle_free_complement(rng.randint(4, 20), rng.randrange(10**6)),
+            # s, t <= 10 keeps the brute-force q searches small
+            lambda rng: k2_join_cliques(
+                rng.randint(0, 10), rng.randint(0, 10), rng.randrange(10**6)
+            ),
+        ],
+        ids=["circular-interval", "triangle-free-complement", "k2-join-two-cliques"],
     )
-    def test_draws(self, family, largest):
+    def test_draws(self, draw):
         rng = random.Random(23)
         omegas = set()
         for _ in range(60):
-            g = family(rng.randint(4, largest), rng.randrange(10**6))
+            g = draw(rng)
             assert brute_force_claw_free(g)
             omega = max_clique(g)[0]
             coloring = color_square(g)
