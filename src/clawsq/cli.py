@@ -107,7 +107,7 @@ def _classification_dict(sub: Graph, old: tuple[int, ...], omega: int) -> dict:
         info["antipodal_pairs"] = [[old[a], old[b]] for a, b in outcome.antipodal_pairs]
     if outcome.root is not None:
         info["root_n"] = outcome.root.f.n
-        info["root_edges"] = sorted(outcome.root.f.edges())
+        info["root_edges"] = list(outcome.root.f.edges())
         info["vertex_to_root_edge"] = dict(zip(old, outcome.root.edge_of_vertex))
     return info
 
@@ -228,6 +228,8 @@ def _verify_manifest_row(base: Path, row: dict) -> dict:
         out["claw"] = witness.as_dict()
         out["mismatches"] = mismatches
         return out
+    if "claw_free" in known and not known["claw_free"]:
+        mismatches.append("claw_free recorded false, no claw found")
     out["omega"] = omega
     out["reports_failed"] = [rep.as_dict() for rep in reports if not rep.holds]
     out["mismatches"] = mismatches
@@ -433,9 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_at_least(1),
         default=DEFAULT_NODE_LIMIT,
         help=(
-            "node budget of each exact search; the strong edge coloring's one "
-            "saturation search counts every node, its greedy first descent "
-            "included (default %(default)s)"
+            "node budget of the strong edge coloring's one saturation search, "
+            "which counts every node, its greedy first descent included, and "
+            "of --oracle's search; the clique searches run without a budget "
+            "(default %(default)s)"
         ),
     )
     p.set_defaults(func=cmd_color)

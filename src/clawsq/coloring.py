@@ -192,7 +192,7 @@ def edge_conflict_graph(f: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     at a neighbor of u and those at a neighbor of v, each built once per
     vertex of f from per-vertex incidence masks.
     """
-    edges = tuple(sorted(f.edges()))
+    edges = tuple(f.edges())
     incident = [0] * f.n
     for i, (u, v) in enumerate(edges):
         incident[u] |= 1 << i
@@ -655,9 +655,9 @@ def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
     The call works on a header of its own, ``Graph(g._adj)``, so the
     neighborhood tables (:func:`neighborhood_covers`, one cover check per
     vertex, and :func:`neighborhood_cliques`) end with the call and g
-    never holds them. The claw check checks each cover once, every later
-    step reads the result, and each component's subgraph takes it over
-    (:func:`induced_subgraph`). A component's clique number is one more
+    never holds them. The claw check checks each cover once and every later
+    step on the whole graph reads the result; a component that is a proper
+    subgraph builds its own tables. A component's clique number is one more
     than its largest capped neighborhood value, and only a component where
     that reaches 5 runs the exact :func:`max_clique`.
     """

@@ -19,7 +19,6 @@ from .errors import (
     DuplicateEdgeError,
     GenerationExhaustedError,
     InvalidSpecError,
-    SelfLoopError,
 )
 from .graph import Graph, build_graph, max_clique
 from .oracle import brute_force_claw_free, line_graph_of
@@ -265,6 +264,8 @@ def parse_dimacs(text: str) -> Graph:
             u, v = int(fields[1]), int(fields[2])
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DimacsError(f"endpoint outside 1..{n}", line=lineno)
+            if u == v:
+                raise DimacsError(f"self-loop at vertex {u}", line=lineno)
             edges.append((u - 1, v - 1))
         else:
             raise DimacsError(f"unknown directive {fields[0]!r}", line=lineno)
@@ -272,18 +273,31 @@ def parse_dimacs(text: str) -> Graph:
         raise DimacsError("missing problem line")
     try:
         g = build_graph(n, edges)
-    except (SelfLoopError, DuplicateEdgeError) as exc:
-        raise DimacsError(f"in DIMACS input: {exc}") from exc
+    except DuplicateEdgeError as exc:
+        lineno, u, v = _first_duplicate_edge(text)
+        raise DimacsError(f"duplicate edge ({u}, {v})", line=lineno) from exc
     if g.edge_count != m:
         raise DimacsError(f"problem line promises {m} edges, found {g.edge_count}")
     return g
+
+
+def _first_duplicate_edge(text: str) -> tuple[int, int, int]:
+    """Line number and 1-based endpoints of the first edge line that repeats an edge."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields[:1] == ["e"]:
+            u, v = int(fields[1]), int(fields[2])
+            if frozenset((u, v)) in seen:
+                return lineno, u, v
+            seen.add(frozenset((u, v)))
 
 
 def write_dimacs(g: Graph, comments: tuple[str, ...] = ()) -> str:
     """Serialize normalized DIMACS: sorted 1-based edges, LF endings."""
     lines = [f"c {c}" for c in comments]
     lines.append(f"p edge {g.n} {g.edge_count}")
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
 

@@ -4,9 +4,10 @@ Vertices are dense 0-based indices; external formats are 1-based and get
 translated at the I/O boundary. Adjacency rows are Python ints used as
 bitsets, so graphs of any order work without a separate fallback
 representation. Vertex sets travel as plain frozensets. Each neighborhood
-is read once for the claw check, the clique numbers and the Krausz step:
-:func:`neighborhood_covers` and :func:`neighborhood_cliques` keep what
-that read found, one small value per vertex.
+of a graph is read once for the claw check, the clique numbers and the
+Krausz step: :func:`neighborhood_covers` and :func:`neighborhood_cliques`
+keep what that read found, one small value per vertex, and are the only
+code that reads or writes those tables.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ def reach(rows, mask: int) -> int:
 def split_at_lowest(rows, mask: int) -> tuple[int, int]:
     """``(A, B)`` with A = N[a] ∩ mask for the lowest vertex a of ``mask`` and B the rest.
 
-    ``(0, 0)`` for an empty mask. When A and B are cliques this is the
-    mask's :func:`two_clique_cover`, rebuilt without checking them.
+    ``(0, 0)`` for an empty mask. When A and B are cliques they cover the
+    mask, B is empty iff the mask is a clique, and edges between A and B
+    may remain; :func:`cover_kind` checks which.
     """
     if not mask:
         return 0, 0
@@ -56,40 +58,27 @@ def split_at_lowest(rows, mask: int) -> tuple[int, int]:
     return side_a, mask ^ side_a
 
 
-def two_clique_cover(rows, mask: int) -> tuple[int, int] | None:
-    """Cover of ``mask`` by two cliques of ``rows``, read off its lowest vertex a.
-
-    ``(A, B)`` with A = N[a] ∩ mask and B the rest when both are cliques,
-    else None; ``(0, 0)`` for an empty mask. Edges between A and B may
-    remain, and B is empty iff the mask is a clique.
-    """
-    cover = split_at_lowest(rows, mask)
-    for side in cover:
-        size = side.bit_count() - 1
-        for u in bits(side):
-            if (rows[u] & side).bit_count() != size:
-                return None
-    return cover
-
-
 # What :func:`cover_kind` says of a mask's two-clique cover.
 NO_COVER, JOINED_COVER, DISJOINT_COVER = 0, 1, 2
 
 
 def cover_kind(rows, mask: int) -> int:
-    """How :func:`two_clique_cover` covers ``mask``.
+    """Whether the two sides :func:`split_at_lowest` gives ``mask`` cover it as cliques of ``rows``.
 
-    NO_COVER when it does not; JOINED_COVER when an edge joins its two
-    cliques; DISJOINT_COVER when none does, so that the mask induces their
-    disjoint union (an empty or one-clique mask included). A mask of at
-    most two vertices is always the latter, and is not checked.
+    NO_COVER when a side is not a clique; JOINED_COVER when both are and
+    an edge joins them; DISJOINT_COVER when none does, so that the mask
+    induces their disjoint union (an empty or one-clique mask included). A
+    mask of at most two vertices is always the latter, and is not checked.
     """
     if mask.bit_count() < 3:
         return DISJOINT_COVER
-    cover = two_clique_cover(rows, mask)
-    if cover is None:
-        return NO_COVER
-    return JOINED_COVER if reach(rows, cover[1]) & cover[0] else DISJOINT_COVER
+    side_a, side_b = split_at_lowest(rows, mask)
+    for side in (side_a, side_b):
+        size = side.bit_count() - 1
+        for u in bits(side):
+            if (rows[u] & side).bit_count() != size:
+                return NO_COVER
+    return JOINED_COVER if reach(rows, side_b) & side_a else DISJOINT_COVER
 
 
 def holds_clique(rows, mask: int, size: int) -> bool:
@@ -108,10 +97,10 @@ class Graph:
     A graph is its adjacency rows; ``n`` and ``edge_count`` derive from
     them. Use :func:`build_graph` to construct one with validation; the raw
     constructor trusts its rows to be symmetric and loop-free. Two per-vertex
-    tables derived from the rows, :func:`neighborhood_covers` and
-    :func:`neighborhood_cliques`, are filled on first use and kept with the
-    graph; ``Graph(g._adj)`` is a header that shares g's rows but not its
-    tables.
+    tables derived from the rows are built on first use by
+    :func:`neighborhood_covers` and :func:`neighborhood_cliques`, and kept
+    with the graph. Every new graph starts without them, so
+    ``Graph(g._adj)`` is a header that shares g's rows but not its tables.
     """
 
     __slots__ = ("n", "_adj", "_covers", "_cliques")
@@ -147,7 +136,7 @@ class Graph:
         return bool(self._adj[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges as ordered pairs ``(u, v)`` with ``u < v``."""
+        """Yield edges as pairs ``(u, v)`` with ``u < v``, in lexicographic order."""
         for u in range(self.n):
             high = self._adj[u] >> (u + 1) << (u + 1)
             for v in bits(high):
@@ -238,9 +227,8 @@ def square(g: Graph) -> Graph:
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced by ``vertices`` plus the new-to-old index map; g itself for all of them.
 
-    When ``vertices`` holds every neighbor of its members, a union of
-    components, each neighborhood is g's own in the same order, so the
-    subgraph takes over the neighborhood tables g has built.
+    A proper subgraph is a new graph, which builds its own neighborhood
+    tables on first use.
     """
     old = sorted(set(vertices))
     for v in old:
@@ -249,21 +237,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         return g, tuple(old)
     position = {v: i for i, v in enumerate(old)}
     rows = []
-    closed = True
     for v in old:
         row = 0
         for u in bits(g._adj[v]):
             if u in position:
                 row |= 1 << position[u]
-            else:
-                closed = False
         rows.append(row)
-    sub = Graph(tuple(rows))
-    if closed and g._covers is not None:
-        sub._covers = bytes(g._covers[v] for v in old)
-    if closed and g._cliques is not None:
-        sub._cliques = tuple(g._cliques[v] for v in old)
-    return sub, tuple(old)
+    return Graph(tuple(rows)), tuple(old)
 
 
 # The engine's peel loop calls delete_vertex once per peeled vertex, and

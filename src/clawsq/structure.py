@@ -99,14 +99,11 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     ``parts`` holds the two cliques :func:`_shape_masks` finds, as
     frozensets of g's labels with the smaller part first. Without a unique
     split it is None, with ``ambiguous`` set when several splits tie for
-    the fewest edges between the parts. The kind of N(v)'s cover comes from
-    g's :func:`neighborhood_covers` table when the claw check has built it;
-    otherwise only N(v)'s own cover is checked.
+    the fewest edges between the parts. Only N(v)'s own cover is checked.
     """
     adj = g._adj
     nbrs = g.adjacency_mask(v)
-    kind = cover_kind(adj, nbrs) if g._covers is None else g._covers[v]
-    found = _shape_masks(adj, nbrs, kind)
+    found = _shape_masks(adj, nbrs, cover_kind(adj, nbrs))
     if isinstance(found, bool):
         return NeighborhoodShape(None, ambiguous=found)
     return _split(*found)

@@ -26,7 +26,7 @@ from clawsq.corpus import (
     gen_random_claw_free,
 )
 from clawsq.errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaError
-from clawsq.graph import build_graph, max_clique, two_clique_cover
+from clawsq.graph import NO_COVER, build_graph, cover_kind, max_clique
 from clawsq.oracle import brute_force_claw_free
 
 from helpers import (
@@ -101,7 +101,7 @@ class TestFindClaw:
             if first is not None:
                 found += 1
                 skipped += any(
-                    g.degree(v) >= 3 and two_clique_cover(g._adj, g._adj[v]) is not None
+                    g.degree(v) >= 3 and cover_kind(g._adj, g._adj[v]) != NO_COVER
                     for v in range(first.center)
                 )
         assert found >= 100 and skipped >= 40

@@ -23,6 +23,7 @@ from clawsq.cli import main
 from clawsq.corpus import (
     claw,
     cocktail_party,
+    complete,
     cycle,
     default_corpus,
     gen_icosahedron,
@@ -402,6 +403,23 @@ class TestVerifyLemmas:
         code, out, _ = run_cli(capsys, "verify-lemmas", str(small_manifest))
         assert code == 2
         assert json.loads(out)["claw_found"] is True
+
+    @pytest.mark.parametrize(
+        "known, mismatch",
+        [
+            ({"claw_free": False}, "claw_free recorded false, no claw found"),
+            ({"omega": 3}, "omega recorded 3, computed 2"),
+        ],
+    )
+    def test_recorded_value_mismatch_exits_three(self, tmp_path, capsys, known, mismatch):
+        (tmp_path / "k2.col").write_text(write_dimacs(complete(2)))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"file": "k2.col", "known": known}]))
+        code, out, _ = run_cli(capsys, "verify-lemmas", str(manifest))
+        assert code == 3
+        report = json.loads(out)
+        assert report["claw_found"] is False
+        assert [p["mismatches"] for p in report["problems"]] == [[mismatch]]
 
     def test_empty_manifest_warns(self, tmp_path, capsys):
         manifest = tmp_path / "empty.json"

@@ -222,26 +222,28 @@ class TestOneNeighborhoodPass:
     def test_one_cover_per_vertex_and_no_clique_search(self, monkeypatch, stress_family):
         g = Graph(stress_family[0][3]._adj)
         assert len(connected_components(g)) == 1
-        covers = record_calls(monkeypatch, graph, "two_clique_cover")
+        covers = record_calls(monkeypatch, graph, "cover_kind")
         cliques = record_calls(monkeypatch, graph, "max_clique")
         peels = record_calls(monkeypatch, graph, "delete_vertex")
         color_square(g)
         assert peels == [] and cliques == []
         assert len(covers) == g.n
 
-    def test_components_take_over_the_covers(self, monkeypatch, stress_family):
+    def test_components_build_their_own_covers(self, monkeypatch, stress_family):
         parts = [stress_family[0][3], stress_family[2][3], cycle(7)]
         g = disjoint_union(parts, random.Random(5))
-        covers = record_calls(monkeypatch, graph, "two_clique_cover")
+        covers = record_calls(monkeypatch, graph, "cover_kind")
         cliques = record_calls(monkeypatch, graph, "max_clique")
         color_square(g)
         assert cliques == []
-        # A neighborhood of at most two vertices needs no check.
-        assert len(covers) == sum(g.degree(v) >= 3 for v in range(g.n)) == g.n - 7
+        # The claw check covers each vertex once, and its component's own
+        # table once more.
+        sizes = sorted(mask.bit_count() for _, mask in covers)
+        assert sizes == sorted(2 * [g.degree(v) for v in range(g.n)])
 
     def test_no_table_outlives_a_call(self, monkeypatch, stress_family):
         g = Graph(stress_family[2][3]._adj)
-        covers = record_calls(monkeypatch, graph, "two_clique_cover")
+        covers = record_calls(monkeypatch, graph, "cover_kind")
         first = color_square(g)
         assert color_square(g) == first
         assert len(covers) == 2 * g.n

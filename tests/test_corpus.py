@@ -170,12 +170,20 @@ class TestDimacs:
         assert err.value.line == 2
 
     def test_duplicate_edge(self):
-        with pytest.raises(DimacsError):
+        with pytest.raises(DimacsError) as err:
             parse_dimacs("p edge 3 2\ne 1 2\ne 2 1\n")
+        assert err.value.line == 3
+        assert str(err.value) == "line 3: duplicate edge (2, 1)"
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs("c x\np edge 4 3\ne 1 2\n\ne 3 4\ne 04 3\n")
+        assert err.value.line == 6
+        assert str(err.value) == "line 6: duplicate edge (4, 3)"
 
     def test_self_loop(self):
-        with pytest.raises(DimacsError):
+        with pytest.raises(DimacsError) as err:
             parse_dimacs("p edge 3 1\ne 2 2\n")
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: self-loop at vertex 2"
 
     def test_vertex_count_above_maxsize(self):
         # build_graph's [0] * n would raise OverflowError past sys.maxsize

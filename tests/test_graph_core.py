@@ -34,7 +34,6 @@ from clawsq.graph import (
     neighborhood_covers,
     split_at_lowest,
     square,
-    two_clique_cover,
 )
 
 from helpers import (
@@ -72,6 +71,14 @@ class TestBuildGraph:
         g = build_graph(3, [])
         assert g.edge_count == 0
         assert list(g.edges()) == []
+
+    def test_edges_come_in_lexicographic_order(self, corpus):
+        # write_dimacs, edge_conflict_graph and analyze's root_edges rely on it.
+        for entry in corpus:
+            edges = list(entry.graph.edges())
+            assert edges == sorted(edges)
+            assert all(u < v for u, v in edges)
+            assert len(edges) == entry.graph.edge_count
 
     def test_c5_two_regular(self):
         g = cycle(5)
@@ -153,13 +160,12 @@ class TestBitKernels:
         for mask in masks:
             assert bits(mask) == scan(mask)
 
-    def test_two_clique_cover_matches_its_definition(self):
+    def test_cover_kind_matches_its_definition(self):
         rng = random.Random(1973)
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 9), rng.choice((0.5, 0.8, 0.95)))
             mask = rng.getrandbits(g.n)
             if not mask:
-                assert two_clique_cover(g._adj, mask) == (0, 0)
                 assert split_at_lowest(g._adj, mask) == (0, 0)
                 assert cover_kind(g._adj, mask) == DISJOINT_COVER
                 continue
@@ -168,12 +174,9 @@ class TestBitKernels:
             side_b = [u for u in scan(mask) if u not in side_a]
             split = (sum(1 << u for u in side_a), sum(1 << u for u in side_b))
             assert split_at_lowest(g._adj, mask) == split
-            want = None
-            if brute_is_clique(g, side_a) and brute_is_clique(g, side_b):
-                want = split
-            assert two_clique_cover(g._adj, mask) == want
+            covered = brute_is_clique(g, side_a) and brute_is_clique(g, side_b)
             joined = any(g.has_edge(a, b) for a in side_a for b in side_b)
-            kind = NO_COVER if want is None else JOINED_COVER if joined else DISJOINT_COVER
+            kind = NO_COVER if not covered else JOINED_COVER if joined else DISJOINT_COVER
             assert cover_kind(g._adj, mask) == kind
 
 
@@ -312,24 +315,22 @@ class TestNeighborhoodTables:
         header = Graph(g._adj)
         assert header == g and header._covers is None and header._cliques is None
 
-    def test_component_subgraphs_take_over_the_tables(self):
+    def test_proper_subgraphs_start_without_tables(self):
         rng = random.Random(12)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 14), rng.choice((0.1, 0.25, 0.6)))
-            fresh = Graph(g._adj)
             neighborhood_cliques(g)
+            assert g._covers is not None and g._cliques is not None
+            assert induced_subgraph(g, range(g.n))[0] is g
             for comp in connected_components(g):
-                sub, _ = induced_subgraph(g, comp)
-                if sub is g:
-                    continue
-                assert sub._covers is not None and sub._cliques is not None
-                again = Graph(sub._adj)
-                assert sub._covers == neighborhood_covers(again)
-                assert sub._cliques == neighborhood_cliques(again)
-                # A set that misses a neighbor of a member takes over nothing.
-                part, _ = induced_subgraph(g, list(comp)[1:])
-                assert len(comp) == 1 or part._covers is None
-                assert induced_subgraph(fresh, comp)[0]._covers is None
+                for part in (comp, list(comp)[1:]):
+                    sub, _ = induced_subgraph(g, part)
+                    if sub is g:
+                        continue
+                    assert sub._covers is None and sub._cliques is None
+                    again = Graph(sub._adj)
+                    assert neighborhood_covers(sub) == neighborhood_covers(again)
+                    assert neighborhood_cliques(sub) == neighborhood_cliques(again)
 
 
 class TestSmallHelpers:

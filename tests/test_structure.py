@@ -20,6 +20,7 @@ from clawsq.errors import (
     UnclassifiableGraphError,
 )
 from clawsq.graph import (
+    DISJOINT_COVER,
     build_graph,
     connected_components,
     cover_kind,
@@ -28,7 +29,6 @@ from clawsq.graph import (
     max_clique,
     max_degree,
     square,
-    two_clique_cover,
 )
 from clawsq.structure import (
     NeighborhoodShape,
@@ -162,7 +162,7 @@ class TestNeighborhoodShapeFastPath:
                     for perm in (list(range(h)), rng.sample(range(h), h)):
                         g = two_cliques_under_apex(a, b, cross, perm)
                         if not cross:
-                            covered += two_clique_cover(g._adj, g._adj[h]) is not None
+                            covered += cover_kind(g._adj, g._adj[h]) == DISJOINT_COVER
                         assert neighborhood_shape(g, h) == brute_neighborhood_shape(g, h)
         # Every neighborhood without cross edges takes the shortcut.
         assert covered == 7 * 8 * 2
