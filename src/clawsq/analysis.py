@@ -119,18 +119,10 @@ def ramsey_bound(omega: int) -> int:
 # Kept for perfbench/tracer.py, which times z_set and fails to install when a
 # listed name is missing; the library reads Z(v) off q_rows.
 def z_set(g: Graph, v: int) -> frozenset[int]:
-    """Neighbors of ``v`` with two non-adjacent common neighbors inside N(v)."""
+    """Neighbors ``w`` of ``v`` with q(v, w) >= 1: N(v) ∩ N(w) is not a clique."""
     g.check_vertex(v)
-    nv = g._adj[v]
-    out = []
-    for w in bits(nv):
-        common = nv & g._adj[w]
-        # w qualifies iff the common neighborhood is not a clique.
-        for x in bits(common):
-            if common & ~g._adj[x] & ~(1 << x):
-                out.append(w)
-                break
-    return frozenset(out)
+    adj = g._adj
+    return frozenset(w for w in bits(adj[v]) if _complement_matching(adj, adj[v] & adj[w]))
 
 
 def _complement_matching(adj, mask: int) -> int:
@@ -320,8 +312,6 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
     degree_cap = ramsey_bound(omega) - 1
     clique_cap = omega - 1
     cap = _second_degree_cap(omega) if omega >= 4 else None
-    full = (1 << g.n) - 1
-    anti = [full & ~(row | 1 << u) for u, row in enumerate(adj)]
     qs = q_rows(g)
     kinds = neighborhood_covers(g)
     degree, exterior, second = [], [], []
@@ -332,6 +322,8 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
         degree.append(LemmaReport("degree-below-ramsey", v, None, deg, degree_cap))
         degree.append(LemmaReport("neighborhood-clique-cap", v, None, clique, clique_cap))
         if kinds[v] == NO_COVER:
+            # complement rows inside N(v); without 1 << u the search would count u twice
+            anti = {u: nv & ~(adj[u] | 1 << u) for u in bits(nv)}
             stable = max_clique_within(anti, nv)[0]
         else:  # two cliques; B holds non-neighbors of A's lowest vertex
             stable = 0 if not nv else 1 if not split_at_lowest(adj, nv)[1] else 2

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from .analysis import require_claw_free
 from .errors import (
     DEFAULT_NODE_LIMIT,
-    BudgetExhaustedError,
     InternalBoundViolation,
     InvalidPairingError,
     NodeLimitExceeded,
@@ -64,7 +63,6 @@ from .graph import (
     square_row,
 )
 from .structure import (
-    RootGraph,
     classify,
     neighbor_degree_cap,
     recognize_icosahedron,
@@ -320,25 +318,28 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
     return None
 
 
-def strong_edge_color(
-    f: Graph, budget: int, node_limit: int = DEFAULT_NODE_LIMIT
-) -> StrongEdgeColoring:
-    """Strong edge coloring of f within ``budget`` colors by exact search.
+def strong_edge_color(f: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> StrongEdgeColoring:
+    """Strong edge coloring of f within palette_bound(max degree of f) colors.
 
-    One saturation search on the edge conflict graph
-    (:func:`_backtrack_within`). Its first descent is the greedy DSATUR
-    coloring, so when that fits the budget it is the result, found in m + 1
-    nodes for m edges; otherwise the search backtracks. Every node counts
-    against ``node_limit``, the first descent included. Raises
-    BudgetExhaustedError when the search proves the budget insufficient
-    (impossible for max degree 3 with budget 10 and max degree 4 with
-    budget 22) and NodeLimitExceeded when the node budget runs out first.
+    That palette always suffices: greedy needs at most 2Δ(Δ-1)+1 colors,
+    which is the bound from Δ = 5 up and at most 5 below Δ = 3, and the
+    strong chromatic index is at most 10 at Δ = 3 (Andersen 1992; Horák,
+    He and Trotter 1993) and 22 at Δ = 4 (Cranston 2006). One saturation
+    search on the edge conflict graph (:func:`_backtrack_within`); its
+    first descent is the greedy DSATUR coloring, so when that fits the
+    palette it is the result, found in m + 1 nodes for m edges; otherwise
+    the search backtracks. Every node counts against ``node_limit``, the
+    first descent included. Raises NodeLimitExceeded when the node budget
+    runs out, and InternalBoundViolation when the search exhausts the
+    palette, which contradicts those bounds.
     """
+    palette = palette_bound(max_degree(f))
     conflict, edges = edge_conflict_graph(f)
-    found = _backtrack_within(conflict, budget, node_limit)
+    found = _backtrack_within(conflict, palette, node_limit)
     if found is None:
-        raise BudgetExhaustedError(
-            f"no strong edge coloring with {budget} colors exists for this graph"
+        raise InternalBoundViolation(
+            f"no strong edge coloring with {palette} colors exists for a graph of "
+            "this max degree; this contradicts the strong chromatic index bounds"
         )
     return StrongEdgeColoring(edges, tuple(found))
 
@@ -552,23 +553,6 @@ def _peel(g: Graph) -> tuple[Graph, list[int], list[tuple[int, str, int]], int, 
     return cur, orig, frames, tri, k4
 
 
-def _color_line_graph_base(sub: Graph, root: RootGraph, node_limit: int) -> list:
-    # A base root has max degree 3 or 4, the line graph's clique number, and
-    # its strong chromatic index is within that clique number's bound. A
-    # spent node budget is the caller's limit, not a bug, so it passes.
-    delta = max_degree(root.f)
-    budget = palette_bound(delta)
-    try:
-        sec = strong_edge_color(root.f, budget, node_limit)
-    except BudgetExhaustedError as exc:
-        raise InternalBoundViolation(
-            f"strong edge coloring within {budget} colors failed on a root graph "
-            f"with max degree {delta}: {exc}"
-        ) from exc
-    index = {e: i for i, e in enumerate(sec.edges)}
-    return [sec.colors[index[root.edge_of_vertex[x]]] for x in range(sub.n)]
-
-
 def _color_base_components(cur: Graph, tri: int, k4: int, node_limit: int) -> list:
     """Colors of the base remainder ``cur``, indexed by its vertices.
 
@@ -578,8 +562,11 @@ def _color_base_components(cur: Graph, tri: int, k4: int, node_limit: int) -> li
     vertex order, so each is colored as it would be alone. With no triangle
     at all, that subgraph is ``cur`` itself, which is colored directly.
     Each other component is classified, at clique number 4 if it meets
-    ``k4`` and 3 if not, and colored on its own. :func:`_peel` returns the
-    two masks.
+    ``k4`` and 3 if not, and colored on its own: the icosahedron by its
+    antipodal pairs, a line graph by the strong edge coloring of its root,
+    read through the root's edge of each vertex. A spent node budget is the
+    caller's limit, so NodeLimitExceeded passes through. :func:`_peel`
+    returns the two masks.
     """
     if not tri:
         return list(color_small_omega(cur).colors)
@@ -595,7 +582,9 @@ def _color_base_components(cur: Graph, tri: int, k4: int, node_limit: int) -> li
         if outcome.kind == "icosahedron":
             local = color_icosahedron(sub).colors
         elif outcome.kind == "line_graph":
-            local = _color_line_graph_base(sub, outcome.root, node_limit)
+            sec = strong_edge_color(outcome.root.f, node_limit=node_limit)
+            index = {e: i for i, e in enumerate(sec.edges)}
+            local = [sec.colors[index[e]] for e in outcome.root.edge_of_vertex]
         else:
             raise InternalBoundViolation("a reducible component survived to the base step")
         for i, c in enumerate(local):

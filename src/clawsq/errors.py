@@ -76,11 +76,11 @@ class UnclassifiableGraphError(RuntimeError):
 
 
 class InternalBoundViolation(RuntimeError):
-    """A coloring step exceeded a budget that is guaranteed to suffice; a bug."""
+    """A coloring step broke a bound that is guaranteed to hold; a bug.
 
-
-class BudgetExhaustedError(RuntimeError):
-    """An exact search proved no solution exists within the allowed palette."""
+    One instance: a strong edge coloring search that exhausts
+    palette_bound(max degree), which the cited bounds rule out.
+    """
 
 
 class NodeLimitExceeded(RuntimeError):

@@ -23,7 +23,6 @@ from .graph import (
     bits,
     build_graph,
     cover_kind,
-    max_degree,
     neighborhood_covers,
     split_at_lowest,
     square_row,
@@ -207,7 +206,8 @@ def _krausz_root(g: Graph, omega: int):
     some neighborhood has no covering pair, a clique would exceed omega
     vertices, or :func:`root_graph` rejects the family, which happens
     exactly when some edge lies in more than one clique or some vertex in
-    more than two.
+    more than two. A root vertex is a clique or a fresh endpoint, so the
+    root's max degree is at most omega.
     """
     adj = g._adj
     designated = set()
@@ -443,7 +443,7 @@ def classify(g: Graph, omega: int, *, check_claw_free: bool = True) -> Classific
         if pairing is not None:
             return Classification("icosahedron", omega, antipodal_pairs=pairing)
     found = _krausz_root(g, omega)
-    if found is not None and max_degree(found[1].f) <= omega:
+    if found is not None:
         return Classification("line_graph", omega, root=found[1])
     raise UnclassifiableGraphError(
         f"no structural case applies (n={g.n}, omega={omega}); "

@@ -219,12 +219,12 @@ def test_criterion_8_line_petersen_pipeline(line_petersen):
     started = time.perf_counter()
     outcome = classify(line_petersen, 3)
     root_ok = outcome.kind == "line_graph" and is_isomorphic(outcome.root.f, petersen())
-    sec = strong_edge_color(petersen(), 10)
+    sec = strong_edge_color(petersen())
     sec_ok = sec.palette_size <= 10 and brute_is_strong_edge_coloring(sec, petersen())
     index = {e: i for i, e in enumerate(sec.edges)}
     # The classifier's root is Petersen up to isomorphism; pull the strong
     # edge coloring back through the classifier's own bijection.
-    own = strong_edge_color(outcome.root.f, 10)
+    own = strong_edge_color(outcome.root.f)
     own_index = {e: i for i, e in enumerate(own.edges)}
     pulled = Coloring(
         own.colors[own_index[outcome.root.edge_of_vertex[v]]]

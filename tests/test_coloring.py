@@ -37,7 +37,6 @@ from clawsq.corpus import (
     squared_cycle,
 )
 from clawsq.errors import (
-    BudgetExhaustedError,
     InvalidPairingError,
     NodeLimitExceeded,
     NotClawFreeError,
@@ -702,57 +701,64 @@ class TestReinsert:
 
 class TestStrongEdgeColoring:
     def test_star_needs_three(self):
-        sec = strong_edge_color(claw(), 10)
+        sec = strong_edge_color(claw())
         assert sec.palette_size == 3
         assert brute_is_strong_edge_coloring(sec, claw())
 
     def test_k4_all_edges_distinct(self):
-        sec = strong_edge_color(complete(4), 6)
+        sec = strong_edge_color(complete(4))
         assert sec.palette_size == 6
         assert len(set(sec.colors)) == 6
         assert brute_is_strong_edge_coloring(sec, complete(4))
 
     def test_k4_budget_five_is_infeasible(self):
-        with pytest.raises(BudgetExhaustedError):
-            strong_edge_color(complete(4), 5)
+        conflict, _ = edge_conflict_graph(complete(4))
+        assert _backtrack_within(conflict, 5, DEFAULT_NODE_LIMIT) is None
 
     def test_full_blowup_needs_twenty(self):
         f = gen_blowup_c5(BlowupSpec((2, 2, 2, 2, 2)))
-        sec = strong_edge_color(f, 20)
+        conflict, edges = edge_conflict_graph(f)
+        sec = coloring.StrongEdgeColoring(
+            edges, tuple(_backtrack_within(conflict, 20, DEFAULT_NODE_LIMIT))
+        )
         assert sec.palette_size == 20
         assert brute_is_strong_edge_coloring(sec, f)
 
     def test_petersen_within_ten(self, petersen_graph):
-        sec = strong_edge_color(petersen_graph, 10)
+        sec = strong_edge_color(petersen_graph)
         assert sec.palette_size <= 10
         assert brute_is_strong_edge_coloring(sec, petersen_graph)
 
     def test_node_limit_counts_the_greedy_descent(self, petersen_graph):
         # The Petersen graph's 15 edges fit 10 colors on the first descent,
         # which takes 16 nodes: one per colored edge plus the closing one.
-        expected = strong_edge_color(petersen_graph, 10)
-        assert strong_edge_color(petersen_graph, 10, node_limit=16) == expected
+        expected = strong_edge_color(petersen_graph)
+        assert strong_edge_color(petersen_graph, node_limit=16) == expected
         with pytest.raises(NodeLimitExceeded):
-            strong_edge_color(petersen_graph, 10, node_limit=15)
+            strong_edge_color(petersen_graph, node_limit=15)
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_no_budget_for_an_edge(self, budget):
-        with pytest.raises(BudgetExhaustedError):
-            strong_edge_color(path(3), budget)
+        conflict, _ = edge_conflict_graph(path(3))
+        assert _backtrack_within(conflict, budget, DEFAULT_NODE_LIMIT) is None
 
     @pytest.mark.parametrize("budget", [10, 0, -1])
     def test_edgeless_root_needs_no_color(self, budget):
-        assert strong_edge_color(build_graph(4, []), budget) == coloring.StrongEdgeColoring((), ())
+        f = build_graph(4, [])
+        assert strong_edge_color(f) == coloring.StrongEdgeColoring((), ())
+        conflict, _ = edge_conflict_graph(f)
+        assert _backtrack_within(conflict, budget, DEFAULT_NODE_LIMIT) == []
 
     def test_node_limit_on_wide_roots(self):
         # The base-case golden pins, m = 1600 and 1602 edges: their first
-        # descents fit the budget in m + 1 nodes, as on the Petersen graph.
+        # descents fit palette_bound(max degree) in m + 1 nodes, as on the
+        # Petersen graph.
         for name, f in base_pin_roots():
             m = f.edge_count
-            budget = palette_bound(max_degree(f))
-            assert strong_edge_color(f, budget, node_limit=m + 1).palette_size <= budget, name
+            palette = palette_bound(max_degree(f))
+            assert strong_edge_color(f, node_limit=m + 1).palette_size <= palette, name
             with pytest.raises(NodeLimitExceeded):
-                strong_edge_color(f, budget, node_limit=m)
+                strong_edge_color(f, node_limit=m)
 
     @pytest.mark.parametrize("n, edges", DSATUR_OVER_TEN)
     def test_first_descent_over_the_bound(self, n, edges):
@@ -762,7 +768,8 @@ class TestStrongEdgeColoring:
         found, nodes = search_outcome(_backtrack_within, conflict, 10)
         assert (found, nodes) == search_outcome(brute_backtrack_within, conflict, 10)
         assert found is not None and nodes > f.edge_count + 1
-        assert brute_is_strong_edge_coloring(strong_edge_color(f, 10), f)
+        assert max_degree(f) == 3
+        assert brute_is_strong_edge_coloring(strong_edge_color(f), f)
         # Their line graphs peel (26 and 22 frames), so color_square does not
         # reach this search on them.
         g, _ = gen_line_graph(f)

@@ -1,5 +1,8 @@
 """The names ``clawsq`` exports, pinned so that adding or deleting one is deliberate.
 
+The names of ``clawsq.errors``, the exception types and the default node
+budget, are pinned the same way.
+
 The fields of every exported dataclass, and the parameter names and kinds
 of every exported function, are pinned the same way.
 """
@@ -9,6 +12,7 @@ import inspect
 import types
 
 import clawsq
+from clawsq import errors
 
 PUBLIC_NAMES = [
     "BlowupSpec",
@@ -74,6 +78,31 @@ def test_public_names_are_pinned():
     assert names == PUBLIC_NAMES
 
 
+ERROR_NAMES = [
+    "DEFAULT_NODE_LIMIT",
+    "DimacsError",
+    "DuplicateEdgeError",
+    "GenerationExhaustedError",
+    "InternalBoundViolation",
+    "InvalidPairingError",
+    "InvalidPartitionError",
+    "InvalidSpecError",
+    "NodeLimitExceeded",
+    "NotClawFreeError",
+    "NotNeighborError",
+    "NotSmallOmegaError",
+    "SelfLoopError",
+    "SizeMismatchError",
+    "UnclassifiableGraphError",
+    "UnsupportedOmegaError",
+    "VertexOutOfRangeError",
+]
+
+
+def test_error_names_are_pinned():
+    assert sorted(name for name in vars(errors) if not name.startswith("_")) == ERROR_NAMES
+
+
 DATACLASS_FIELDS = {
     "BlowupSpec": ["sizes"],
     "Classification": ["kind", "omega", "reduction", "antipodal_pairs", "root"],
@@ -130,7 +159,7 @@ SIGNATURES = {
     "root_graph": "g, partition",
     "run_lemma_suite": "g",
     "square": "g",
-    "strong_edge_color": "f, budget, node_limit",
+    "strong_edge_color": "f, *, node_limit",
     "trivial_greedy_square": "g",
     "verify_coloring": "g, coloring",
     "write_corpus": "entries, directory",

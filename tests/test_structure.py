@@ -434,6 +434,22 @@ class TestKrauszMatchesReference:
             root = same_krausz_as_reference(g, d)
             assert root is not None and classify(g, d).root == root, name
 
+    def test_root_degree_within_omega(self, corpus, stress_family):
+        # No designated clique exceeds omega vertices and a fresh endpoint
+        # has degree 1, so classify needs no check of the root's degree.
+        graphs = [(name, d, g) for name, d, _, g in stress_family]
+        for entry in corpus:
+            for comp in connected_components(entry.graph):
+                sub, _ = induced_subgraph(entry.graph, comp)
+                graphs.append((entry.id, max_clique(sub)[0], sub))
+        roots = 0
+        for name, omega, g in graphs:
+            found = structure._krausz_root(g, omega)
+            if found is not None:
+                roots += 1
+                assert max_degree(found[1].f) <= omega, name
+        assert roots > 150
+
     def test_shuffled_relabelings(self, line_petersen, stress_family):
         rng = random.Random(19)
         for g in (line_petersen, stress_family[0][3]):
