@@ -115,14 +115,19 @@ def cmd_analyze(args) -> int:
     started = time.perf_counter()
     g = load_dimacs(args.path)
     witness = find_claw(g)
-    omega = max_clique(g)[0]
+    # One clique search per component; induced_subgraph returns g itself for
+    # a component of every vertex.
+    parts = []
+    for comp in connected_components(g):
+        sub, old = induced_subgraph(g, comp)
+        parts.append((sub, old, max_clique(sub)[0]))
     report = {
         "schema": SCHEMA,
         "command": "analyze",
         "input": str(args.path),
         "n": g.n,
         "m": g.edge_count,
-        "omega": omega,
+        "omega": max((w for _, _, w in parts), default=0),
         "claw_free": witness is None,
         "claw": None if witness is None else witness.as_dict(),
         "square_degrees": [square_row(g, v).bit_count() for v in range(g.n)],
@@ -145,13 +150,7 @@ def cmd_analyze(args) -> int:
         qs = q_rows(g)
         report["z_sets"] = {v: [w for w, q in row.items() if q] for v, row in enumerate(qs)}
         report["q_values"] = dict(enumerate(qs))
-        classification = []
-        for comp in connected_components(g):
-            # induced_subgraph returns g itself for a component of every vertex
-            sub, old = induced_subgraph(g, comp)
-            sub_omega = omega if sub is g else max_clique(sub)[0]
-            classification.append(_classification_dict(sub, old, sub_omega))
-        report["classification"] = classification
+        report["classification"] = [_classification_dict(*part) for part in parts]
     report["timings"] = {"elapsed_s": time.perf_counter() - started}
     _emit(report)
     if witness is not None and args.require_claw_free:
@@ -320,23 +319,22 @@ def _at_least(least: int):
 
 
 def _root_for(name: str) -> Graph:
+    """A named root, a ``family:arg`` root when the prefix names a family, else a DIMACS file."""
     if name in _NAMED_ROOTS:
         return _NAMED_ROOTS[name]()
-    if ":" in name:
-        kind, _, arg = name.partition(":")
-        makers = {
-            "cycle": cycle,
-            "path": path,
-            "complete": complete,
-            "cocktail": cocktail_party,
-            "squared-cycle": squared_cycle,
-        }
-        if kind in makers:
-            return makers[kind](_natural(arg, f"the {kind} size"))
-        if kind == "blowup":
-            sizes = tuple(_natural(s, "a class size") for s in arg.split(","))
-            return gen_blowup_c5(BlowupSpec(sizes))
-        raise CliUsageError(f"unknown root family {kind!r}")
+    kind, colon, arg = name.partition(":")
+    makers = {
+        "cycle": cycle,
+        "path": path,
+        "complete": complete,
+        "cocktail": cocktail_party,
+        "squared-cycle": squared_cycle,
+    }
+    if colon and kind in makers:
+        return makers[kind](_natural(arg, f"the {kind} size"))
+    if colon and kind == "blowup":
+        sizes = tuple(_natural(s, "a class size") for s in arg.split(","))
+        return gen_blowup_c5(BlowupSpec(sizes))
     return load_dimacs(name)
 
 

@@ -18,7 +18,9 @@ the deleted vertex, a vertex's reduction case is worked out, from the
 square rows of its neighborhood, only when it could be the next pick, and
 each step records just (vertex, case, kprime); as the graph is claw-free,
 a deletion splits its component into at most two pieces (:func:`_pieces`).
-The base step colors all triangle-free leftover components with one call.
+The peel hands the base step the vertices left and, with its clique number,
+each leftover component with a triangle, all in the input's labels; the
+triangle-free rest is colored with one call.
 Reinsertion works on the input graph with a mask of the vertices present,
 so no graph is kept per step, and with one vertex mask per color (a color
 class), so a color is free for a vertex exactly when its class misses the
@@ -451,29 +453,29 @@ def _pieces(adj, comp: int, nbrs: int) -> list[int]:
             held[i] |= frontiers[i]
 
 
-def _peel(g: Graph) -> tuple[Graph, list[int], list[tuple[int, str, int]], int, int]:
+def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[int, list[int]]]]:
     """Delete reducible vertices of g, of clique number at most 4, until none is left.
 
-    Returns the remaining graph, the original label of each of its
-    vertices, one frame (original label, case, kprime) per deleted vertex
-    in deletion order, and the masks of the remaining vertices on a
-    triangle and on a K4. Each step deletes the smallest vertex
+    Returns, all in g's labels, the vertices left in increasing order, one
+    frame (vertex, case, kprime) per deleted vertex in deletion order, and
+    the bases: the components left that hold a triangle, each as (clique
+    number, sorted vertices). Each step deletes the smallest vertex
     reducible by case iii, else by case ii, in the component with the
     smallest member that has one, under the thresholds of that component's
     clique number.
 
-    The working state is kept in the labels of the current graph ``cur``:
-    the live components (more than two vertices and clique number 3 or 4,
-    ordered by smallest member), the vertices on a triangle and those on a
-    K4 (the clique number is at most 4, so these give each component's
-    clique number; both are read off g's :func:`neighborhood_cliques`
-    table, a vertex being on a triangle when its neighborhood's value is
-    at least 2 and on a K4 when it is at least 3), and three case masks:
-    ``iii`` and ``ii`` cache the case of each clean vertex, and ``dirty``
-    holds the vertices whose cached case may be stale. No square rows are
-    kept: a case is read off the rows of ``cur`` within distance 3 of its
-    vertex. Deleting v changes triangles and K4s only on N(v). Only the
-    component that held v can split.
+    The working state is kept in the labels of the current graph ``cur``,
+    whose vertex i is ``orig[i]`` of g: the live components (more than two
+    vertices and clique number 3 or 4, ordered by smallest member), the
+    vertices on a triangle and those on a K4 (the clique number is at most
+    4, so these give each component's clique number; both are read off g's
+    :func:`neighborhood_cliques` table, a vertex being on a triangle when
+    its neighborhood's value is at least 2 and on a K4 when it is at least
+    3), and three case masks: ``iii`` and ``ii`` cache the case of each
+    clean vertex, and ``dirty`` holds the vertices whose cached case may be
+    stale. No square rows are kept: a case is read off the rows of ``cur``
+    within distance 3 of its vertex. Deleting v changes triangles and K4s
+    only on N(v). Only the component that held v can split.
 
     Every vertex of a live component starts dirty. A deletion changes a
     vertex's case only within distance 3 of v, or on all of a piece whose
@@ -484,7 +486,8 @@ def _peel(g: Graph) -> tuple[Graph, list[int], list[tuple[int, str, int]], int, 
     case-iii vertex. When none is left, no vertex of the component is
     dirty, and ``ii`` gives the smallest case-ii vertex. A clean vertex's
     cached case is exact, so each pick is the one the masks would give if
-    every case were recomputed after every deletion.
+    every case were recomputed after every deletion. A live component left
+    with no reducible vertex is final, as no later deletion touches it.
     """
     cur = g
     orig = list(range(g.n))
@@ -508,6 +511,7 @@ def _peel(g: Graph) -> tuple[Graph, list[int], list[tuple[int, str, int]], int, 
             dirty |= mask
             comps.append(mask)
     frames = []
+    bases = []
     while comps:
         comp = comps[0]
         w = omega_of(comp)
@@ -521,6 +525,7 @@ def _peel(g: Graph) -> tuple[Graph, list[int], list[tuple[int, str, int]], int, 
         found = pick or _lowest(ii & comp)
         if not found:
             # Deletions in other components cannot make anything here reducible.
+            bases.append((w, [orig[x] for x in bits(comp)]))
             del comps[0]
             continue
         v = found.bit_length() - 1
@@ -550,35 +555,27 @@ def _peel(g: Graph) -> tuple[Graph, list[int], list[tuple[int, str, int]], int, 
             if piece.bit_count() > 2 and w_piece > 2:
                 dirty |= piece if w_piece < w else piece & near
                 insort(comps, piece, key=_lowest)
-    return cur, orig, frames, tri, k4
+    return orig, frames, bases
 
 
-def _color_base_components(cur: Graph, tri: int, k4: int, node_limit: int) -> list:
-    """Colors of the base remainder ``cur``, indexed by its vertices.
+def _color_base_components(g: Graph, rest: list[int], bases, node_limit: int) -> list:
+    """Colors of g[rest], indexed by g's vertices; ``rest`` and ``bases`` are :func:`_peel`'s.
 
-    The components without a triangle in ``tri`` (paths, cycles, edges and
-    single vertices) are colored together by one :func:`color_small_omega`
-    call on the subgraph their union induces; that subgraph keeps their
-    vertex order, so each is colored as it would be alone. With no triangle
-    at all, that subgraph is ``cur`` itself, which is colored directly.
-    Each other component is classified, at clique number 4 if it meets
-    ``k4`` and 3 if not, and colored on its own: the icosahedron by its
-    antipodal pairs, a line graph by the strong edge coloring of its root,
-    read through the root's edge of each vertex. A spent node budget is the
-    caller's limit, so NodeLimitExceeded passes through. :func:`_peel`
-    returns the two masks.
+    Each base is classified at its clique number and colored on its own:
+    the icosahedron by its antipodal pairs, a line graph by the strong edge
+    coloring of its root, read through the root's edge of each vertex. The
+    other vertices of ``rest`` (paths, cycles, edges and single vertices)
+    are colored by one :func:`color_small_omega` call on the subgraph they
+    induce, which keeps vertex order, so each is colored as it would be
+    alone. A spent node budget is the caller's limit, so NodeLimitExceeded
+    passes through.
     """
-    if not tri:
-        return list(color_small_omega(cur).colors)
-    colors = [UNCOLORED] * cur.n
-    small = []
-    for comp in connected_components(cur):
-        mask = sum(1 << x for x in comp)
-        if not mask & tri:
-            small += comp
-            continue
-        sub, old = induced_subgraph(cur, comp)
-        outcome = classify(sub, 4 if mask & k4 else 3, check_claw_free=False)
+    colors = [UNCOLORED] * g.n
+    small = set(rest)
+    for w, comp in bases:
+        small.difference_update(comp)
+        sub, old = induced_subgraph(g, comp)
+        outcome = classify(sub, w, check_claw_free=False)
         if outcome.kind == "icosahedron":
             local = color_icosahedron(sub).colors
         elif outcome.kind == "line_graph":
@@ -587,12 +584,11 @@ def _color_base_components(cur: Graph, tri: int, k4: int, node_limit: int) -> li
             local = [sec.colors[index[e]] for e in outcome.root.edge_of_vertex]
         else:
             raise InternalBoundViolation("a reducible component survived to the base step")
-        for i, c in enumerate(local):
-            colors[old[i]] = c
-    if small:
-        sub, old = induced_subgraph(cur, small)
-        for i, c in enumerate(color_small_omega(sub).colors):
-            colors[old[i]] = c
+        for x, c in zip(old, local):
+            colors[x] = c
+    sub, old = induced_subgraph(g, small)
+    for x, c in zip(old, color_small_omega(sub).colors):
+        colors[x] = c
     return colors
 
 
@@ -605,23 +601,22 @@ def greedy_reduce(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring
     :func:`neighborhood_cliques` table, which the peel reads too; it is
     built on first use, so a caller that has built it hands it over with g
     and no clique search runs. Iteratively deletes reducible vertices
-    (explicit stack, no recursion), colors the base remainder per
-    component, then reinserts each vertex in reverse order, recoloring its
-    neighborhood through distinct available colors; one vertex mask per
-    color, updated on every assignment, gives the colors available. Neither
-    claw-freeness nor the result is checked here; :func:`color_square`
-    checks both.
+    (explicit stack, no recursion), colors the base remainder in g's labels
+    (:func:`_color_base_components`), then reinserts each vertex in reverse
+    order, recoloring its neighborhood through distinct available colors;
+    one vertex mask per color, updated on every assignment, gives the
+    colors available. Neither claw-freeness nor the result is checked here;
+    :func:`color_square` checks both.
     """
     omega = 1 + max(neighborhood_cliques(g), default=-1)
     if omega > 4:
         raise ValueError("the inductive engine is defined up to clique number 4, not 5 or more")
-    cur, orig, frames, tri, k4 = _peel(g)
-    colors = [UNCOLORED] * g.n
+    rest, frames, bases = _peel(g)
+    colors = _color_base_components(g, rest, bases, node_limit)
     classes = [0] * palette_bound(omega)
     alive = 0
-    for x, c in zip(orig, _color_base_components(cur, tri, k4, node_limit)):
-        colors[x] = c
-        classes[c] |= 1 << x
+    for x in rest:
+        classes[colors[x]] |= 1 << x
         alive |= 1 << x
     for v, case, kprime in reversed(frames):
         alive |= 1 << v

@@ -329,11 +329,11 @@ def _clique_in_deleted_square(adj, mask: int, v: int) -> bool:
     return True
 
 
-def reduction_case(g: Graph, v: int, kprime: int, neighbor_cap: int | None = None) -> str | None:
+def reduction_case(g: Graph, v: int, kprime: int, neighbor_cap: int | None) -> str | None:
     """The recoloring case that makes ``v`` reducible in g: "iii", "ii" or None.
 
     A vertex qualifies when its square degree is at most ``kprime``, every
-    neighbor's square degree is at most ``neighbor_cap`` (when given), and
+    neighbor's square degree is at most ``neighbor_cap`` (unless None), and
     the neighbors above the case threshold form a clique in the square of g
     with v deleted: above kprime+1 for case iii; above kprime+2 for case
     ii, which also needs a neighbor of square degree at most kprime+1. Case

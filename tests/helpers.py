@@ -1053,17 +1053,26 @@ def brute_greedy_reduce(g, node_limit=DEFAULT_NODE_LIMIT):
 
     The base coloring, the distinct-representative matching and the
     reducibility test are the library's; the clique number, the peel loop,
-    the reinsertion and the triangle and K4 masks of the base remainder are
-    recomputed from scratch where the engine keeps them incrementally.
+    the reinsertion and the base remainder's components with a triangle,
+    with their clique numbers, are recomputed from scratch where the engine
+    keeps them incrementally.
     """
     cur, frames = brute_peel(g)
 
     def on_clique(v, others):
         return any(brute_is_clique(cur, c) for c in combinations(cur.neighbors(v), others))
 
-    tri = sum(1 << v for v in range(cur.n) if on_clique(v, 2))
-    k4 = sum(1 << v for v in range(cur.n) if on_clique(v, 3))
-    colors = _color_base_components(cur, tri, k4, node_limit)
+    bases = []
+    seen = set()
+    for v in range(cur.n):
+        if v in seen:
+            continue
+        comp = sorted(bfs_distances(cur, v))
+        seen.update(comp)
+        omega = next((w for w in (4, 3) if any(on_clique(x, w - 1) for x in comp)), 2)
+        if omega > 2:
+            bases.append((omega, comp))
+    colors = _color_base_components(cur, list(range(cur.n)), bases, node_limit)
     K = palette_bound(max_clique(g)[0]) - 1
     for gr, v, case, kprime in reversed(frames):
         colors = brute_reinsert_vertex(gr, v, case, kprime, colors, K)

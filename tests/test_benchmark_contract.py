@@ -30,7 +30,7 @@ def test_tracer_counts_one_peel_per_frame():
     mods = {ns: importlib.import_module("clawsq" + ns) for ns in tracer.NAMESPACES}
     lib = mods[""]
     g = lib.gen_random_claw_free(60, 4, 1)
-    frames = mods[".coloring"]._peel(g)[2]
+    frames = mods[".coloring"]._peel(g)[1]
     tr = tracer.Tracer(mods)
     tr.install()
     try:

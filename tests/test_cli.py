@@ -163,11 +163,11 @@ class TestAnalyze:
 
     def test_one_clique_search_per_connected_graph(self, tmp_path, capsys, monkeypatch):
         # Reducibility reads square rows on demand, so classifying builds no
-        # square. A component holding every vertex reuses the whole graph's
-        # omega; only true sub-components search again.
+        # square. Each component's omega is searched once, and the report's
+        # omega is their maximum.
         line_petersen, _ = gen_line_graph(petersen())
         union = disjoint_union([gen_icosahedron(), line_petersen, octahedron()])
-        for g, components, cliques in ((line_petersen, 1, 1), (union, 3, 4)):
+        for g, components, cliques in ((line_petersen, 1, 1), (union, 3, 3)):
             calls = {
                 name: record_calls(monkeypatch, graph, name) for name in ("square", "max_clique")
             }
@@ -574,6 +574,14 @@ class TestGenerate:
         code, out, _ = run_cli(capsys, "generate", "line-graph", "--of", "cycle:6")
         report = json.loads(out)
         assert code == 0 and report["n"] == 6
+
+    def test_line_graph_of_file_with_colon_in_path(self, tmp_path, capsys):
+        # A prefix that names no family is part of a file name, not a family.
+        target = write_graph(tmp_path, "a:b.col", petersen())
+        code, out, _ = run_cli(capsys, "generate", "line-graph", "--of", target)
+        assert code == 0 and json.loads(out)["n"] == 15
+        code, out, err = run_cli(capsys, "generate", "line-graph", "--of", target + ".missing")
+        assert code == 1 and out == "" and err.startswith("error: ")
 
     def test_random_deterministic(self, capsys):
         code1, out1, _ = run_cli(

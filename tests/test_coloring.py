@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawsq import coloring
-from clawsq.analysis import q_rows, run_lemma_suite
+from clawsq.analysis import find_claw, q_rows, run_lemma_suite
 from clawsq.coloring import (
     DEFAULT_NODE_LIMIT,
     color_icosahedron,
@@ -253,7 +253,8 @@ class TestTriangleFreeBase:
     def test_remainder_colored_without_a_subgraph(self, monkeypatch):
         # With no triangle left, the base remainder goes to color_small_omega
         # as it is: one component split each in color_square, _peel and
-        # color_small_omega, and one subgraph, color_square's.
+        # color_small_omega, and two subgraphs, color_square's and the base
+        # step's, each g itself when it holds every vertex.
         calls = {
             name: record_calls(monkeypatch, graph, name)
             for name in ("connected_components", "induced_subgraph")
@@ -261,7 +262,7 @@ class TestTriangleFreeBase:
         assert color_square(cycle(7)).colors == (0, 1, 2, 0, 1, 2, 3)
         assert {name: len(log) for name, log in calls.items()} == {
             "connected_components": 3,
-            "induced_subgraph": 1,
+            "induced_subgraph": 2,
         }
 
 
@@ -429,6 +430,72 @@ class TestPeelMatchesReference:
         last = len(log) - 1 - log[::-1].index("delete_vertex")
         assert last - first > 100
         assert set(log[first : last + 1]) == {"delete_vertex"}
+
+
+def component_within(g, allowed, v):
+    """The vertices that v reaches in g through ``allowed``, a set holding v."""
+    seen, queue = {v}, [v]
+    for u in queue:
+        for x in g.neighbors(u):
+            if x in allowed and x not in seen:
+                seen.add(x)
+                queue.append(x)
+    return seen
+
+
+class TestPeelHandsOverTheBase:
+    """_peel hands the base step its remainder in g's labels: the vertices in
+    no frame, and the remainder's components with a triangle, each with its
+    clique number, checked against a recomputation on g."""
+
+    @staticmethod
+    def check(g):
+        rest, frames, bases = coloring._peel(g)
+        assert rest == sorted(set(range(g.n)) - {v for v, _, _ in frames})
+        left, based = set(rest), set()
+        for w, comp in bases:
+            assert comp == sorted(comp) and based.isdisjoint(comp)
+            based.update(comp)
+            # Connected in g[rest], with no edge to the rest of it.
+            assert component_within(g, left, comp[0]) == set(comp)
+            assert max_clique(induced_subgraph(g, comp)[0])[0] == w
+            assert any(
+                g.has_edge(a, b)
+                for x in comp
+                for a in g.neighbors(x)
+                for b in g.neighbors(x)
+                if a < b and a in left and b in left
+            )
+        small = left - based
+        for x in small:
+            nbrs = [a for a in g.neighbors(x) if a in left]
+            assert based.isdisjoint(nbrs)
+            assert not any(g.has_edge(a, b) for a in nbrs for b in nbrs if a < b)
+        return len(frames), len(bases), len(small)
+
+    def test_corpus(self, corpus):
+        seen = Counter()
+        for entry in corpus:
+            g = entry.graph
+            if max_clique(g)[0] <= 4 and find_claw(g) is None:
+                seen.update(dict(zip(("peeled", "bases", "small"), self.check(g))))
+        assert min(seen.values()) > 0
+
+    def test_girth_five_line_graphs(self, stress_family):
+        for _, _, _, g in stress_family:
+            peeled, bases, small = self.check(g)
+            assert (peeled, small) == (0, 0) and bases == len(connected_components(g))
+
+    def test_disjoint_unions_with_interleaved_labels(self, stress_family):
+        rng = random.Random(7)
+        for _ in range(10):
+            parts = [
+                gen_random_claw_free(rng.randint(5, 40), rng.choice((3, 4)), rng.randrange(10**6))
+                for _ in range(rng.randint(1, 3))
+            ]
+            parts += [stress_family[rng.randrange(len(stress_family))][3], cycle(7), path(4)]
+            peeled, bases, small = self.check(disjoint_union(parts, rng))
+            assert bases > 0 and small >= 11
 
 
 class RowLog:
@@ -676,7 +743,7 @@ class TestReinsert:
         everyone = (1 << g.n) - 1
         recolored = 0
         for v in range(g.n):
-            case = reduction_case(g, v, 19)
+            case = reduction_case(g, v, 19, None)
             if case is None:
                 continue
             colors = list(color_square(delete_vertex(g, v)).colors)
