@@ -242,6 +242,8 @@ def cmd_verify_lemmas(args) -> int:
         raise CliUsageError(f"manifest is not ASCII: {exc}") from exc
     except RecursionError as exc:
         raise CliUsageError("manifest nests too deeply to parse") from exc
+    except json.JSONDecodeError as exc:
+        raise CliUsageError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(rows, list):
         raise CliUsageError("manifest must be a JSON array")
     if not rows:
@@ -484,9 +486,6 @@ def main(argv=None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: manifest is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NotClawFreeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,15 +61,15 @@ from .graph import (
     max_degree,
     neighborhood_cliques,
     reach,
+    split_at_lowest,
     square,
     square_row,
 )
 from .structure import (
     classify,
-    neighbor_degree_cap,
     recognize_icosahedron,
     reduction_case,
-    reduction_threshold,
+    reduction_thresholds,
 )
 
 def palette_bound(omega: int) -> int:
@@ -433,10 +433,8 @@ def _pieces(adj, comp: int, nbrs: int) -> list[int]:
     one runs out of frontier first, it holds a piece and the rest of
     ``comp`` is the other.
     """
-    low = _lowest(nbrs)
-    side_a = adj[low.bit_length() - 1] & nbrs | low
-    side_b = nbrs & ~side_a
-    if not side_b or any(adj[x] & side_a for x in bits(side_b)):
+    side_a, side_b = split_at_lowest(adj, nbrs)
+    if not side_b or reach(adj, side_b) & side_a:
         return [comp]
     held = [side_a, side_b]
     frontiers = [side_a, side_b]
@@ -515,7 +513,7 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
     while comps:
         comp = comps[0]
         w = omega_of(comp)
-        kprime, cap = reduction_threshold(w), neighbor_degree_cap(w)
+        kprime, cap = reduction_thresholds(w)
         # Settle dirty vertices from the bottom until the lowest candidate is a clean case iii.
         while (pick := _lowest((iii | dirty) & comp)) & dirty:
             case = reduction_case(cur, pick.bit_length() - 1, kprime, cap)

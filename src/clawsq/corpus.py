@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .errors import (
     DimacsError,
-    DuplicateEdgeError,
     GenerationExhaustedError,
     InvalidSpecError,
 )
@@ -230,7 +229,9 @@ def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS .col document (1-based 'e u v' lines under one 'p edge' line).
 
     Every malformed document raises DimacsError, with the line number where
-    one line is at fault.
+    one line is at fault. The rows are built after the last line is checked,
+    so any line's fault comes before a duplicate edge, and that before a
+    wrong edge count.
     """
     n = None
     m = None
@@ -266,31 +267,20 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError(f"endpoint outside 1..{n}", line=lineno)
             if u == v:
                 raise DimacsError(f"self-loop at vertex {u}", line=lineno)
-            edges.append((u - 1, v - 1))
+            edges.append((u - 1, v - 1, lineno))
         else:
             raise DimacsError(f"unknown directive {fields[0]!r}", line=lineno)
     if n is None:
         raise DimacsError("missing problem line")
-    try:
-        g = build_graph(n, edges)
-    except DuplicateEdgeError as exc:
-        lineno, u, v = _first_duplicate_edge(text)
-        raise DimacsError(f"duplicate edge ({u}, {v})", line=lineno) from exc
-    if g.edge_count != m:
-        raise DimacsError(f"problem line promises {m} edges, found {g.edge_count}")
-    return g
-
-
-def _first_duplicate_edge(text: str) -> tuple[int, int, int]:
-    """Line number and 1-based endpoints of the first edge line that repeats an edge."""
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if fields[:1] == ["e"]:
-            u, v = int(fields[1]), int(fields[2])
-            if frozenset((u, v)) in seen:
-                return lineno, u, v
-            seen.add(frozenset((u, v)))
+    rows = [0] * n
+    for u, v, lineno in edges:
+        if rows[u] >> v & 1:
+            raise DimacsError(f"duplicate edge ({u + 1}, {v + 1})", line=lineno)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    if len(edges) != m:
+        raise DimacsError(f"problem line promises {m} edges, found {len(edges)}")
+    return Graph(tuple(rows))
 
 
 def write_dimacs(g: Graph, comments: tuple[str, ...] = ()) -> str:
@@ -303,12 +293,12 @@ def write_dimacs(g: Graph, comments: tuple[str, ...] = ()) -> str:
 
 
 def load_dimacs(path) -> Graph:
-    """The graph in the DIMACS file at ``path``; a malformed file raises DimacsError."""
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise DimacsError(str(exc)) from exc
-    return parse_dimacs(text)
+    """The graph in the DIMACS file at ``path``; a malformed file raises DimacsError.
+
+    A byte outside ASCII is kept as a lone surrogate, so :func:`parse_dimacs`
+    reports it as a non-ASCII character at its line.
+    """
+    return parse_dimacs(Path(path).read_text(encoding="ascii", errors="surrogateescape"))
 
 
 # ---------------------------------------------------------------------------

@@ -369,12 +369,12 @@ def find_reducible_vertex(g: Graph, omega: int):
     """Smallest-index reducible vertex, preferring case iii over case ii.
 
     Applies :func:`reduction_case` to every vertex, under the thresholds
-    of clique number ``omega`` (:func:`reduction_threshold` as kprime and
-    :func:`neighbor_degree_cap`): the first case-iii vertex wins, otherwise
-    the first case-ii one, with its smallest neighbor of square degree at
-    most kprime+1 as xstar. Raises UnsupportedOmegaError below omega 3.
+    of clique number ``omega`` (:func:`reduction_thresholds`): the first
+    case-iii vertex wins, otherwise the first case-ii one, with its smallest
+    neighbor of square degree at most kprime+1 as xstar. Raises
+    UnsupportedOmegaError below omega 3.
     """
-    kprime, neighbor_cap = reduction_threshold(omega), neighbor_degree_cap(omega)
+    kprime, neighbor_cap = reduction_thresholds(omega)
     first_ii = None
     for v in range(g.n):
         case = reduction_case(g, v, kprime, neighbor_cap)
@@ -388,26 +388,20 @@ def find_reducible_vertex(g: Graph, omega: int):
     return Reduction(first_ii, "ii", xstar, kprime)
 
 
-def reduction_threshold(omega: int) -> int:
-    """Square-degree threshold under which a vertex can anchor a reduction."""
+def reduction_thresholds(omega: int) -> tuple[int, int | None]:
+    """``(kprime, neighbor_cap)`` for clique number ``omega``.
+
+    kprime is the square-degree threshold under which a vertex can anchor a
+    reduction; neighbor_cap caps its neighbors' square degrees, or is None
+    when there is no cap.
+    """
     if omega == 3:
-        return 9
+        return 9, 11
     if omega == 4:
-        return 19
+        return 19, None
     if omega >= 5:
-        return 2 * omega * (omega - 1) - 4
+        return 2 * omega * (omega - 1) - 4, 2 * omega * (omega - 1) - 3
     raise UnsupportedOmegaError(f"no reduction threshold for omega {omega}")
-
-
-def neighbor_degree_cap(omega: int) -> int | None:
-    """Cap on neighbor square degrees required of a reducible vertex, if any."""
-    if omega == 3:
-        return 11
-    if omega == 4:
-        return None
-    if omega >= 5:
-        return 2 * omega * (omega - 1) - 3
-    raise UnsupportedOmegaError(f"no neighbor cap for omega {omega}")
 
 
 @dataclass(frozen=True)

@@ -506,6 +506,7 @@ class TestInputErrors:
         [
             ('[{"file": "caf\u00e9.col"}]', "is not ASCII"),
             ("[" * 100_000 + "]" * 100_000, "nests too deeply"),
+            ("[{", "is not valid JSON"),
         ],
     )
     def test_unreadable_manifest_exits_one(self, tmp_path, capsys, text, problem):

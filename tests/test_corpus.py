@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -201,6 +202,11 @@ class TestDimacs:
         target.write_bytes("c caf\u00e9\np edge 2 1\ne 1 2\n".encode())
         with pytest.raises(DimacsError):
             load_dimacs(target)
+        target.write_bytes(b"c x\np edge 2 1\ne 1 2\xff\n")
+        with pytest.raises(DimacsError) as err:
+            load_dimacs(target)
+        assert err.value.line == 3
+        assert str(err.value) == "line 3: non-ASCII character"
 
     @pytest.mark.parametrize("number", ["1_0", "+3", "-3"])
     def test_numbers_are_ascii_digits_only(self, number):
@@ -225,6 +231,67 @@ class TestDimacs:
             parse_dimacs("p edge 3 5\ne 1 2\n")
         with pytest.raises(DimacsError):
             parse_dimacs("")
+
+    def test_line_fault_reported_before_duplicate(self):
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs("p edge 3 2\ne 1 2\ne 2 1\nq 1 2\n")
+        assert str(err.value) == "line 4: unknown directive 'q'"
+
+
+class TestDimacsRandom:
+    SEEDS = range(25)
+
+    @staticmethod
+    def draw(seed):
+        """A random edge list on n vertices, and its DIMACS lines: edges in
+        random orientation with zero-padded labels, between comment and
+        blank lines."""
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        if not pairs:
+            pairs = [(0, 1)]
+        rng.shuffle(pairs)
+        lines = ["c random edge list", f"p edge {n} {len(pairs)}"]
+        for u, v in pairs:
+            if rng.random() < 0.5:
+                u, v = v, u
+            while rng.random() < 0.2:
+                lines.append(rng.choice(["", "c note", "   "]))
+            lines.append(f"e {'0' * rng.randint(0, 2)}{u + 1} {'0' * rng.randint(0, 2)}{v + 1}")
+        return rng, n, pairs, lines
+
+    def test_parses_to_the_same_graph(self):
+        for seed in self.SEEDS:
+            _, n, pairs, lines = self.draw(seed)
+            assert parse_dimacs("\n".join(lines) + "\n") == build_graph(n, pairs), seed
+
+    @pytest.mark.parametrize("fault", ["duplicate", "self-loop", "out-of-range"])
+    def test_planted_fault_raises_at_its_line(self, fault):
+        for seed in self.SEEDS:
+            rng, n, _, lines = self.draw(seed)
+            if fault == "duplicate":
+                # after the edge line it repeats, so it is the first duplicate
+                first = rng.choice([i for i, line in enumerate(lines) if line.startswith("e ")])
+                u, v = (int(x) for x in lines[first].split()[1:])
+                if rng.random() < 0.5:
+                    u, v = v, u
+                at = rng.randint(first + 1, len(lines))
+                planted, message = f"e {u} {v}", f"duplicate edge ({u}, {v})"
+            elif fault == "self-loop":
+                x = rng.randint(1, n)
+                at = rng.randint(2, len(lines))
+                planted, message = f"e {x} {x}", f"self-loop at vertex {x}"
+            else:
+                u, v = rng.randint(1, n), n + rng.randint(1, 3)
+                if rng.random() < 0.5:
+                    u, v = v, u
+                at = rng.randint(2, len(lines))
+                planted, message = f"e {u} {v}", f"endpoint outside 1..{n}"
+            lines.insert(at, planted)
+            with pytest.raises(DimacsError) as err:
+                parse_dimacs("\n".join(lines) + "\n")
+            assert (err.value.line, str(err.value)) == (at + 1, f"line {at + 1}: {message}"), seed
 
 
 class TestDefaultCorpus:

@@ -18,6 +18,7 @@ from clawsq.errors import (
     InvalidPartitionError,
     NotClawFreeError,
     UnclassifiableGraphError,
+    UnsupportedOmegaError,
 )
 from clawsq.graph import (
     DISJOINT_COVER,
@@ -38,6 +39,7 @@ from clawsq.structure import (
     neighborhood_shape,
     recognize_icosahedron,
     reduction_case,
+    reduction_thresholds,
     root_graph,
 )
 import clawsq.structure as structure
@@ -530,6 +532,16 @@ class TestFindReducible:
         deleted_sq = square(delete_vertex(octahedron_graph, red.vertex))
         shifted = [x if x < red.vertex else x - 1 for x in bad]
         assert brute_is_clique(deleted_sq, shifted)
+
+    @pytest.mark.parametrize(
+        "omega, thresholds", [(3, (9, 11)), (4, (19, None)), (5, (36, 37))]
+    )
+    def test_reduction_thresholds(self, omega, thresholds):
+        assert reduction_thresholds(omega) == thresholds
+
+    def test_no_reduction_thresholds_below_three(self):
+        with pytest.raises(UnsupportedOmegaError):
+            reduction_thresholds(2)
 
 
 class TestReductionCaseMatchesReference:
