@@ -5,13 +5,17 @@ checks claw-freeness once and returns every instance as a
 :class:`LemmaReport` that records both sides of the bound exactly. Sides are
 integers or rationals (`fractions.Fraction`), never floating point, so
 ``holds``, which is ``lhs <= rhs``, is never a tolerance question. One sweep
-over the adjacency rows computes every report: ω and α of N(v) by clique
-searches (α off two covering cliques when they exist), each exterior once
-per directed edge by popcounts, and q at most once per edge, since it is
-symmetric and Z(v) is where it is positive. q is a matching number: a
-greedy matching grown by Edmonds' blossom algorithm, polynomial and
-without recursion, and no search at all on an edge whose cover table entry
-forces 0.
+over the adjacency rows computes every report. ω and α of N(v) come off
+the two cliques that cover N(v) when the cover table has them: ω is the
+larger side of a disjoint cover, and |N(v)| minus the matching number of
+the complement (König) for a joined one. Only a neighborhood without a
+cover is searched for cliques, in g and in its complement. Each exterior
+is counted once per directed edge by popcounts, and its non-edges only
+where N(w) has no cover, since a cover puts the exterior inside one clique.
+q is computed at most once per edge, since it is symmetric and Z(v) is
+where it is positive. ν and q are matching numbers: a greedy matching
+grown by Edmonds' blossom algorithm, polynomial and without recursion, and
+no search at all on an edge whose cover table entry forces 0.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaError
 from .graph import (
     DISJOINT_COVER,
+    JOINED_COVER,
     NO_COVER,
     Graph,
     bits,
@@ -288,8 +293,13 @@ def _second_degree_cap(omega: int) -> Fraction:
 def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
     """Every report of the suite at clique number ``omega``, from one sweep over g's rows.
 
-    The clique number of each neighborhood is searched first; ``omega``
-    defaults to g's own, max(2, 1 + the largest of them).
+    The clique number of each neighborhood comes first, read off g's
+    :func:`neighborhood_covers` table: the larger side of a DISJOINT_COVER,
+    |N(v)| - ν for a JOINED_COVER, whose complement is bipartite, with ν its
+    matching number, and a clique search on a NO_COVER neighborhood alone.
+    ``omega`` defaults to g's own, max(2, 1 + the largest of them). These
+    read only the cover's clique checks, never claw-freeness, so the sweep
+    is exact on graphs with claws too.
 
     Reports come in three families, each in vertex order:
     - per vertex: deg(v) <= R(omega,3)-1; no clique of size omega inside
@@ -303,17 +313,29 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
       bound needs that much room) the matching-weighted degree bound and
       the square-degree cap. One extra report caps the maximum square
       degree globally.
-    Each edge's exterior is computed once and read by both of its families.
+    Each edge's exterior is computed once and read by both of its families;
+    its non-edges are counted only when N(w) has no cover, and are 0 otherwise.
     """
     adj = g._adj
-    cliques = [max_clique_within(adj, nv)[0] for nv in adj]
+    kinds = neighborhood_covers(g)
+    cliques = []
+    for nv, kind in zip(adj, kinds):
+        if kind == DISJOINT_COVER:
+            side_a, side_b = split_at_lowest(adj, nv)
+            cliques.append(max(side_a.bit_count(), side_b.bit_count()))
+        elif kind == JOINED_COVER:
+            # the complement of N(v) is bipartite, so by König's theorem its
+            # largest independent set, a clique of g, misses one vertex per
+            # matching edge
+            cliques.append(nv.bit_count() - _complement_matching(adj, nv))
+        else:
+            cliques.append(max_clique_within(adj, nv)[0])
     if omega is None:
         omega = max(2, 1 + max(cliques, default=-1))
     degree_cap = ramsey_bound(omega) - 1
     clique_cap = omega - 1
     cap = _second_degree_cap(omega) if omega >= 4 else None
     qs = q_rows(g)
-    kinds = neighborhood_covers(g)
     degree, exterior, second = [], [], []
     worst_v = 0
     worst = 0
@@ -338,10 +360,13 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
         for w, q in qs[v].items():
             ext = adj[w] & outside
             size = ext.bit_count()
-            # every edge inside the exterior is seen once from each end
-            inner = sum((adj[x] & ext).bit_count() for x in bits(ext))
             exterior.append(LemmaReport("exterior-size", v, w, size, clique_cap))
-            nonedges = (size * (size - 1) - inner) // 2
+            if kinds[w] == NO_COVER:
+                # every edge inside the exterior is seen once from each end
+                inner = sum((adj[x] & ext).bit_count() for x in bits(ext))
+                nonedges = (size * (size - 1) - inner) // 2
+            else:  # v's side of N(w)'s cover lies in N[v], so ext is in the other
+                nonedges = 0
             exterior.append(LemmaReport("exterior-nonedges", v, w, nonedges, 0))
             counts[q] = counts.get(q, 0) + 1
             exts[q] = exts.get(q, 0) + size
@@ -351,9 +376,14 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
         second.append(LemmaReport("second-neighborhood-z-sum", v, None, snn, zsum))
         zbound = Fraction((2 * deg - z_size) * (omega - 1), 2)
         second.append(LemmaReport("second-neighborhood-z", v, None, snn, zbound))
-        qsum = sum(Fraction(ext, q + 1) for q, ext in exts.items())
+        if deg:  # one Fraction per side, over the lcm of the q + 1
+            den = lcm(*(q + 1 for q in counts))
+            qsum = Fraction(sum(ext * (den // (q + 1)) for q, ext in exts.items()), den)
+            weight = sum(c * (den // (q + 1)) for q, c in counts.items())
+            qbound = Fraction((omega - 1) * weight, den)
+        else:
+            qsum = qbound = 0
         second.append(LemmaReport("second-neighborhood-q-sum", v, None, snn, qsum))
-        qbound = (omega - 1) * sum(Fraction(c, q + 1) for q, c in counts.items())
         second.append(LemmaReport("second-neighborhood-q", v, None, snn, qbound))
         if deg >= 2 * omega - 1:
             second.append(LemmaReport("z-covers-neighborhood", v, None, deg, z_size))
@@ -377,7 +407,7 @@ def run_lemma_suite(g: Graph) -> list[LemmaReport]:
 
     Checks claw-freeness once, raising NotClawFreeError with the claw as its
     witness, and then evaluates every report in one sweep (``_lemma_reports``),
-    whose neighborhood clique searches give the clique number.
+    whose neighborhood clique numbers give the clique number.
     """
     require_claw_free(g)
     return _lemma_reports(g)

@@ -39,9 +39,12 @@ class _NodeBudget:
 def _decide_k_colorable(g: Graph, k: int, budget: _NodeBudget) -> list[int] | None:
     """Proper k-coloring of g, or None when exhaustive search rules one out.
 
-    Branches on the most saturated uncolored vertex (ties to the lowest
-    index) and introduces new colors in order, so node counts are
-    reproducible across runs.
+    DSATUR branch and bound (Brélaz 1979): branches on the most saturated
+    uncolored vertex (ties to the lowest index) and introduces new colors
+    in order, so node counts are reproducible across runs. Saturations are
+    kept, not recounted: each vertex holds how many of its colored
+    neighbors have each color and how many colors that makes, and every
+    assignment and unassignment updates its neighbors' counts.
     """
     n = g.n
     if n == 0:
@@ -49,9 +52,18 @@ def _decide_k_colorable(g: Graph, k: int, budget: _NodeBudget) -> list[int] | No
     if k <= 0:
         return None
     colors = [UNCOLORED] * n
+    nbrs = [bits(row) for row in g._adj]
+    seen = [[0] * k for _ in range(n)]  # seen[u][c]: colored neighbors of u with color c
+    saturation = [0] * n  # colors c with seen[u][c] > 0
 
-    def saturation(u):
-        return len({colors[w] for w in bits(g._adj[u]) if colors[w] != UNCOLORED})
+    def paint(v, c, step):
+        # step is 1 to give v color c and -1 to take it away
+        for w in nbrs[v]:
+            row = seen[w]
+            before = row[c]
+            row[c] = before + step
+            if not before or not row[c]:  # the count left or reached 0
+                saturation[w] += step
 
     # One frame per colored vertex: the vertex, the colors still to try on
     # it, and the palette in use before it. Each descent spends one node.
@@ -60,23 +72,23 @@ def _decide_k_colorable(g: Graph, k: int, budget: _NodeBudget) -> list[int] | No
     while True:
         budget.spend()
         v = None
-        v_key = None
-        for u in range(n):
-            if colors[u] != UNCOLORED:
-                continue
-            key = (saturation(u), -u)
-            if v is None or key > v_key:
-                v, v_key = u, key
+        best = -1
+        for u in range(n):  # strictly greater, so ties go to the lowest index
+            if colors[u] == UNCOLORED and saturation[u] > best:
+                v, best = u, saturation[u]
         if v is None:
             return colors
-        taken = {colors[w] for w in bits(g._adj[v]) if colors[w] != UNCOLORED}
-        options = iter([c for c in range(min(used + 1, k)) if c not in taken])
+        taken = seen[v]
+        options = iter([c for c in range(min(used + 1, k)) if not taken[c]])
         stack.append((v, options, used))
         while stack:
             v, options, used = stack[-1]
+            if colors[v] != UNCOLORED:
+                paint(v, colors[v], -1)
             c = next(options, None)
             if c is not None:
                 colors[v] = c
+                paint(v, c, 1)
                 used = max(used, c + 1)
                 break
             colors[v] = UNCOLORED

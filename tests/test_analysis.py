@@ -26,7 +26,15 @@ from clawsq.corpus import (
     gen_random_claw_free,
 )
 from clawsq.errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaError
-from clawsq.graph import NO_COVER, build_graph, cover_kind, max_clique
+from clawsq.graph import (
+    JOINED_COVER,
+    NO_COVER,
+    bits,
+    build_graph,
+    cover_kind,
+    max_clique,
+    max_clique_within,
+)
 from clawsq.oracle import brute_force_claw_free
 
 from helpers import (
@@ -35,7 +43,9 @@ from helpers import (
     brute_max_matching,
     brute_q_value,
     brute_second_neighborhood_reports,
+    circular_interval_graph,
     has_claw_triples,
+    k2_join_cliques,
     lemma_sweep_instances,
     open_edge_masks,
     random_graph,
@@ -434,18 +444,101 @@ class TestReportsMatchReference:
         for (g, omega, degree, exterior, second), reports in zip(reference_reports, suite_reports):
             assert reports == degree + exterior + second, (g, omega)
 
+    def test_side_types(self, reference_reports, suite_reports):
+        # Counts and caps are ints, and every other side a Fraction, except
+        # the q-weighted sums of an isolated vertex, which are empty: int 0.
+        rational = {
+            "second-neighborhood-z-sum",
+            "second-neighborhood-z",
+            "second-neighborhood-q-sum",
+            "second-neighborhood-q",
+            "half-degree-bound",
+            "matching-weighted-degree-bound",
+            "square-degree-cap",
+        }
+        empty = {"second-neighborhood-q-sum", "second-neighborhood-q"}
+        isolated = 0
+        for (g, *_), reports in zip(reference_reports, suite_reports):
+            for r in reports:
+                assert type(r.lhs) is int, r
+                alone = r.lemma_id in empty and g.degree(r.vertex) == 0
+                isolated += alone
+                expected = Fraction if r.lemma_id in rational and not alone else int
+                assert type(r.rhs) is expected, r
+        assert isolated
+
+
+def joined_neighborhoods(g):
+    """Counter of N(v) over the vertices whose neighborhood cover_kind calls JOINED_COVER."""
+    adj = g._adj
+    return Counter(nv for nv in adj if cover_kind(adj, nv) == JOINED_COVER)
+
 
 class TestLemmaSuiteCalls:
     def test_no_subgraphs_and_one_q_value_per_edge(self, monkeypatch, corpus):
-        # At most one matching search per edge, and none on an edge with an
-        # end whose neighborhood is two cliques with no edge between them.
+        # One matching search per edge, none on an edge with an end whose
+        # neighborhood is two cliques with no edge between them, and one
+        # more on each neighborhood covered by two cliques an edge joins,
+        # whose clique number it gives.
         subgraphs = record_calls(monkeypatch, graph, "induced_subgraph")
         searches = record_calls(monkeypatch, analysis, "_complement_matching")
+        joined = 0
         for g in [entry.graph for entry in corpus[::25]] + [cocktail_party(6)]:
             searches.clear()
             run_lemma_suite(g)
-            assert Counter(mask for _, mask in searches) <= open_edge_masks(g)
+            covered = joined_neighborhoods(g)
+            assert Counter(mask for _, mask in searches) == open_edge_masks(g) + covered
+            joined += covered.total()
+        assert joined
         # no neighborhood of K_{6 x 2}, the last graph, has a cover, so
-        # every one of its edges is searched
+        # every one of its edges is searched, and nothing else
         assert len(searches) == g.edge_count
         assert subgraphs == []
+
+    def test_clique_searches_only_on_uncovered_neighborhoods(self, monkeypatch, corpus):
+        # A covered neighborhood's clique and stability numbers come off its
+        # cover; an uncovered N(v) is searched at most twice, for a clique in
+        # g's rows and for one in the complement's rows inside N(v).
+        searches = record_calls(monkeypatch, analysis, "max_clique_within")
+        graphs = [entry.graph for entry in corpus[::25]]
+        graphs += [k2_join_cliques(4, 3, seed) for seed in range(4)] + [cocktail_party(6)]
+        searched = 0
+        for g in graphs:
+            searches.clear()
+            run_lemma_suite(g)
+            adj = g._adj
+            uncovered = Counter(nv for nv in adj if cover_kind(adj, nv) == NO_COVER)
+            masks = Counter(mask for _, mask in searches)
+            assert all(masks[nv] <= 2 * uncovered[nv] for nv in masks), g
+            for rows, nv in searches:
+                anti = {u: nv & ~(adj[u] | 1 << u) for u in bits(nv)}
+                assert rows is adj or rows == anti
+            searched += len(searches)
+        assert searched
+
+
+class TestNeighborhoodCliqueCap:
+    def test_cover_reading_matches_search(self):
+        # The cap's lhs comes off the cover for covered neighborhoods: the
+        # larger side of a disjoint one, and |N(v)| minus the complement's
+        # matching number for a joined one. Both families reach that case.
+        families = {
+            "k2-join": [
+                k2_join_cliques(s, t, seed)
+                for s in range(1, 6)
+                for t in range(1, 6)
+                for seed in range(3)
+            ],
+            "circular-interval": [
+                circular_interval_graph(n, seed) for n in range(4, 41, 3) for seed in range(4)
+            ],
+        }
+        for name, graphs in families.items():
+            joined = 0
+            for g in graphs:
+                adj = g._adj
+                reports = run_lemma_suite(g)
+                caps = [r.lhs for r in reports if r.lemma_id == "neighborhood-clique-cap"]
+                assert caps == [max_clique_within(adj, nv)[0] for nv in adj], (name, g)
+                joined += sum(cover_kind(adj, nv) == JOINED_COVER for nv in adj)
+            assert joined, name

@@ -9,7 +9,9 @@ sha256 of the ``as_dict`` list that ``run_lemma_suite`` returns for every
 corpus entry and every stress-family instance (at the graph's clique
 number, at least 2) and that its evaluator ``_lemma_reports`` returns for
 every case of the omega sweep, and the sha256 of every corpus entry's ``clawsq analyze`` and ``clawsq color`` reports
-without ``timings`` and with ``input`` cut to the file name. A change that
+without ``timings`` and with ``input`` cut to the file name, and of the
+``clawsq color --oracle`` report of every corpus entry with at most 20
+vertices, which pins the exact search's value and node count. A change that
 alters any of these on purpose regenerates both files with
 ``PYTHONPATH=src:tests python tests/test_golden.py`` and says why.
 """
@@ -63,20 +65,29 @@ def lemma_digests(corpus, stress, sweep):
     }
 
 
-def report_digests(command, corpus, directory):
-    """Digest of each corpus entry's ``clawsq COMMAND`` report, corpus written to directory."""
+def report_digests(command, corpus, directory, *flags):
+    """Digest of each corpus entry's ``clawsq COMMAND FILE FLAGS`` report.
+
+    The corpus is written to ``directory`` first.
+    """
     write_corpus(corpus, directory)
     out = {}
     for entry in corpus:
         name = f"{entry.id}.col"
         buf = io.StringIO()
         with redirect_stdout(buf):
-            assert main([command, str(Path(directory) / name)]) == 0
+            assert main([command, str(Path(directory) / name), *flags]) == 0
         report = json.loads(buf.getvalue())
         del report["timings"]
         report["input"] = name
         out[entry.id] = text_digest(json.dumps(report, sort_keys=True, indent=2))
     return out
+
+
+def oracle_digests(corpus, directory):
+    """``report_digests`` of ``clawsq color --oracle`` on corpus entries of at most 20 vertices."""
+    small = [entry for entry in corpus if entry.graph.n <= 20]
+    return report_digests("color", small, directory, "--oracle")
 
 
 def assert_same_digests(current, golden):
@@ -110,6 +121,11 @@ def test_color_reports_match_golden(corpus, tmp_path):
     assert_same_digests(report_digests("color", corpus, tmp_path), golden)
 
 
+def test_color_oracle_reports_match_golden(corpus, tmp_path):
+    golden = json.loads(GOLDEN_REPORTS.read_text())["color_oracle"]
+    assert_same_digests(oracle_digests(corpus, tmp_path), golden)
+
+
 if __name__ == "__main__":
     corpus, stress = default_corpus(), stress_instances()
     digests = current_digests(corpus, stress, scaling_instances())
@@ -118,6 +134,7 @@ if __name__ == "__main__":
         reports = {
             "analyze": report_digests("analyze", corpus, directory),
             "color": report_digests("color", corpus, directory),
+            "color_oracle": oracle_digests(corpus, directory),
             "lemmas": lemma_digests(corpus, stress, lemma_sweep_instances()),
         }
     GOLDEN_REPORTS.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")

@@ -1,9 +1,12 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clawsq import oracle
 from clawsq.corpus import (
     BlowupSpec,
     claw,
@@ -67,6 +70,16 @@ class TestExactChromatic:
         b = exact_chromatic(square(icosahedron), 10)
         assert a.nodes_explored == b.nodes_explored
 
+    def test_nodes_explored_pinned(self, icosahedron):
+        # Fixed by the branching rule (most saturated, ties to the lowest
+        # index, new colors in order), not by how saturation is kept.
+        ico = exact_chromatic(square(icosahedron), 10)
+        assert (ico.value, ico.nodes_explored) == (6, 13)
+        assert ico.witness.colors == (0, 1, 2, 3, 4, 5, 3, 4, 5, 1, 2, 0)
+        c13 = exact_chromatic(square(cycle(13)), 13)
+        assert (c13.value, c13.nodes_explored) == (4, 27)
+        assert c13.witness.colors == (0, 1, 2) * 4 + (3,)
+
     def test_value_certified_by_exhaustion_below(self, icosahedron):
         # One fewer color admits no proper coloring: search at value-1
         # exhausts rather than timing out.
@@ -86,6 +99,18 @@ class TestExactChromatic:
         assert result.value == expected
         if result.value is not None and g.n:
             assert result.witness.palette_size == result.value
+
+
+def test_oracle_imports_only_errors_and_graph():
+    # The oracle checks the engine, so it may not share the engine's code.
+    modules = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    inside = {m for m in modules if m.startswith(".") or m.partition(".")[0] == "clawsq"}
+    assert inside == {".errors", ".graph"}
 
 
 class TestExactStrongChromaticIndex:
