@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .coloring import (
     StrongEdgeColoring,
-    color_icosahedron,
     color_small_omega,
     color_square,
     greedy_reduce,

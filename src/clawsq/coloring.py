@@ -44,7 +44,6 @@ from .analysis import require_claw_free
 from .errors import (
     DEFAULT_NODE_LIMIT,
     InternalBoundViolation,
-    InvalidPairingError,
     NodeLimitExceeded,
     NotSmallOmegaError,
 )
@@ -67,7 +66,6 @@ from .graph import (
 )
 from .structure import (
     classify,
-    recognize_icosahedron,
     reduction_case,
     reduction_thresholds,
 )
@@ -154,21 +152,6 @@ def color_small_omega(g: Graph) -> Coloring:
             step = adj[cur] & ~came_from
             came_from = 1 << cur
             cur = (step & -step).bit_length() - 1
-    return Coloring(colors)
-
-
-def color_icosahedron(g: Graph) -> Coloring:
-    """Six colors on the icosahedron, one per antipodal pair.
-
-    The pairs are :func:`recognize_icosahedron`'s, in order of their lower
-    vertex; raises InvalidPairingError when g is not the icosahedron.
-    """
-    pairing = recognize_icosahedron(g)
-    if pairing is None:
-        raise InvalidPairingError("the graph is not the icosahedron")
-    colors = [UNCOLORED] * 12
-    for i, (a, b) in enumerate(pairing):
-        colors[a] = colors[b] = i
     return Coloring(colors)
 
 
@@ -559,14 +542,14 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
 def _color_base_components(g: Graph, rest: list[int], bases, node_limit: int) -> list:
     """Colors of g[rest], indexed by g's vertices; ``rest`` and ``bases`` are :func:`_peel`'s.
 
-    Each base is classified at its clique number and colored on its own:
-    the icosahedron by its antipodal pairs, a line graph by the strong edge
-    coloring of its root, read through the root's edge of each vertex. The
-    other vertices of ``rest`` (paths, cycles, edges and single vertices)
-    are colored by one :func:`color_small_omega` call on the subgraph they
-    induce, which keeps vertex order, so each is colored as it would be
-    alone. A spent node budget is the caller's limit, so NodeLimitExceeded
-    passes through.
+    Each base is recognized by :func:`classify` alone and colored on its
+    own: the icosahedron by classify's antipodal pairs, pair i color i, a
+    line graph by the strong edge coloring of its root, read through the
+    root's edge of each vertex. The other vertices of ``rest`` (paths,
+    cycles, edges and single vertices) are colored by one
+    :func:`color_small_omega` call on the subgraph they induce, which keeps
+    vertex order, so each is colored as it would be alone. A spent node
+    budget is the caller's limit, so NodeLimitExceeded passes through.
     """
     colors = [UNCOLORED] * g.n
     small = set(rest)
@@ -575,7 +558,9 @@ def _color_base_components(g: Graph, rest: list[int], bases, node_limit: int) ->
         sub, old = induced_subgraph(g, comp)
         outcome = classify(sub, w, check_claw_free=False)
         if outcome.kind == "icosahedron":
-            local = color_icosahedron(sub).colors
+            local = [UNCOLORED] * 12
+            for i, (a, b) in enumerate(outcome.antipodal_pairs):
+                local[a] = local[b] = i
         elif outcome.kind == "line_graph":
             sec = strong_edge_color(outcome.root.f, node_limit=node_limit)
             index = {e: i for i, e in enumerate(sec.edges)}

@@ -41,10 +41,6 @@ class NotSmallOmegaError(ValueError):
     """The path-and-cycle colorer received a graph with a triangle or a degree-3 vertex."""
 
 
-class InvalidPairingError(ValueError):
-    """The graph is not the icosahedron, so it has no antipodal pairing to color by."""
-
-
 class InvalidPartitionError(ValueError):
     """The supplied clique family is not an edge partition with the required properties."""
 

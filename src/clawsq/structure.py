@@ -394,6 +394,13 @@ def reduction_thresholds(omega: int) -> tuple[int, int | None]:
     kprime is the square-degree threshold under which a vertex can anchor a
     reduction; neighbor_cap caps its neighbors' square degrees, or is None
     when there is no cap.
+
+    The omega >= 5 pair, (2*omega*(omega-1) - 4, 2*omega*(omega-1) - 3),
+    has no cited source, and it does not extend the omega 3 and 4 values
+    (9, 11 and 19, no cap). In the library only :func:`classify` reaches
+    it, through :func:`find_reducible_vertex`, for ``clawsq analyze``; the
+    engine peels at omega 3 and 4 alone. Citing or dropping it waits for
+    the ``clawsq/3`` report schema (ROADMAP item 2's satellite).
     """
     if omega == 3:
         return 9, 11

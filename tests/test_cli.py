@@ -758,12 +758,14 @@ def test_import_loads_no_process_pool():
     assert done.stdout == "[]\n"
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def readme_commands():
     """The argv of every ``clawsq`` line in the README's ``sh`` blocks, comments and pipes cut."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
     commands = []
     in_shell = False
-    for line in readme.read_text(encoding="utf-8").splitlines():
+    for line in README.read_text(encoding="utf-8").splitlines():
         if line.startswith("```"):
             in_shell = line == "```sh"
             continue
@@ -782,3 +784,28 @@ class TestReadmeCommands:
     @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
     def test_parses(self, argv):
         cli.build_parser().parse_args(argv)
+
+
+def readme_python_blocks():
+    """The source of every ``python`` block in the README, in order."""
+    blocks = []
+    block = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            if block is not None:
+                blocks.append("\n".join(block))
+            block = [] if line == "```python" else None
+        elif block is not None:
+            block.append(line)
+    return blocks
+
+
+class TestReadmeLibrarySketch:
+    """Every ``python`` block of the README runs, asserts included."""
+
+    def test_blocks_found(self):
+        assert readme_python_blocks()
+
+    @pytest.mark.parametrize("index", range(len(readme_python_blocks())))
+    def test_runs(self, index):
+        exec(compile(readme_python_blocks()[index], str(README), "exec"), {})

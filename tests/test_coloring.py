@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clawsq import coloring
+from clawsq import coloring, structure
 from clawsq.analysis import find_claw, q_rows, run_lemma_suite
 from clawsq.coloring import (
     DEFAULT_NODE_LIMIT,
-    color_icosahedron,
     color_small_omega,
     color_square,
     edge_conflict_graph,
@@ -37,7 +36,6 @@ from clawsq.corpus import (
     squared_cycle,
 )
 from clawsq.errors import (
-    InvalidPairingError,
     NodeLimitExceeded,
     NotClawFreeError,
     NotSmallOmegaError,
@@ -964,29 +962,36 @@ class TestBacktrackWithin:
 
 
 class TestIcosahedronColoring:
-    def test_antipodal_six(self, icosahedron):
-        pairing = recognize_icosahedron(icosahedron)
-        coloring = color_icosahedron(icosahedron)
+    """The base step colors the icosahedron off classify's antipodal pairs, one color each."""
+
+    @staticmethod
+    def check_antipodal_six(g):
+        coloring = color_square(g)
         assert coloring.palette_size == 6
-        for a, b in pairing:
+        for a, b in recognize_icosahedron(g):
             assert coloring.colors[a] == coloring.colors[b]
-        assert verify_coloring(icosahedron, coloring)
+        assert brute_is_proper(brute_square(g), coloring.colors)
+
+    def test_antipodal_six(self, icosahedron):
+        self.check_antipodal_six(icosahedron)
 
     def test_relabeled_icosahedron(self):
         rng = random.Random(20240817)
         perm = list(range(12))
         rng.shuffle(perm)
-        base = gen_icosahedron()
-        g = build_graph(12, [(perm[u], perm[v]) for u, v in base.edges()])
-        coloring = color_icosahedron(g)
-        assert coloring.palette_size == 6
-        assert verify_coloring(g, coloring)
+        self.check_antipodal_six(relabel(gen_icosahedron(), perm))
 
-    def test_rejects_non_icosahedron(self, octahedron_graph):
-        # Twelve vertices are not enough: the 12-cycle has antipodes too.
-        for g in (octahedron_graph, cycle(12)):
-            with pytest.raises(InvalidPairingError):
-                color_icosahedron(g)
+    def test_one_recognition_per_base(self, monkeypatch):
+        # classify recognizes each icosahedron base, and the base step reads
+        # its pairs, so no second recognition runs.
+        rng = random.Random(30)
+        twins = [relabel(gen_icosahedron(), rng.sample(range(12), 12)) for _ in range(2)]
+        cases = [(gen_icosahedron(), 1), (disjoint_union([*twins, cycle(7)], rng), 2)]
+        calls = record_calls(monkeypatch, structure, "recognize_icosahedron")
+        for g, bases in cases:
+            calls.clear()
+            assert color_square(g).palette_size == 6
+            assert len(calls) == bases
 
 
 class TestSmallOmega:
