@@ -48,12 +48,7 @@ from .graph import (
     max_clique,
     square,
 )
-from .oracle import (
-    ExactResult,
-    brute_force_claw_free,
-    exact_chromatic,
-    exact_strong_chromatic_index,
-)
+from .oracle import ExactResult, brute_force_claw_free, exact_chromatic
 from .structure import (
     Classification,
     NeighborhoodShape,

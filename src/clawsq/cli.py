@@ -32,6 +32,7 @@ from .corpus import (
     cocktail_party,
     complete,
     cycle,
+    decimal_at_most,
     default_corpus,
     gen_blowup_c5,
     gen_icosahedron,
@@ -294,18 +295,21 @@ _NAMED_ROOTS = {
 
 
 def _natural(text: str, what: str) -> int:
-    """``text`` read as a non-negative integer of ASCII decimal digits, or CliUsageError.
+    """``text``, ASCII decimal digits, as an integer up to ``sys.maxsize``, or CliUsageError.
 
     The one reader of every number on the command line: ``int`` alone would
     also take a sign, ``_`` separators, spaces and non-ASCII digits.
     """
     if not (text.isascii() and text.isdigit()):
         raise CliUsageError(f"{what} must be a non-negative integer, got {text!r}")
-    return int(text)
+    value = decimal_at_most(text, sys.maxsize)
+    if value is None:
+        raise CliUsageError(f"{what} must be a non-negative integer of at most {sys.maxsize}")
+    return value
 
 
 def _at_least(least: int):
-    """argparse type: an integer of at least ``least``, read by ``_natural``."""
+    """argparse type: an integer from ``least`` to ``sys.maxsize``, read by ``_natural``."""
     bound = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
 
     def read(text: str) -> int:
@@ -314,7 +318,7 @@ def _at_least(least: int):
         except CliUsageError:
             value = -1
         if value < least:
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be {bound} up to {sys.maxsize}, got {text!r}")
         return value
 
     return read

@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 
 from .errors import (
@@ -19,8 +20,8 @@ from .errors import (
     GenerationExhaustedError,
     InvalidSpecError,
 )
-from .graph import Graph, build_graph, max_clique
-from .oracle import brute_force_claw_free, line_graph_of
+from .graph import Graph, bits, build_graph, max_clique
+from .oracle import brute_force_claw_free
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +137,15 @@ def gen_blowup_c5(spec: BlowupSpec) -> Graph:
 
 def gen_line_graph(f: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph of f and the ordered edge list serving as the bijection."""
-    return line_graph_of(f)
+    edges = tuple(sorted(f.edges()))
+    position = {e: i for i, e in enumerate(edges)}
+    pairs = []
+    for u in range(f.n):
+        incident = sorted(
+            position[(min(u, w), max(u, w))] for w in bits(f._adj[u])
+        )
+        pairs.extend(combinations(incident, 2))
+    return build_graph(len(edges), sorted(set(pairs))), edges
 
 
 def _random_bounded_graph(m: int, cap: int, rng: random.Random) -> Graph:
@@ -224,6 +233,21 @@ def gen_random_claw_free(
 # ---------------------------------------------------------------------------
 # DIMACS .col
 
+_MAXSIZE_DIGITS = len(str(sys.maxsize))
+
+
+def decimal_at_most(digits: str, bound: int) -> int | None:
+    """The value of ASCII decimal digits, or None above ``bound`` (at most ``sys.maxsize``).
+
+    Only zero padding, of any length, lets a longer string fit, so ``int`` never meets its limit.
+    """
+    if len(digits) > _MAXSIZE_DIGITS:
+        digits = digits.lstrip("0")
+        if len(digits) > _MAXSIZE_DIGITS:
+            return None
+    value = int(digits or "0")
+    return value if value <= bound else None
+
 
 def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS .col document (1-based 'e u v' lines under one 'p edge' line).
@@ -252,9 +276,12 @@ def parse_dimacs(text: str) -> Graph:
             # int() alone would also take a sign and "_" separators
             if not (fields[2].isdigit() and fields[3].isdigit()):
                 raise DimacsError("problem line counts must be decimal digits", line=lineno)
-            n, m = int(fields[2]), int(fields[3])
-            if n > sys.maxsize:
+            n = decimal_at_most(fields[2], sys.maxsize)
+            m = decimal_at_most(fields[3], sys.maxsize)
+            if n is None:
                 raise DimacsError(f"vertex count above {sys.maxsize}", line=lineno)
+            if m is None:
+                raise DimacsError(f"edge count above {sys.maxsize}", line=lineno)
         elif fields[0] == "e":
             if n is None:
                 raise DimacsError("edge before problem line", line=lineno)
@@ -262,8 +289,8 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError("edge line must read 'e <u> <v>'", line=lineno)
             if not (fields[1].isdigit() and fields[2].isdigit()):
                 raise DimacsError("endpoints must be decimal digits", line=lineno)
-            u, v = int(fields[1]), int(fields[2])
-            if not (1 <= u <= n and 1 <= v <= n):
+            u, v = decimal_at_most(fields[1], n), decimal_at_most(fields[2], n)
+            if not (u and v):  # None above n, 0 below 1
                 raise DimacsError(f"endpoint outside 1..{n}", line=lineno)
             if u == v:
                 raise DimacsError(f"self-loop at vertex {u}", line=lineno)

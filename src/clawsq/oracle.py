@@ -1,8 +1,8 @@
-"""Independent exact solvers used to validate the engine and derive constants.
+"""Independent exact checks used to validate the engine.
 
 The chromatic solver here shares no search code with the coloring engine:
-it builds squares and line graphs through the graph primitives and runs its
-own branch and bound, so agreement between the two is meaningful evidence.
+it runs its own branch and bound on the graph it is given, and the claw
+check enumerates every triple, so agreement is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DEFAULT_NODE_LIMIT, NodeLimitExceeded
-from .graph import UNCOLORED, Coloring, Graph, bits, build_graph, max_clique, square
+from .graph import UNCOLORED, Coloring, Graph, bits, max_clique
 
 
 @dataclass
@@ -117,33 +117,6 @@ def exact_chromatic(g: Graph, upper: int, node_limit: int = DEFAULT_NODE_LIMIT) 
             witness = Coloring(found)
             break
     return ExactResult(value, witness, budget.used)
-
-
-def line_graph_of(f: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
-    """Line graph of f plus the edge list indexing its vertices."""
-    edges = tuple(sorted(f.edges()))
-    position = {e: i for i, e in enumerate(edges)}
-    pairs = []
-    for u in range(f.n):
-        incident = sorted(
-            position[(min(u, w), max(u, w))] for w in bits(f._adj[u])
-        )
-        pairs.extend(combinations(incident, 2))
-    return build_graph(len(edges), sorted(set(pairs))), edges
-
-
-# Kept as the independent reference that pins the strong chromatic indices
-# behind the palette bounds: 10 at maximum degree 3, 20 for the C5 blow-up.
-def exact_strong_chromatic_index(
-    f: Graph, upper: int, node_limit: int = DEFAULT_NODE_LIMIT
-) -> ExactResult:
-    """Exact least palette for a strong edge coloring of f (up to ``upper``).
-
-    Definitional route: build the line graph, square it, and solve the
-    vertex coloring exactly.
-    """
-    lg, _ = line_graph_of(f)
-    return exact_chromatic(square(lg), upper, node_limit)
 
 
 def brute_force_claw_free(g: Graph) -> bool:

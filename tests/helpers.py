@@ -4,12 +4,13 @@ Everything here recomputes from first principles (BFS, subset enumeration,
 assignment enumeration, all-pairs scans) and deliberately shares no code
 path with the library routines it validates. Where the library replaced a
 simple routine with a faster one, the simple one lives on here unchanged.
-Also here: the girth-5 base-case stress family, the peeling scaling
-family, seeded circular-interval graphs, complements of triangle-free
-graphs and ``K2 ∨ (K_s + K_t)``, the omega sweep of the lemma suite,
-relabelings and disjoint unions, the coloring digest the golden file
-uses, a call recorder for the tests that pin how often a fact is
-checked, and a deliberately broken recoloring step.
+Also here: the girth-5 base-case stress family, a cubic root whose base
+step backtracks, the peeling scaling family, seeded circular-interval
+graphs, complements of triangle-free graphs and ``K2 ∨ (K_s + K_t)``,
+the omega sweep of the lemma suite, relabelings and disjoint unions, the
+coloring digest the golden file uses, the exact strong chromatic index
+through the squared line graph, a call recorder for the tests that pin
+how often a fact is checked, and a deliberately broken recoloring step.
 """
 
 import hashlib
@@ -58,6 +59,7 @@ from clawsq.graph import (
     square,
     square_row,
 )
+from clawsq.oracle import exact_chromatic
 from clawsq.structure import NeighborhoodShape, RootGraph, find_reducible_vertex
 
 
@@ -416,6 +418,21 @@ def base_pin_roots():
     )
 
 
+def backtracking_base_root():
+    """A cubic root whose line graph reaches the base step, where the search backtracks.
+
+    Drawn from connected random cubic roots (configuration model with
+    rejection, seed 1). Its 24-vertex line graph has no reducible vertex,
+    and the strong edge search on the recovered root needs 3 524 nodes to
+    fit 10 colours; its first descent, 25 nodes, uses 11.
+    """
+    return build_graph(16, [
+        (0, 1), (0, 4), (0, 7), (1, 8), (1, 13), (2, 4), (2, 6), (2, 7), (3, 4), (3, 8),
+        (3, 15), (5, 10), (5, 11), (5, 14), (6, 14), (6, 15), (7, 12), (8, 11), (9, 10),
+        (9, 11), (9, 14), (10, 12), (12, 13), (13, 15),
+    ])
+
+
 def circular_interval_graph(n, seed):
     """A seeded circular-interval graph on ``n`` points, for 2 <= n <= 40.
 
@@ -514,6 +531,18 @@ def brute_edge_conflict_graph(f):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph(tuple(rows)), edges
+
+
+# The reference that pins the strong chromatic indices behind the palette
+# bounds: 10 at maximum degree 3, 20 for the C5 blow-up.
+def exact_strong_chromatic_index(f, upper, node_limit=DEFAULT_NODE_LIMIT):
+    """Exact least palette for a strong edge coloring of f (up to ``upper``).
+
+    Definitional route: build the line graph, square it, and solve the
+    vertex coloring exactly.
+    """
+    lg, _ = gen_line_graph(f)
+    return exact_chromatic(square(lg), upper, node_limit)
 
 
 def brute_dsatur_order_greedy(g):

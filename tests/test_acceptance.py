@@ -33,10 +33,15 @@ from clawsq.graph import (
     max_degree,
     square,
 )
-from clawsq.oracle import exact_chromatic, exact_strong_chromatic_index
+from clawsq.oracle import exact_chromatic
 from clawsq.structure import classify, recognize_icosahedron
 
-from helpers import bfs_distances, brute_is_clique, brute_is_strong_edge_coloring
+from helpers import (
+    bfs_distances,
+    brute_is_clique,
+    brute_is_strong_edge_coloring,
+    exact_strong_chromatic_index,
+)
 from iso_util import is_isomorphic
 
 

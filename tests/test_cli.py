@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    backtracking_base_root,
     disjoint_union,
     k2_join_cliques,
     one_color_matching,
@@ -241,6 +242,27 @@ class TestColor:
         assert report["verified"] is True
         assert report["palette"] <= report["bound"] == (10 if d == 3 else 22)
 
+    def test_base_step_that_backtracks(self, tmp_path, capsys):
+        g, _ = gen_line_graph(backtracking_base_root())
+        target = write_graph(tmp_path, "backtrack.col", g)
+        code, out, _ = run_cli(capsys, "color", target, "--oracle")
+        assert code == 0
+        report = json.loads(out)
+        assert report["palette"] == 10
+        assert report["oracle"] == {"chi_square": 8, "nodes_explored": 607, "palette_gap": 2}
+        code, out, err = run_cli(capsys, "color", target, "--node-limit", "100")
+        assert (code, out, err) == (3, "", "internal error: gave up after 100 nodes\n")
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "clawsq.cli", "color", target],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["verified"] is True and report["palette"] == 10
+
     def test_claw_exits_two(self, tmp_path, capsys):
         target = write_graph(tmp_path, "claw.col", claw())
         code, out, _ = run_cli(capsys, "color", target)
@@ -468,6 +490,9 @@ MALFORMED_GRAPHS = {
     "negative-vertex-count": b"p edge -3 0\n",
     "non-ascii": "c caf\u00e9\np edge 2 1\ne 1 2\n".encode(),
     "vertex-count-above-maxsize": b"p edge 99999999999999999999 0\n",
+    # int() raises ValueError past 4 300 digits
+    "count-past-int-digit-limit": b"p edge 3 " + b"9" * 5001 + b"\n",
+    "endpoint-past-int-digit-limit": b"p edge 3 1\ne 1 " + b"9" * 5001 + b"\n",
 }
 
 
@@ -629,6 +654,12 @@ class TestGenerate:
             ["line-graph", "--of", "complete:-1"],
             ["line-graph", "--of", "path:-3"],
             ["random", "--n", "١٢"],
+            # above sys.maxsize; int() alone raises ValueError past 4 300 digits
+            ["line-graph", "--of", "cycle:" + "9" * 5001],
+            ["blowup-c5", "--sizes", "1,1,1,1," + "9" * 5001],
+            ["blowup-c5", "--sizes", "1,1,1,1,99999999999999999999"],
+            ["random", "--n", "9" * 5001],
+            ["random", "--seed", "9" * 5001],
         ],
     )
     def test_malformed_number_exits_one(self, capsys, argv):
@@ -636,6 +667,19 @@ class TestGenerate:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "non-negative integer" in err
+
+    def test_zero_padded_number_still_parses(self, capsys):
+        pad = "0" * 5000
+        for kind, option, padded, plain in (
+            ("line-graph", "--of", f"cycle:{pad}6", "cycle:6"),
+            ("blowup-c5", "--sizes", f"1,1,1,{pad}2,2", "1,1,1,2,2"),
+            ("random", "--n", f"{pad}12", "12"),
+            ("random", "--seed", f"{pad}9", "9"),
+        ):
+            code, out, _ = run_cli(capsys, "generate", kind, option, padded)
+            assert code == 0
+            _, expected, _ = run_cli(capsys, "generate", kind, option, plain)
+            assert json.loads(out)["dimacs"] == json.loads(expected)["dimacs"]
 
     def test_bad_subcommand_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "generate", "nonsense")

@@ -64,6 +64,7 @@ from clawsq.structure import (
 )
 
 from helpers import (
+    backtracking_base_root,
     base_pin_roots,
     brute_backtrack_within,
     brute_color_small_omega,
@@ -836,10 +837,27 @@ class TestStrongEdgeColoring:
         assert max_degree(f) == 3
         assert brute_is_strong_edge_coloring(strong_edge_color(f), f)
         # Their line graphs peel (26 and 22 frames), so color_square does not
-        # reach this search on them.
+        # reach this search on them; test_base_step_backtracks pins one that does.
         g, _ = gen_line_graph(f)
         colors = color_square(g)
         assert verify_coloring(g, colors) and colors.palette_size <= 10
+
+    def test_base_step_backtracks(self):
+        # Unlike the roots above, this one's line graph does not peel:
+        # color_square reaches the search through the recovered root.
+        g, _ = gen_line_graph(backtracking_base_root())
+        outcome = classify(g, max_clique(g)[0])
+        assert outcome.kind == "line_graph"
+        conflict, _ = edge_conflict_graph(outcome.root.f)
+        found, nodes = search_outcome(_backtrack_within, conflict, 10)
+        assert (found, nodes) == search_outcome(brute_backtrack_within, conflict, 10)
+        assert nodes == 3524
+        assert max(brute_dsatur_order_greedy(conflict)) + 1 == 11
+        assert search_outcome(_backtrack_within, conflict, 11)[1] == 25
+        with pytest.raises(NodeLimitExceeded):
+            color_square(g, node_limit=3523)
+        colors = color_square(g, node_limit=3524)
+        assert colors.palette_size == 10 and verify_coloring(g, colors)
 
     def test_conflict_graph_matches_definition(self, petersen_graph):
         conflict, edges = edge_conflict_graph(petersen_graph)

@@ -9,6 +9,7 @@ from clawsq.corpus import (
     cocktail_party,
     complete,
     cycle,
+    decimal_at_most,
     default_corpus,
     gen_blowup_c5,
     gen_line_graph,
@@ -191,6 +192,41 @@ class TestDimacs:
         with pytest.raises(DimacsError) as err:
             parse_dimacs(f"p edge {sys.maxsize + 1} 0\n")
         assert err.value.line == 1
+
+    def test_numbers_past_the_int_digit_limit(self):
+        # int() raises ValueError on a string of more than 4 300 digits.
+        huge = "9" * 5001
+        for text, message in (
+            (f"p edge {huge} 0\n", f"line 1: vertex count above {sys.maxsize}"),
+            (f"p edge 3 {huge}\n", f"line 1: edge count above {sys.maxsize}"),
+            (f"p edge 3 1\ne {huge} 1\n", "line 2: endpoint outside 1..3"),
+            (f"p edge 3 1\ne 1 {huge}\n", "line 2: endpoint outside 1..3"),
+        ):
+            with pytest.raises(DimacsError) as err:
+                parse_dimacs(text)
+            assert str(err.value) == message
+
+    def test_zero_padding_of_any_length(self):
+        pad = "0" * 5000
+        g = parse_dimacs(f"p edge {pad}3 {pad}1\ne {pad}1 {pad}2\n")
+        assert g == build_graph(3, [(0, 1)])
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs(f"p edge 3 1\ne {pad}0 1\n")
+        assert str(err.value) == "line 2: endpoint outside 1..3"
+
+    @pytest.mark.parametrize(
+        "digits, bound, value",
+        [
+            ("0", 0, 0),
+            ("0005", 5, 5),
+            ("6", 5, None),
+            ("10", 9, None),
+            ("0" * 5000 + "7", 9, 7),
+            ("9" * 5001, sys.maxsize, None),
+        ],
+    )
+    def test_decimal_at_most(self, digits, bound, value):
+        assert decimal_at_most(digits, bound) == value
 
     def test_negative_count_and_non_ascii(self, tmp_path):
         with pytest.raises(DimacsError):

@@ -17,15 +17,10 @@ from clawsq.corpus import (
 )
 from clawsq.errors import NodeLimitExceeded
 from clawsq.graph import build_graph, max_clique, square
-from clawsq.oracle import (
-    brute_force_claw_free,
-    exact_chromatic,
-    exact_strong_chromatic_index,
-    line_graph_of,
-)
+from clawsq.oracle import brute_force_claw_free, exact_chromatic
 from clawsq.analysis import find_claw
 
-from helpers import brute_chromatic_tiny
+from helpers import brute_chromatic_tiny, exact_strong_chromatic_index
 
 
 @st.composite
@@ -130,12 +125,6 @@ class TestExactStrongChromaticIndex:
         # Frozen on first run of this oracle; the Petersen graph admits a
         # partition of its 15 edges into 5 induced matchings.
         assert exact_strong_chromatic_index(petersen_graph, 15).value == 5
-
-    def test_line_graph_helper_matches_generator(self, petersen_graph):
-        via_oracle, edges_a = line_graph_of(petersen_graph)
-        via_corpus, edges_b = gen_line_graph(petersen_graph)
-        assert via_oracle == via_corpus
-        assert edges_a == edges_b
 
 
 class TestBruteForceClawFree:

@@ -7,7 +7,8 @@ The fields of every exported dataclass, and the parameter names and kinds
 of every exported function, are pinned the same way.
 
 Every exported function and class has a reader in the library or in the
-benchmark, outside the tests.
+benchmark, outside the tests, and so does every module-level definition of
+the library, private ones included, outside its own body.
 """
 
 import ast
@@ -43,7 +44,6 @@ PUBLIC_NAMES = [
     "default_corpus",
     "delete_vertex",
     "exact_chromatic",
-    "exact_strong_chromatic_index",
     "find_claw",
     "find_reducible_vertex",
     "gen_blowup_c5",
@@ -142,7 +142,6 @@ SIGNATURES = {
     "default_corpus": "",
     "delete_vertex": "g, v",
     "exact_chromatic": "g, upper, node_limit",
-    "exact_strong_chromatic_index": "f, upper, node_limit",
     "find_claw": "g",
     "find_reducible_vertex": "g, omega",
     "gen_blowup_c5": "spec",
@@ -196,44 +195,67 @@ def test_function_signatures_are_pinned():
 
 
 REPO = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((REPO / "src" / "clawsq").glob("*.py"))
+READERS = [p for p in LIBRARY if p.name != "__init__.py"]
+READERS += sorted((REPO / "perfbench").glob("*.py"))
 
-# The oracle's reference for χ'_s, which only the tests read.
-UNREAD_EXPORTS = ["exact_strong_chromatic_index"]
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def names_read(path: Path) -> set[str]:
-    """Every name, attribute and word of a non-docstring string constant in ``path``.
+def names_read(tree: ast.Module) -> list[set[str]]:
+    """Per top-level statement, every name, attribute and word of a non-docstring string constant.
 
     Words of strings count because ``perfbench/tracer.py``'s ``LAYERS``
     names the functions it wraps in strings; a docstring that mentions a
     name does not read it.
     """
-    tree = ast.parse(path.read_text(encoding="utf-8"))
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
         and ast.get_docstring(node, clean=False) is not None
     }
-    read = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if id(node) not in docstrings:
-                read.update(re.findall(r"\w+", node.value))
-    return read
+    reads = []
+    for stmt in tree.body:
+        read = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) not in docstrings:
+                    read.update(re.findall(r"\w+", node.value))
+        reads.append(read)
+    return reads
 
 
 def test_every_export_has_a_reader():
-    sources = [p for p in (REPO / "src" / "clawsq").glob("*.py") if p.name != "__init__.py"]
-    sources += (REPO / "perfbench").glob("*.py")
-    read = set().union(*map(names_read, sources))
+    read = set().union(*(r for p in READERS for r in names_read(parse(p))))
     exported = [
         name
         for name, value in vars(clawsq).items()
         if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
     ]
-    assert sorted(name for name in exported if name not in read) == UNREAD_EXPORTS
+    assert sorted(name for name in exported if name not in read) == []
+
+
+def test_every_definition_has_a_reader():
+    # A module-level def or class of the library, private or not, is read
+    # when a top-level statement of the library or the benchmark other than
+    # the definition itself names it.
+    trees = {p: parse(p) for p in LIBRARY + READERS}
+    statements = [stmt for p in READERS for stmt in trees[p].body]
+    reads = [read for p in READERS for read in names_read(trees[p])]
+    unread = [
+        f"{p.name}:{stmt.name}"
+        for p in LIBRARY
+        for stmt in trees[p].body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(
+            stmt.name in read for other, read in zip(statements, reads) if other is not stmt
+        )
+    ]
+    assert unread == []
