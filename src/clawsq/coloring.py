@@ -446,8 +446,8 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
     clique number.
 
     The working state is kept in the labels of the current graph ``cur``,
-    whose vertex i is ``orig[i]`` of g: the live components (more than two
-    vertices and clique number 3 or 4, ordered by smallest member), the
+    whose vertex i is ``orig[i]`` of g: the live components (clique number
+    3 or 4, so more than two vertices, ordered by smallest member), the
     vertices on a triangle and those on a K4 (the clique number is at most
     4, so these give each component's clique number; both are read off g's
     :func:`neighborhood_cliques` table, a vertex being on a triangle when
@@ -488,7 +488,7 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
         for x in comp:
             mask |= 1 << x
         w = omega_of(mask)
-        if len(comp) > 2 and w > 2:
+        if w > 2:
             dirty |= mask
             comps.append(mask)
     frames = []
@@ -533,7 +533,7 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
                 k4 ^= bit
         for piece in _pieces(adj, comp, nbrs):
             w_piece = omega_of(piece)
-            if piece.bit_count() > 2 and w_piece > 2:
+            if w_piece > 2:
                 dirty |= piece if w_piece < w else piece & near
                 insort(comps, piece, key=_lowest)
     return orig, frames, bases

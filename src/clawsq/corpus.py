@@ -55,10 +55,7 @@ def petersen() -> Graph:
 
 def octahedron() -> Graph:
     """K_{2,2,2}: all pairs except the three antipodal ones."""
-    non_edges = {(0, 1), (2, 3), (4, 5)}
-    return build_graph(
-        6, [(i, j) for i in range(6) for j in range(i + 1, 6) if (i, j) not in non_edges]
-    )
+    return cocktail_party(3)
 
 
 def cocktail_party(k: int) -> Graph:
@@ -204,8 +201,6 @@ def gen_random_claw_free(
         else:
             raise GenerationExhaustedError("no blow-up fits the requested bounds")
     elif strategy == "rejection":
-        if n == 0:
-            return build_graph(0, [])
         g = None
         for _ in range(5000):
             p = rng.choice((0.10, 0.13, 0.88, 0.92))

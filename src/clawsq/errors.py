@@ -74,8 +74,11 @@ class UnclassifiableGraphError(RuntimeError):
 class InternalBoundViolation(RuntimeError):
     """A coloring step broke a bound that is guaranteed to hold; a bug.
 
-    One instance: a strong edge coloring search that exhausts
-    palette_bound(max degree), which the cited bounds rule out.
+    Every raise site checks a step that the paper's argument or a cited
+    bound proves on claw-free input: a strong edge coloring within
+    palette_bound(max degree), distinct representatives and a free color
+    on reinsertion, a base that is not reducible, a component palette
+    within palette_bound(omega), a final coloring proper on the square.
     """
 
 

@@ -49,8 +49,6 @@ def _decide_k_colorable(g: Graph, k: int, budget: _NodeBudget) -> list[int] | No
     n = g.n
     if n == 0:
         return []
-    if k <= 0:
-        return None
     colors = [UNCOLORED] * n
     nbrs = [bits(row) for row in g._adj]
     seen = [[0] * k for _ in range(n)]  # seen[u][c]: colored neighbors of u with color c
@@ -106,8 +104,6 @@ def exact_chromatic(g: Graph, upper: int, node_limit: int = DEFAULT_NODE_LIMIT) 
     """
     budget = _NodeBudget(node_limit)
     lower = max_clique(g)[0]
-    if g.n > 0:
-        lower = max(lower, 1)
     value = None
     witness = None
     for k in range(lower, upper + 1):

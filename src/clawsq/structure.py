@@ -396,11 +396,14 @@ def reduction_thresholds(omega: int) -> tuple[int, int | None]:
     when there is no cap.
 
     The omega >= 5 pair, (2*omega*(omega-1) - 4, 2*omega*(omega-1) - 3),
-    has no cited source, and it does not extend the omega 3 and 4 values
-    (9, 11 and 19, no cap). In the library only :func:`classify` reaches
-    it, through :func:`find_reducible_vertex`, for ``clawsq analyze``; the
-    engine peels at omega 3 and 4 alone. Citing or dropping it waits for
-    the ``clawsq/3`` report schema (ROADMAP item 2's satellite).
+    caps every neighbor at kprime+1, so no neighbor is above either case
+    threshold and :func:`reduction_case` gives "iii" or None, never "ii".
+    The pair has no cited source, and it does not extend the omega 3 and 4
+    values (9, 11 and 19, no cap). In the library only :func:`classify`
+    reaches it, through :func:`find_reducible_vertex`, for ``clawsq
+    analyze``; the engine peels at omega 3 and 4 alone. Citing or dropping
+    it waits for the ``clawsq/3`` report schema (ROADMAP item 2's
+    satellite).
     """
     if omega == 3:
         return 9, 11
@@ -425,9 +428,10 @@ class Classification:
 def classify(g: Graph, omega: int, *, check_claw_free: bool = True) -> Classification:
     """Dispatch a connected claw-free graph into its structural case.
 
-    Prefers a reducible vertex (from omega 5 up only by case iii); falls
-    back to icosahedron recognition (omega 3 only) and then to line-graph
-    recognition, which builds the root graph once. Raises
+    Prefers a reducible vertex; from omega 5 up only case iii occurs, as
+    :func:`reduction_thresholds` caps every neighbor at kprime+1 there.
+    Falls back to icosahedron recognition (omega 3 only) and then to
+    line-graph recognition, which builds the root graph once. Raises
     UnclassifiableGraphError when nothing applies, which signals a bug or a
     violated precondition.
     """
@@ -436,8 +440,7 @@ def classify(g: Graph, omega: int, *, check_claw_free: bool = True) -> Classific
     if omega <= 2:
         return Classification("small_omega", omega)
     red = find_reducible_vertex(g, omega)
-    # A case-ii result means no vertex is reducible by case iii.
-    if red is not None and (red.case == "iii" or omega <= 4):
+    if red is not None:
         return Classification("reducible", omega, reduction=red)
     if omega == 3:
         pairing = recognize_icosahedron(g)

@@ -450,6 +450,25 @@ class TestVerifyLemmas:
         assert code == 0
         assert "empty manifest" in err
 
+    def test_manifest_not_an_array_exits_one(self, tmp_path, capsys):
+        manifest = tmp_path / "object.json"
+        manifest.write_text("{}")
+        code, out, err = run_cli(capsys, "verify-lemmas", str(manifest))
+        assert code == 1 and out == ""
+        assert err == "error: manifest must be a JSON array\n"
+
+    def test_failing_lemma_exits_three(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "k2.col").write_text(write_dimacs(complete(2)))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"id": "k2", "file": "k2.col"}]))
+        failing = analysis.LemmaReport("planted", 0, 1, 3, 2)
+        monkeypatch.setattr(cli, "run_lemma_suite", lambda g: [failing])
+        code, out, _ = run_cli(capsys, "verify-lemmas", str(manifest))
+        assert code == 3
+        report = json.loads(out)
+        assert report["failures"] == [{"id": "k2", **failing.as_dict()}]
+        assert report["problems"] == [] and report["claw_found"] is False
+
     def test_bad_manifest_json(self, tmp_path, capsys):
         manifest = tmp_path / "broken.json"
         manifest.write_text("{nope")
@@ -601,6 +620,11 @@ class TestGenerate:
         report = json.loads(out)
         assert code == 0 and report["n"] == 6
 
+    def test_line_graph_of_blowup(self, capsys):
+        code, out, _ = run_cli(capsys, "generate", "line-graph", "--of", "blowup:1,1,1,1,1")
+        report = json.loads(out)
+        assert code == 0 and (report["n"], report["m"]) == (5, 5)
+
     def test_line_graph_of_file_with_colon_in_path(self, tmp_path, capsys):
         # A prefix that names no family is part of a file name, not a family.
         target = write_graph(tmp_path, "a:b.col", petersen())
@@ -644,6 +668,46 @@ class TestGenerate:
         assert code == 1
         assert "sizes" in err
 
+    @pytest.mark.parametrize("kind", ["corpus", "line-graph"])
+    def test_missing_required_option_exits_one(self, capsys, kind):
+        code, out, err = run_cli(capsys, "generate", kind)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: generate {kind} requires ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["line-graph", "--of", "cycle:2"], "cycles need at least 3 vertices"),
+            (["line-graph", "--of", "squared-cycle:4"], "squared cycles need at least 5 vertices"),
+            (["random", "--omega", "1"], "omega_target must be at least 2"),
+        ],
+    )
+    def test_invalid_spec_exits_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_every_kind_exits_zero(self, tmp_path, capsys, monkeypatch, corpus):
+        # cmd_generate checks no kind name: the parser admits only the kinds
+        # it handles, and "random", the last, takes its else branch.
+        monkeypatch.setattr(cli, "default_corpus", lambda: corpus[:3])
+        expected = {  # kind: its options here, and the params of its report
+            "blowup-c5": (["--sizes", "1,1,1,2,2"], ["sizes"]),
+            "corpus": (["--out", str(tmp_path / "corpus")], []),
+            "icosahedron": ([], []),
+            "line-graph": (["--of", "petersen"], ["of"]),
+            "random": ([], ["n", "omega_target", "seed", "strategy"]),
+        }
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        kinds = next(a for a in commands.choices["generate"]._actions if a.dest == "kind").choices
+        assert sorted(kinds) == sorted(expected)
+        for kind in kinds:
+            options, params = expected[kind]
+            code, out, err = run_cli(capsys, "generate", kind, *options)
+            assert code == 0 and err == "" and out.count("\n") == 1
+            report = json.loads(out)
+            assert report["kind"] == kind and sorted(report.get("params", {})) == params
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -660,6 +724,10 @@ class TestGenerate:
             ["blowup-c5", "--sizes", "1,1,1,1,99999999999999999999"],
             ["random", "--n", "9" * 5001],
             ["random", "--seed", "9" * 5001],
+            # the message leaves out the rejected text, whatever its length
+            ["random", "--seed", "x" * 5001],
+            ["line-graph", "--of", "cycle:" + "x" * 5001],
+            ["blowup-c5", "--sizes", "1,1,1,1," + "x" * 5001],
         ],
     )
     def test_malformed_number_exits_one(self, capsys, argv):
@@ -667,6 +735,7 @@ class TestGenerate:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "non-negative integer" in err
+        assert len(err.rstrip("\n")) <= 200
 
     def test_zero_padded_number_still_parses(self, capsys):
         pad = "0" * 5000

@@ -268,6 +268,20 @@ class TestDimacs:
         with pytest.raises(DimacsError):
             parse_dimacs("")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 3 0\np edge 3 0\n", "line 2: second problem line"),
+            ("p edge 3\n", "line 1: problem line must read 'p edge <n> <m>'"),
+            ("p edge 3 1\ne 1\n", "line 2: edge line must read 'e <u> <v>'"),
+        ],
+        ids=["second-problem-line", "short-problem-line", "short-edge-line"],
+    )
+    def test_malformed_line_shape(self, text, message):
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs(text)
+        assert str(err.value) == message
+
     def test_line_fault_reported_before_duplicate(self):
         with pytest.raises(DimacsError) as err:
             parse_dimacs("p edge 3 2\ne 1 2\ne 2 1\nq 1 2\n")

@@ -67,6 +67,10 @@ class TestBuildGraph:
         assert [g.degree(v) for v in (1, 2, 3)] == [1, 1, 1]
         assert g.edge_count == 3
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError):
+            build_graph(-1, [])
+
     def test_edgeless(self):
         g = build_graph(3, [])
         assert g.edge_count == 0
@@ -373,10 +377,20 @@ class TestColoring:
             assert Coloring(colors).is_proper_on(g) == expected
         assert kinds == {True, False}
 
+    def test_equality_length_and_repr(self):
+        assert Coloring([0, 1]) == Coloring((0, 1))
+        assert hash(Coloring([0, 1])) == hash(Coloring((0, 1)))
+        assert Coloring([0, 1]) != (0, 1)
+        assert Coloring([0, 1]) != build_graph(2, [])
+        assert len(Coloring([0, 1])) == 2
+        assert repr(Coloring([0, 1, 0])) == "Coloring(palette=2, n=3)"
+
     def test_compaction_keeps_order(self):
         assert Coloring([5, 0, 7, 5]).compacted() == Coloring([1, 0, 2, 1])
 
     def test_graph_equality_and_repr(self):
         assert cycle(4) == cycle(4)
+        assert hash(cycle(4)) == hash(cycle(4))
         assert cycle(4) != path(4)
+        assert cycle(4) != Coloring([0, 1, 0, 1])
         assert repr(cycle(4)) == "Graph(n=4, m=4)"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -324,6 +325,10 @@ class TestRootGraph:
         with pytest.raises(InvalidPartitionError):
             root_graph(g, [frozenset({0, 1, 2}), frozenset({0, 1})])
 
+    def test_rejects_duplicate_clique(self):
+        with pytest.raises(InvalidPartitionError, match="^duplicate cliques in partition$"):
+            root_graph(path(3), [frozenset({0, 1}), frozenset({1, 0}), frozenset({1, 2})])
+
     def test_rejects_non_edge(self):
         g = path(3)
         with pytest.raises(InvalidPartitionError):
@@ -630,17 +635,27 @@ class TestClassify:
         outcome = classify(line_k5(), 4)
         assert outcome.kind == "reducible"
 
-    def test_case_ii_reduces_only_below_omega_five(self, monkeypatch):
-        # In L(K_{5,5}) (omega 5) and L(K5) (omega 4) every vertex is
-        # reducible by case iii; with every vertex reported as case ii
-        # instead, classify keeps the case-ii vertex at omega 4 and passes
-        # over it at omega 5, where L(K_{5,5}) is then a line graph.
+    def test_case_ii_reduces_only_below_omega_five(self, corpus, monkeypatch):
+        # From omega 5 up, reduction_thresholds caps every neighbor at
+        # kprime+1, above neither case threshold, so reduction_case gives
+        # no vertex case ii: on L(K_{5,5}), on K_{k x 2} for k = 5..8 and on
+        # every corpus component of clique number 5 or more.
         rook, _ = gen_line_graph(build_graph(10, [(i, 5 + j) for i in range(5) for j in range(5)]))
-        assert max_clique(rook)[0] == 5
+        graphs = [rook] + [cocktail_party(k) for k in range(5, 9)]
+        for entry in corpus:
+            g = entry.graph
+            graphs += [induced_subgraph(g, comp)[0] for comp in connected_components(g)]
+        cases = Counter()
+        for g in graphs:
+            omega = max_clique(g)[0]
+            if omega >= 5:
+                kprime, cap = reduction_thresholds(omega)
+                assert cap == kprime + 1
+                cases.update(reduction_case(g, v, kprime, cap) for v in range(g.n))
+        assert cases["iii"] > 0 and cases["ii"] == 0
         assert classify(rook, 5).reduction.case == "iii"
+        # At omega 4 there is no cap, and classify keeps a case-ii vertex.
         monkeypatch.setattr(structure, "reduction_case", lambda *args: "ii")
-        assert find_reducible_vertex(rook, 5).case == "ii"
-        assert classify(rook, 5).kind == "line_graph"
         assert classify(line_k5(), 4).reduction.case == "ii"
 
     def test_squared_cycles_classify(self):
