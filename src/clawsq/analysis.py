@@ -54,9 +54,14 @@ class ClawWitness:
         return {"center": self.center, "leaves": list(self.leaves)}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LemmaReport:
-    """One evaluated inequality instance: holds iff lhs <= rhs."""
+    """One evaluated inequality instance: holds iff lhs <= rhs.
+
+    A slotted record, compared by value and not hashable. It is not frozen:
+    a frozen dataclass sets each field through ``object.__setattr__``, and a
+    corpus sweep builds one report per instance.
+    """
 
     lemma_id: str
     vertex: int

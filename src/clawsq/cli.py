@@ -229,7 +229,7 @@ def _verify_manifest_row(base: Path, row: dict) -> dict:
     if "claw_free" in known and not known["claw_free"]:
         mismatches.append("claw_free recorded false, no claw found")
     out["omega"] = omega
-    out["reports_failed"] = [rep.as_dict() for rep in reports if not rep.holds]
+    out["reports_failed"] = [rep.as_dict() for rep in reports if rep.lhs > rep.rhs]
     out["mismatches"] = mismatches
     return out
 

@@ -247,23 +247,44 @@ def decimal_at_most(digits: str, bound: int) -> int | None:
 def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS .col document (1-based 'e u v' lines under one 'p edge' line).
 
-    Every malformed document raises DimacsError, with the line number where
-    one line is at fault. The rows are built after the last line is checked,
+    A line whose first field starts with 'c' is a comment. Every malformed
+    document raises DimacsError, with the line number where one line is at
+    fault. The rows are built after the last line is checked,
     so any line's fault comes before a duplicate edge, and that before a
     wrong edge count.
     """
     n = None
     m = None
     edges = []
+    # split() and isdigit() would accept non-ASCII spaces and digits
+    ascii_text = text.isascii()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        # split() and isdigit() would accept non-ASCII spaces and digits
-        if not raw.isascii():
+        if not (ascii_text or raw.isascii()):
             raise DimacsError("non-ASCII character", line=lineno)
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
+        head = fields[0]
+        if head == "e":
+            if n is None:
+                raise DimacsError("edge before problem line", line=lineno)
+            if len(fields) != 3:
+                raise DimacsError("edge line must read 'e <u> <v>'", line=lineno)
+            a, b = fields[1], fields[2]
+            if not (a.isdigit() and b.isdigit()):
+                raise DimacsError("endpoints must be decimal digits", line=lineno)
+            # Fewer digits than sys.maxsize cannot meet int()'s digit limit;
+            # decimal_at_most's None (above n) becomes 0, also outside 1..n.
+            u = int(a) if len(a) < _MAXSIZE_DIGITS else decimal_at_most(a, n) or 0
+            v = int(b) if len(b) < _MAXSIZE_DIGITS else decimal_at_most(b, n) or 0
+            if not (0 < u <= n and 0 < v <= n):
+                raise DimacsError(f"endpoint outside 1..{n}", line=lineno)
+            if u == v:
+                raise DimacsError(f"self-loop at vertex {u}", line=lineno)
+            edges.append((u - 1, v - 1, lineno))
+        elif head[0] == "c":
+            continue
+        elif head == "p":
             if n is not None:
                 raise DimacsError("second problem line", line=lineno)
             if len(fields) != 4 or fields[1] != "edge":
@@ -277,21 +298,8 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError(f"vertex count above {sys.maxsize}", line=lineno)
             if m is None:
                 raise DimacsError(f"edge count above {sys.maxsize}", line=lineno)
-        elif fields[0] == "e":
-            if n is None:
-                raise DimacsError("edge before problem line", line=lineno)
-            if len(fields) != 3:
-                raise DimacsError("edge line must read 'e <u> <v>'", line=lineno)
-            if not (fields[1].isdigit() and fields[2].isdigit()):
-                raise DimacsError("endpoints must be decimal digits", line=lineno)
-            u, v = decimal_at_most(fields[1], n), decimal_at_most(fields[2], n)
-            if not (u and v):  # None above n, 0 below 1
-                raise DimacsError(f"endpoint outside 1..{n}", line=lineno)
-            if u == v:
-                raise DimacsError(f"self-loop at vertex {u}", line=lineno)
-            edges.append((u - 1, v - 1, lineno))
         else:
-            raise DimacsError(f"unknown directive {fields[0]!r}", line=lineno)
+            raise DimacsError(f"unknown directive {head!r}", line=lineno)
     if n is None:
         raise DimacsError("missing problem line")
     rows = [0] * n
@@ -306,8 +314,18 @@ def parse_dimacs(text: str) -> Graph:
 
 
 def write_dimacs(g: Graph, comments: tuple[str, ...] = ()) -> str:
-    """Serialize normalized DIMACS: sorted 1-based edges, LF endings."""
-    lines = [f"c {c}" for c in comments]
+    """Serialize normalized DIMACS: sorted 1-based edges, LF endings.
+
+    Each comment becomes one 'c' line; a comment that is not ASCII, or that
+    ``str.splitlines`` would split, raises ValueError, because
+    :func:`parse_dimacs` would reject it or read the rest as directives.
+    """
+    lines = []
+    for c in comments:
+        line = f"c {c}"
+        if not line.isascii() or line.splitlines() != [line]:
+            raise ValueError(f"comment {c!r} is not one line of ASCII")
+        lines.append(line)
     lines.append(f"p edge {g.n} {g.edge_count}")
     for u, v in g.edges():
         lines.append(f"e {u + 1} {v + 1}")

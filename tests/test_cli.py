@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -461,12 +462,20 @@ class TestVerifyLemmas:
         (tmp_path / "k2.col").write_text(write_dimacs(complete(2)))
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps([{"id": "k2", "file": "k2.col"}]))
-        failing = analysis.LemmaReport("planted", 0, 1, 3, 2)
-        monkeypatch.setattr(cli, "run_lemma_suite", lambda g: [failing])
+        failing = [
+            analysis.LemmaReport("planted", 0, 1, 3, 2),
+            analysis.LemmaReport("planted-fraction", 1, None, Fraction(5, 2), 2),
+        ]
+        ties = [
+            analysis.LemmaReport("tie", 0, None, 2, Fraction(2)),
+            analysis.LemmaReport("tie", 1, None, Fraction(4, 2), 2),
+        ]
+        planted = [ties[0], failing[0], ties[1], failing[1]]
+        monkeypatch.setattr(cli, "run_lemma_suite", lambda g: planted)
         code, out, _ = run_cli(capsys, "verify-lemmas", str(manifest))
         assert code == 3
         report = json.loads(out)
-        assert report["failures"] == [{"id": "k2", **failing.as_dict()}]
+        assert report["failures"] == [{"id": "k2", **rep.as_dict()} for rep in failing]
         assert report["problems"] == [] and report["claw_found"] is False
 
     def test_bad_manifest_json(self, tmp_path, capsys):

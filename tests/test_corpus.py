@@ -287,6 +287,57 @@ class TestDimacs:
             parse_dimacs("p edge 3 2\ne 1 2\ne 2 1\nq 1 2\n")
         assert str(err.value) == "line 4: unknown directive 'q'"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 3 1\nq 1 2\ne \uff11 2\n", "line 2: unknown directive 'q'"),
+            ("p edge 3 2\ne 1 2\ne 2 1\nc caf\u00e9\n", "line 4: non-ASCII character"),
+            ("c x\nc caf\u00e9\np edge 2 1\ne 1 2\n", "line 2: non-ASCII character"),
+        ],
+        ids=["fault-before-non-ascii", "non-ascii-before-duplicate", "non-ascii-comment"],
+    )
+    def test_non_ascii_line_in_line_order(self, text, message):
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("width", [18, 19, 20])
+    def test_endpoints_around_maxsize_digits(self, width):
+        # sys.maxsize has 19 digits: shorter endpoints go to int() directly,
+        # the others through decimal_at_most.
+        padded, above = "2".rjust(width, "0"), "9" * width
+        assert parse_dimacs(f"p edge 3 1\ne {padded} 1\n") == build_graph(3, [(0, 1)])
+        assert parse_dimacs(f"p edge 3 1\ne 3 {padded}\n") == build_graph(3, [(1, 2)])
+        for text in (f"p edge 3 1\ne {above} 1\n", f"p edge 3 1\ne 1 {above}\n",
+                     f"p edge 3 1\ne {'0' * width} 1\n"):
+            with pytest.raises(DimacsError) as err:
+                parse_dimacs(text)
+            assert str(err.value) == "line 2: endpoint outside 1..3"
+
+    @pytest.mark.parametrize("comment", ["x\ne 1 2", "x\x0bp edge 9 9", "\u00e9", "x\n", "a\x1cb"])
+    def test_write_rejects_comment_parse_would_misread(self, comment):
+        with pytest.raises(ValueError):
+            write_dimacs(path(2), (comment,))
+
+    def test_every_written_text_parses_back(self):
+        rng = random.Random(5)
+        alphabet = [chr(i) for i in range(128)] + ["\u00e9", "\x85", "\u2028", "\uff11"]
+        graphs = [path(2), complete(4), build_graph(3, []), cycle(5)]
+        written = 0
+        for _ in range(400):
+            g = rng.choice(graphs)
+            comments = tuple(
+                "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+                for _ in range(rng.randint(0, 3))
+            )
+            try:
+                text = write_dimacs(g, comments)
+            except ValueError:
+                continue
+            written += 1
+            assert parse_dimacs(text) == g, comments
+        assert written > 100
+
 
 class TestDimacsRandom:
     SEEDS = range(25)
