@@ -35,7 +35,7 @@ from .graph import (
     max_clique_within,
     neighborhood_covers,
     split_at_lowest,
-    square_row,
+    square_degrees,
 )
 
 # Exact values of the Ramsey numbers R(k, 3) for small k; past the table the
@@ -344,7 +344,7 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
     degree, exterior, second = [], [], []
     worst_v = 0
     worst = 0
-    for v, (nv, clique) in enumerate(zip(adj, cliques)):
+    for v, (nv, clique, sqd) in enumerate(zip(adj, cliques, square_degrees(g))):
         deg = nv.bit_count()
         degree.append(LemmaReport("degree-below-ramsey", v, None, deg, degree_cap))
         degree.append(LemmaReport("neighborhood-clique-cap", v, None, clique, clique_cap))
@@ -355,7 +355,6 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
         else:  # two cliques; B holds non-neighbors of A's lowest vertex
             stable = 0 if not nv else 1 if not split_at_lowest(adj, nv)[1] else 2
         degree.append(LemmaReport("neighborhood-stability-cap", v, None, stable, 2))
-        sqd = square_row(g, v).bit_count()
         if sqd > worst:
             worst, worst_v = sqd, v
         snn = sqd - deg

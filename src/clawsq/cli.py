@@ -64,7 +64,7 @@ from .graph import (
     max_clique,
     neighborhood_covers,
     square,
-    square_row,
+    square_degrees,
 )
 from .oracle import exact_chromatic
 from .structure import _shape_masks, classify
@@ -131,7 +131,7 @@ def cmd_analyze(args) -> int:
         "omega": max((w for _, _, w in parts), default=0),
         "claw_free": witness is None,
         "claw": None if witness is None else witness.as_dict(),
-        "square_degrees": [square_row(g, v).bit_count() for v in range(g.n)],
+        "square_degrees": list(square_degrees(g)),
         "z_sets": None,
         "q_values": None,
         "classification": None,

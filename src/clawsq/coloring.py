@@ -11,13 +11,15 @@ vertex masks of the edge conflict graph: per color, the class and the
 vertices that see it, and per saturation, the uncolored vertices that see
 that many colors (:func:`_backtrack_within`).
 
-Peeling is incremental (:func:`_peel`): live components and triangle and
+Peeling is incremental (:func:`_peel`): live components, triangle and
 K4 membership, read at the start off the neighborhood clique numbers that
-the claw check's covers give, are kept across steps and updated only near
-the deleted vertex, a vertex's reduction case is worked out, from the
-square rows of its neighborhood, only when it could be the next pick, and
-each step records just (vertex, case, kprime); as the graph is claw-free,
-a deletion splits its component into at most two pieces (:func:`_pieces`).
+the claw check's covers give, and square degrees, read off the graph's
+square-degree table, are kept across steps and updated only near the
+deleted vertex; a vertex's reduction case is worked out, from those
+degrees and the rows of its neighborhood, only when it could be the next
+pick, and each step records just (vertex, case, kprime); as the graph is
+claw-free, a deletion splits its component into at most two pieces
+(:func:`_pieces`).
 The peel hands the base step the vertices left and, with its clique number,
 each leftover component with a triangle, all in the input's labels; the
 triangle-free rest is colored with one call.
@@ -62,6 +64,7 @@ from .graph import (
     reach,
     split_at_lowest,
     square,
+    square_degrees,
     square_row,
 )
 from .structure import (
@@ -193,7 +196,10 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
     with new colors introduced in order (color symmetry breaking); so the
     first descent is the greedy DSATUR coloring. The search keeps its
     own stack, one frame per colored vertex, so depth is not bounded by
-    the interpreter's recursion limit.
+    the interpreter's recursion limit. A frame holds the vertex, where it
+    was picked and the color it holds, from which the next color to try
+    follows; a node's pick and coloring run inline in the loop, and only
+    backtracking makes a call, to ``uncolor``.
 
     All state is vertex masks. Per color c, ``classes[c]`` holds the
     vertices colored c and ``sees[c]`` those with a neighbor colored c;
@@ -221,33 +227,13 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     # What the higher tiers miss lies in the lowest, so it needs no mask.
     tiers = [by_degree[d] for d in sorted(by_degree, reverse=True)][:-1]
-    nodes = 0
-
-    def shift(mask, s, step):
-        """Move the vertices of ``mask`` one level by ``step``, scanning from level s against it.
-
-        Every vertex of ``mask`` lies at level s or further against
-        ``step``, and each moves once, as it leaves ``mask`` when it moves.
-        """
-        while mask:
-            moved = levels[s] & mask
-            if moved:
-                levels[s] ^= moved
-                levels[s + step] |= moved
-                mask ^= moved
-            s -= step
-
-    def color(v, bit, c, s):
-        """Give v, whose mask is ``bit``, color c; v has already left its level s, the fullest."""
-        nonlocal uncolored
-        colors[v] = c
-        classes[c] |= bit
-        uncolored ^= bit
-        shift(rows[v] & uncolored & ~sees[c], s, 1)
-        sees[c] |= rows[v]
 
     def uncolor(v, bit):
-        """Take v's color away; v does not rejoin a level."""
+        """Take v's color away; v does not rejoin a level.
+
+        The vertices of N(v) left with no neighbor in v's class drop from
+        ``sees`` of that color and each move down one level.
+        """
         nonlocal uncolored
         c = colors[v]
         colors[v] = UNCOLORED
@@ -256,19 +242,26 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
         row = rows[v]
         lost = row & ~reach(rows, classes[c] & reach(rows, row))
         sees[c] ^= lost
-        shift(lost & uncolored, 1, -1)
+        lost &= uncolored
+        level = 1
+        while lost:
+            moved = levels[level] & lost
+            if moved:
+                levels[level] ^= moved
+                levels[level - 1] |= moved
+                lost ^= moved
+            level += 1
 
-    def visit(used: int, s: int):
-        """Count one search node; its frame, or None once every vertex is colored.
-
-        No uncolored vertex sees more than s colors.
-        """
-        nonlocal nodes
+    nodes = 0
+    used = s = 0
+    stack = []  # (v, bit, s, used, c) per colored vertex: its pick, then its color c
+    while True:
+        # A search node: colors 0..used-1 are in use, and no uncolored vertex sees more than s.
         nodes += 1
         if nodes > node_limit:
             raise NodeLimitExceeded(f"gave up after {node_limit} nodes")
         if not uncolored:
-            return None
+            return colors
         while not levels[s]:
             s -= 1
         pick = levels[s]
@@ -278,29 +271,45 @@ def _backtrack_within(g: Graph, budget: int, node_limit: int) -> list[int] | Non
                 break
         bit = pick & -pick
         v = bit.bit_length() - 1
+        levels[s] ^= bit
+        c = 0
         top = min(used + 1, budget)
-        return v, bit, s, used, (c for c in range(top) if not sees[c] >> v & 1)
-
-    stack = [visit(0, 0)]  # n > 0, so some vertex is uncolored
-    while stack:
-        v, bit, s, used, choices = stack[-1]
-        c = next(choices, None)
-        if colors[v] == UNCOLORED:
-            levels[s] ^= bit
-        else:
-            uncolor(v, bit)
-        if c is None:
-            # The others are as they were at the pick, so v still sees s colors.
+        while c < top and sees[c] >> v & 1:
+            c += 1
+        while c >= top:
+            # No color left for v: it rejoins its level, where it was picked,
+            # and the last colored vertex moves on to its next color. The
+            # scan reads sees before that vertex is uncolored, which changes
+            # sees on its neighbors alone.
             levels[s] |= bit
-            stack.pop()
-            continue
-        color(v, bit, c, s)
+            if not stack:
+                return None
+            v, bit, s, used, c = stack.pop()
+            top = min(used + 1, budget)
+            c += 1
+            while c < top and sees[c] >> v & 1:
+                c += 1
+            uncolor(v, bit)
+        stack.append((v, bit, s, used, c))
+        # Color v with c: the uncolored vertices of N(v) that did not see c
+        # move up one level, scanning down from s, the fullest.
+        colors[v] = c
+        classes[c] |= bit
+        uncolored ^= bit
+        row = rows[v]
+        rising = row & uncolored & ~sees[c]
+        sees[c] |= row
+        up = s
+        while rising:
+            moved = levels[up] & rising
+            if moved:
+                levels[up] ^= moved
+                levels[up + 1] |= moved
+                rising ^= moved
+            up -= 1
         # Coloring v raised each saturation by at most one.
-        frame = visit(max(used, c + 1), min(s + 1, palette))
-        if frame is None:
-            return colors
-        stack.append(frame)
-    return None
+        used = max(used, c + 1)
+        s = min(s + 1, palette)
 
 
 def strong_edge_color(f: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> StrongEdgeColoring:
@@ -452,11 +461,15 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
     4, so these give each component's clique number; both are read off g's
     :func:`neighborhood_cliques` table, a vertex being on a triangle when
     its neighborhood's value is at least 2 and on a K4 when it is at least
-    3), and three case masks: ``iii`` and ``ii`` cache the case of each
-    clean vertex, and ``dirty`` holds the vertices whose cached case may be
-    stale. No square rows are kept: a case is read off the rows of ``cur``
-    within distance 3 of its vertex. Deleting v changes triangles and K4s
-    only on N(v). Only the component that held v can split.
+    3), the square degree of every vertex, which starts as g's
+    :func:`square_degrees` table, and three case masks: ``iii`` and ``ii``
+    cache the case of each clean vertex, and ``dirty`` holds the vertices
+    whose cached case may be stale. No square rows are kept: a case is read
+    off those degrees and the rows of ``cur`` around its vertex. Deleting v
+    changes triangles and K4s only on N(v), and square degrees only within
+    distance 2 of v: a vertex at distance exactly 2 loses v alone, so its
+    degree drops by one, and only a neighbor of v can lose more, so its
+    degree is counted again. Only the component that held v can split.
 
     Every vertex of a live component starts dirty. A deletion changes a
     vertex's case only within distance 3 of v, or on all of a piece whose
@@ -472,6 +485,7 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
     """
     cur = g
     orig = list(range(g.n))
+    sq = list(square_degrees(g))
     tri = k4 = iii = ii = dirty = 0
     for x, size in enumerate(neighborhood_cliques(g)):
         if size >= 2:
@@ -499,7 +513,7 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
         kprime, cap = reduction_thresholds(w)
         # Settle dirty vertices from the bottom until the lowest candidate is a clean case iii.
         while (pick := _lowest((iii | dirty) & comp)) & dirty:
-            case = reduction_case(cur, pick.bit_length() - 1, kprime, cap)
+            case = reduction_case(cur._adj, sq, pick.bit_length() - 1, kprime, cap)
             iii = iii | pick if case == "iii" else iii & ~pick
             ii = ii | pick if case == "ii" else ii & ~pick
             dirty ^= pick
@@ -515,17 +529,23 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
         nbrs = adj[v]
         # near: the vertices within distance 3 of v, where reducibility can change;
         # v has a neighbor, so they are the neighbors of v's closed square neighborhood.
-        near = reach(adj, square_row(cur, v) | 1 << v)
+        v_square = square_row(cur, v)
+        near = reach(adj, v_square | 1 << v)
+        # A vertex at distance exactly 2 from v loses only v from its square row.
+        for x in bits(v_square & ~nbrs):
+            sq[x] -= 1
         cur = delete_vertex(cur, v)
         low = (1 << v) - 1
         high = v + 1
         del orig[v]
+        del sq[v]
         comps = [(m & low) | (m >> high) << v for m in comps[1:]]
         comp, nbrs, near, tri, k4, iii, ii, dirty = (
             (m & low) | (m >> high) << v for m in (comp, nbrs, near, tri, k4, iii, ii, dirty)
         )
         adj = cur._adj
         for x in bits(nbrs):
+            sq[x] = square_row(cur, x).bit_count()
             bit = 1 << x
             if tri & bit and not holds_clique(adj, adj[x], 2):
                 tri ^= bit
@@ -620,9 +640,9 @@ def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
     depend on ``-O``.
 
     The call works on a header of its own, ``Graph(g._adj)``, so the
-    neighborhood tables (:func:`neighborhood_covers`, one cover check per
-    vertex, and :func:`neighborhood_cliques`) end with the call and g
-    never holds them. The claw check checks each cover once and every later
+    per-vertex tables (:func:`neighborhood_covers`, one cover check per
+    vertex, :func:`neighborhood_cliques` and :func:`square_degrees`) end
+    with the call and g never holds them. The claw check checks each cover once and every later
     step on the whole graph reads the result; a component that is a proper
     subgraph builds its own tables. A component's clique number is one more
     than its largest capped neighborhood value, and only a component where

@@ -6,8 +6,9 @@ bitsets, so graphs of any order work without a separate fallback
 representation. Vertex sets travel as plain frozensets. Each neighborhood
 of a graph is read once for the claw check, the clique numbers and the
 Krausz step: :func:`neighborhood_covers` and :func:`neighborhood_cliques`
-keep what that read found, one small value per vertex, and are the only
-code that reads or writes those tables.
+keep what that read found, one small value per vertex, and
+:func:`square_degrees` keeps each vertex's square degree; these three are
+the only code that reads or writes those tables.
 """
 
 from __future__ import annotations
@@ -69,16 +70,30 @@ def cover_kind(rows, mask: int) -> int:
     an edge joins them; DISJOINT_COVER when none does, so that the mask
     induces their disjoint union (an empty or one-clique mask included). A
     mask of at most two vertices is always the latter, and is not checked.
+    Each side is walked once, in place: a member u is joined to the rest
+    of its side when the side minus the row of u is u alone, and the rows
+    of side B, ORed on the way, give the edges between the sides. The
+    lowest vertex is joined to side A by its construction.
     """
     if mask.bit_count() < 3:
         return DISJOINT_COVER
     side_a, side_b = split_at_lowest(rows, mask)
-    for side in (side_a, side_b):
-        size = side.bit_count() - 1
-        for u in bits(side):
-            if (rows[u] & side).bit_count() != size:
-                return NO_COVER
-    return JOINED_COVER if reach(rows, side_b) & side_a else DISJOINT_COVER
+    rest = side_a & (side_a - 1)
+    while rest:
+        bit = rest & -rest
+        if side_a & ~rows[bit.bit_length() - 1] != bit:
+            return NO_COVER
+        rest ^= bit
+    joined = 0
+    rest = side_b
+    while rest:
+        bit = rest & -rest
+        row = rows[bit.bit_length() - 1]
+        if side_b & ~row != bit:
+            return NO_COVER
+        joined |= row
+        rest ^= bit
+    return JOINED_COVER if joined & side_a else DISJOINT_COVER
 
 
 def holds_clique(rows, mask: int, size: int) -> bool:
@@ -96,20 +111,22 @@ class Graph:
 
     A graph is its adjacency rows; ``n`` and ``edge_count`` derive from
     them. Use :func:`build_graph` to construct one with validation; the raw
-    constructor trusts its rows to be symmetric and loop-free. Two per-vertex
-    tables derived from the rows are built on first use by
-    :func:`neighborhood_covers` and :func:`neighborhood_cliques`, and kept
-    with the graph. Every new graph starts without them, so
-    ``Graph(g._adj)`` is a header that shares g's rows but not its tables.
+    constructor trusts its rows to be symmetric and loop-free. Three
+    per-vertex tables derived from the rows are built on first use by
+    :func:`neighborhood_covers`, :func:`neighborhood_cliques` and
+    :func:`square_degrees`, and kept with the graph. Every new graph starts
+    without them, so ``Graph(g._adj)`` is a header that shares g's rows but
+    not its tables.
     """
 
-    __slots__ = ("n", "_adj", "_covers", "_cliques")
+    __slots__ = ("n", "_adj", "_covers", "_cliques", "_square_degrees")
 
     def __init__(self, adj: tuple[int, ...]):
         self.n = len(adj)
         self._adj = adj
         self._covers = None
         self._cliques = None
+        self._square_degrees = None
 
     @property
     def edge_count(self) -> int:
@@ -217,6 +234,18 @@ def square_row(g: Graph, v: int) -> int:
     """Neighbors of ``v`` in the square of g, as a bitmask."""
     first = g._adj[v]
     return (first | reach(g._adj, first)) & ~(1 << v)
+
+
+def square_degrees(g: Graph) -> tuple[int, ...]:
+    """Square degree of every vertex, by vertex; built once per graph.
+
+    The popcounts of the :func:`square_row` of each vertex. Only the counts
+    are kept, not the rows, which would hold a second graph as large as
+    the square.
+    """
+    if g._square_degrees is None:
+        g._square_degrees = tuple(square_row(g, v).bit_count() for v in range(g.n))
+    return g._square_degrees
 
 
 def square(g: Graph) -> Graph:

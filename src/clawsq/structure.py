@@ -25,6 +25,7 @@ from .graph import (
     cover_kind,
     neighborhood_covers,
     split_at_lowest,
+    square_degrees,
     square_row,
 )
 
@@ -329,33 +330,35 @@ def _clique_in_deleted_square(adj, mask: int, v: int) -> bool:
     return True
 
 
-def reduction_case(g: Graph, v: int, kprime: int, neighbor_cap: int | None) -> str | None:
-    """The recoloring case that makes ``v`` reducible in g: "iii", "ii" or None.
+def reduction_case(adj, sq, v: int, kprime: int, neighbor_cap: int | None) -> str | None:
+    """The recoloring case that makes ``v`` reducible: "iii", "ii" or None.
 
-    A vertex qualifies when its square degree is at most ``kprime``, every
-    neighbor's square degree is at most ``neighbor_cap`` (unless None), and
-    the neighbors above the case threshold form a clique in the square of g
-    with v deleted: above kprime+1 for case iii; above kprime+2 for case
-    ii, which also needs a neighbor of square degree at most kprime+1. Case
-    iii wins when both hold. Square degrees are popcounts of square rows
-    read off g: v's first, its neighbors' only when v's passes. One pass
-    over N(v) sorts the neighbors into the masks above each threshold; the
-    clique tests then work on pairs of rows of g.
+    ``adj`` holds the rows of g and ``sq`` the square degree of each of its
+    vertices, such as :func:`square_degrees` gives. A vertex qualifies when
+    its square degree is at most ``kprime``, every neighbor's square degree
+    is at most ``neighbor_cap`` (unless None), and the neighbors above the
+    case threshold form a clique in the square of g with v deleted: above
+    kprime+1 for case iii; above kprime+2 for case ii, which also needs a
+    neighbor of square degree at most kprime+1. Case iii wins when both
+    hold. One pass over N(v) sorts the neighbors into the masks above each
+    threshold; the clique tests then work on pairs of rows of g.
     """
-    if square_row(g, v).bit_count() > kprime:
+    if sq[v] > kprime:
         return None
-    adj = g._adj
     above_iii = above_ii = 0
     has_low = False
-    for x in bits(adj[v]):
-        d = square_row(g, x).bit_count()
+    rest = adj[v]
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        d = sq[bit.bit_length() - 1]
         if neighbor_cap is not None and d > neighbor_cap:
             return None
         if d > kprime + 2:
-            above_ii |= 1 << x
-            above_iii |= 1 << x
+            above_ii |= bit
+            above_iii |= bit
         elif d > kprime + 1:
-            above_iii |= 1 << x
+            above_iii |= bit
         else:
             has_low = True
     if _clique_in_deleted_square(adj, above_iii, v):
@@ -369,22 +372,25 @@ def find_reducible_vertex(g: Graph, omega: int):
     """Smallest-index reducible vertex, preferring case iii over case ii.
 
     Applies :func:`reduction_case` to every vertex, under the thresholds
-    of clique number ``omega`` (:func:`reduction_thresholds`): the first
-    case-iii vertex wins, otherwise the first case-ii one, with its smallest
+    of clique number ``omega`` (:func:`reduction_thresholds`), with the
+    square degrees of g's :func:`square_degrees` table: the first case-iii
+    vertex wins, otherwise the first case-ii one, with its smallest
     neighbor of square degree at most kprime+1 as xstar. Raises
     UnsupportedOmegaError below omega 3.
     """
     kprime, neighbor_cap = reduction_thresholds(omega)
+    adj = g._adj
+    sq = square_degrees(g)
     first_ii = None
     for v in range(g.n):
-        case = reduction_case(g, v, kprime, neighbor_cap)
+        case = reduction_case(adj, sq, v, kprime, neighbor_cap)
         if case == "iii":
             return Reduction(v, "iii", None, kprime)
         if case == "ii" and first_ii is None:
             first_ii = v
     if first_ii is None:
         return None
-    xstar = next(x for x in bits(g._adj[first_ii]) if square_row(g, x).bit_count() <= kprime + 1)
+    xstar = next(x for x in bits(adj[first_ii]) if sq[x] <= kprime + 1)
     return Reduction(first_ii, "ii", xstar, kprime)
 
 

@@ -245,7 +245,7 @@ class TestOneNeighborhoodPass:
         first = color_square(g)
         assert color_square(g) == first
         assert len(covers) == 2 * g.n
-        assert g._covers is None and g._cliques is None
+        assert g._covers is None and g._cliques is None and g._square_degrees is None
 
 
 class TestTriangleFreeBase:
@@ -329,6 +329,32 @@ class TestGreedyReduce:
             calls.clear()
             greedy_reduce(g)
             assert 0 < len(calls) <= 3 * g.n
+
+    def test_peel_square_degrees_stay_exact(self, monkeypatch, stress_family):
+        # The peel updates its square degrees on each deletion instead of
+        # recounting them; at every evaluation they must be the popcounts
+        # of the current graph's square rows.
+        original = coloring.reduction_case
+        seen = []
+
+        def checked(adj, sq, v, kprime, cap):
+            seen.append(tuple(sq) == tuple(row.bit_count() for row in square(Graph(adj))._adj))
+            return original(adj, sq, v, kprime, cap)
+
+        monkeypatch.setattr(coloring, "reduction_case", checked)
+        union = disjoint_union(
+            [stress_family[0][3], squared_cycle(40), gen_random_claw_free(60, 4, 2)],
+            random.Random(6),
+        )
+        for g in (
+            gen_random_claw_free(150, 4, 1),
+            gen_random_claw_free(170, 3, 1),
+            squared_cycle(160),
+            union,
+        ):
+            seen.clear()
+            greedy_reduce(g)
+            assert seen and all(seen)
 
     def test_omega_four_run(self):
         g, seeds_used = None, 0
@@ -739,10 +765,11 @@ class TestReinsert:
         # from the colors; some neighbors must change color on the way.
         g = gen_random_claw_free(40, 4, 3)
         sq = square(g)
+        degrees = [row.bit_count() for row in sq._adj]
         everyone = (1 << g.n) - 1
         recolored = 0
         for v in range(g.n):
-            case = reduction_case(g, v, 19, None)
+            case = reduction_case(g._adj, degrees, v, 19, None)
             if case is None:
                 continue
             colors = list(color_square(delete_vertex(g, v)).colors)

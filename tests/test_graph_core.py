@@ -34,6 +34,7 @@ from clawsq.graph import (
     neighborhood_covers,
     split_at_lowest,
     square,
+    square_degrees,
 )
 
 from helpers import (
@@ -293,6 +294,7 @@ class TestNeighborhoodTables:
         assert neighborhood_covers(g) == bytes(cover_kind(adj, row) for row in adj)
         want = tuple(min(max_clique_within(adj, row)[0], 4) for row in adj)
         assert neighborhood_cliques(g) == want
+        assert square_degrees(g) == tuple(row.bit_count() for row in square(g)._adj)
         for comp in connected_components(g):
             sub, _ = induced_subgraph(g, comp)
             assert 1 + max(neighborhood_cliques(sub)) == min(max_clique(sub)[0], 5)
@@ -316,15 +318,19 @@ class TestNeighborhoodTables:
         g = octahedron()
         assert neighborhood_covers(g) is neighborhood_covers(g)
         assert neighborhood_cliques(g) is neighborhood_cliques(g)
+        assert square_degrees(g) is square_degrees(g)
         header = Graph(g._adj)
         assert header == g and header._covers is None and header._cliques is None
+        assert header._square_degrees is None
 
     def test_proper_subgraphs_start_without_tables(self):
         rng = random.Random(12)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 14), rng.choice((0.1, 0.25, 0.6)))
             neighborhood_cliques(g)
+            square_degrees(g)
             assert g._covers is not None and g._cliques is not None
+            assert g._square_degrees is not None
             assert induced_subgraph(g, range(g.n))[0] is g
             for comp in connected_components(g):
                 for part in (comp, list(comp)[1:]):
@@ -332,9 +338,11 @@ class TestNeighborhoodTables:
                     if sub is g:
                         continue
                     assert sub._covers is None and sub._cliques is None
+                    assert sub._square_degrees is None
                     again = Graph(sub._adj)
                     assert neighborhood_covers(sub) == neighborhood_covers(again)
                     assert neighborhood_cliques(sub) == neighborhood_cliques(again)
+                    assert square_degrees(sub) == square_degrees(again)
 
 
 class TestSmallHelpers:

@@ -31,6 +31,7 @@ from clawsq.graph import (
     max_clique,
     max_degree,
     square,
+    square_degrees,
 )
 from clawsq.structure import (
     NeighborhoodShape,
@@ -575,7 +576,7 @@ class TestReductionCaseMatchesReference:
     @staticmethod
     def mismatches(expected):
         return sum(
-            reduction_case(g, v, kprime, cap) != found
+            reduction_case(g._adj, square_degrees(g), v, kprime, cap) != found
             for g, v, kprime, cap, found in expected
         )
 
@@ -651,7 +652,8 @@ class TestClassify:
             if omega >= 5:
                 kprime, cap = reduction_thresholds(omega)
                 assert cap == kprime + 1
-                cases.update(reduction_case(g, v, kprime, cap) for v in range(g.n))
+                sq = square_degrees(g)
+                cases.update(reduction_case(g._adj, sq, v, kprime, cap) for v in range(g.n))
         assert cases["iii"] > 0 and cases["ii"] == 0
         assert classify(rook, 5).reduction.case == "iii"
         # At omega 4 there is no cap, and classify keeps a case-ii vertex.
