@@ -92,18 +92,25 @@ def find_claw(g: Graph) -> ClawWitness | None:
     returns None. Only the centers whose neighborhood has no cover in g's
     :func:`neighborhood_covers` table, which this builds when g has none,
     are searched: a covered neighborhood has no independent triple, so
-    skipping the rest keeps the first witness.
+    skipping the rest keeps the first witness. Both leaf masks are walked
+    in place, lowest first, so what is left of each is the part above the
+    leaf just taken.
     """
     adj = g._adj
     for v, kind in enumerate(neighborhood_covers(g)):
         if kind != NO_COVER:
             continue
-        nv = adj[v]
-        for x in bits(nv):
-            higher = nv >> (x + 1) << (x + 1)
-            for y in bits(higher & ~adj[x]):
-                rest = nv & ~adj[x] & ~adj[y]
-                rest = rest >> (y + 1) << (y + 1)
+        rest_x = adj[v]
+        while rest_x:
+            low = rest_x & -rest_x
+            rest_x ^= low
+            x = low.bit_length() - 1
+            rest_y = rest_x & ~adj[x]
+            while rest_y:
+                low = rest_y & -rest_y
+                rest_y ^= low
+                y = low.bit_length() - 1
+                rest = rest_y & ~adj[y]
                 if rest:
                     z = (rest & -rest).bit_length() - 1
                     return ClawWitness(v, (x, y, z))
@@ -158,8 +165,10 @@ def _complement_matching(adj, mask: int) -> int:
         else:
             todo ^= low
     hungry = 0
-    for u in bits(free):
-        if mask & ~adj[u] & ~(1 << u):
+    while free:
+        low = free & -free
+        free ^= low
+        if mask & ~adj[low.bit_length() - 1] & ~low:
             hungry += 1
             if hungry == 2:
                 return _blossom_matching(adj, mask, pairs)

@@ -371,18 +371,27 @@ def _reinsert_vertex(
     distinct colors drawn from each vertex's available set (a system of
     distinct representatives), then gives v a color unseen in its square
     neighborhood. One pass over N(v) computes the square row of each
-    neighbor, picks S and gathers v's square row; a color is free for a
-    vertex when its class misses the vertex's square row.
+    neighbor, by a walk over that neighbor's row, picks S and gathers v's
+    square row; a color is free for a vertex when its class misses the
+    vertex's square row.
     """
     adj = g._adj
     threshold = kprime + 2 if case == "ii" else kprime + 1
     nbrs = adj[v] & alive
     v_row = nbrs
     s_rows = {}
-    for x in bits(nbrs):
-        first = adj[x] & alive
+    rest = nbrs
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        x = bit.bit_length() - 1
+        row = first = adj[x] & alive
         v_row |= first
-        row = (first | reach(adj, first)) & alive & ~(1 << x)
+        while first:
+            low = first & -first
+            row |= adj[low.bit_length() - 1]
+            first ^= low
+        row &= alive & ~bit
         if row.bit_count() <= threshold:
             s_rows[x] = row
     v_row &= ~(1 << v)
@@ -468,8 +477,13 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
     off those degrees and the rows of ``cur`` around its vertex. Deleting v
     changes triangles and K4s only on N(v), and square degrees only within
     distance 2 of v: a vertex at distance exactly 2 loses v alone, so its
-    degree drops by one, and only a neighbor of v can lose more, so its
-    degree is counted again. Only the component that held v can split.
+    degree drops by one, and only a neighbor of v can lose more. After the
+    deletion, one walk over the row of each neighbor x of v counts x's
+    square degree again and tells whether N(x) still has an edge: x leaves
+    the triangle mask when it has none. A vertex of a K4 keeps a triangle
+    through one deletion, so only an x still on a triangle can have left a
+    K4, and only there does the one clique test left run. Only the
+    component that held v can split.
 
     Every vertex of a live component starts dirty. A deletion changes a
     vertex's case only within distance 3 of v, or on all of a piece whose
@@ -528,28 +542,51 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
         adj = cur._adj
         nbrs = adj[v]
         # near: the vertices within distance 3 of v, where reducibility can change;
-        # v has a neighbor, so they are the neighbors of v's closed square neighborhood.
-        v_square = square_row(cur, v)
-        near = reach(adj, v_square | 1 << v)
-        # A vertex at distance exactly 2 from v loses only v from its square row.
-        for x in bits(v_square & ~nbrs):
+        # v has a neighbor, so they are the neighbors of v's closed square neighborhood,
+        # gathered by a walk over N(v) and one over the vertices at distance exactly 2,
+        # each of which loses only v from its square row.
+        near = 0
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            near |= adj[low.bit_length() - 1]
+            rest ^= low
+        rest = near & ~nbrs & ~found
+        near |= nbrs
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
             sq[x] -= 1
+            near |= adj[x]
+            rest ^= low
         cur = delete_vertex(cur, v)
-        low = (1 << v) - 1
+        below = (1 << v) - 1
         high = v + 1
         del orig[v]
         del sq[v]
-        comps = [(m & low) | (m >> high) << v for m in comps[1:]]
+        comps = [(m & below) | (m >> high) << v for m in comps[1:]]
         comp, nbrs, near, tri, k4, iii, ii, dirty = (
-            (m & low) | (m >> high) << v for m in (comp, nbrs, near, tri, k4, iii, ii, dirty)
+            (m & below) | (m >> high) << v for m in (comp, nbrs, near, tri, k4, iii, ii, dirty)
         )
         adj = cur._adj
-        for x in bits(nbrs):
-            sq[x] = square_row(cur, x).bit_count()
-            bit = 1 << x
-            if tri & bit and not holds_clique(adj, adj[x], 2):
-                tri ^= bit
-            if k4 & bit and not holds_clique(adj, adj[x], 3):
+        # One walk per neighbor of v: its square degree and whether N(x) has an edge.
+        rest = nbrs
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            x = bit.bit_length() - 1
+            row = left = adj[x]
+            two = edge = 0
+            while left:
+                low = left & -left
+                y_row = adj[low.bit_length() - 1]
+                two |= y_row
+                edge |= y_row & row
+                left ^= low
+            sq[x] = ((two | row) & ~bit).bit_count()
+            if not edge:
+                tri &= ~bit
+            elif k4 & bit and not holds_clique(adj, row, 3):
                 k4 ^= bit
         for piece in _pieces(adj, comp, nbrs):
             w_piece = omega_of(piece)

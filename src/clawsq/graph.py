@@ -3,12 +3,14 @@
 Vertices are dense 0-based indices; external formats are 1-based and get
 translated at the I/O boundary. Adjacency rows are Python ints used as
 bitsets, so graphs of any order work without a separate fallback
-representation. Vertex sets travel as plain frozensets. Each neighborhood
-of a graph is read once for the claw check, the clique numbers and the
-Krausz step: :func:`neighborhood_covers` and :func:`neighborhood_cliques`
-keep what that read found, one small value per vertex, and
-:func:`square_degrees` keeps each vertex's square degree; these three are
-the only code that reads or writes those tables.
+representation. Vertex sets travel as plain frozensets. Hot loops walk a
+mask in place, lowest bit first (``low = m & -m``), and read one row per
+bit; :func:`bits` is for callers that need the positions as a list. Each
+neighborhood of a graph is read once for the claw check, the clique
+numbers and the Krausz step: :func:`neighborhood_covers` and
+:func:`neighborhood_cliques` keep what that read found, one small value per
+vertex, and :func:`square_degrees` keeps each vertex's square degree; these
+three are the only code that reads or writes those tables.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ UNCOLORED = -1
 
 
 def bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, a list in increasing order, walked top-down."""
+    """Positions of the set bits of ``mask``, a list in increasing order, walked top-down.
+
+    For callers that need the positions as a list; a loop that reads one row
+    per bit walks the mask in place instead, lowest bit first.
+    """
     out = []
     while mask:
         top = mask.bit_length() - 1
@@ -97,10 +103,17 @@ def cover_kind(rows, mask: int) -> int:
 
 
 def holds_clique(rows, mask: int, size: int) -> bool:
-    """True iff the vertices of ``mask`` hold a clique of ``size`` >= 2, each grown up from its lowest."""
+    """True iff the vertices of ``mask`` hold a clique of ``size`` >= 2, each grown up from its lowest.
+
+    The mask is walked in place from its lowest vertex x, so what is left of
+    it is the part above x, and ``rows[x] & rest`` the candidates to grow.
+    """
     size -= 1
-    for x in bits(mask):
-        up = rows[x] & mask & -(2 << x)
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        up = rows[low.bit_length() - 1] & rest
         if up.bit_count() >= size and (size == 1 or holds_clique(rows, up, size)):
             return True
     return False

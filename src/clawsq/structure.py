@@ -319,14 +319,22 @@ def _clique_in_deleted_square(adj, mask: int, v: int) -> bool:
 
     ``adj`` holds the rows of g. Two neighbors of v are within distance 2
     in g - v iff they are adjacent or share a neighbor other than v, so
-    only the non-adjacent pairs are tested, each by one AND of rows.
+    only the non-adjacent pairs are tested, each by one AND of rows. The
+    mask is walked in place, so what is left of it is the part above the
+    vertex just taken.
     """
     keep = ~(1 << v)
-    for x in bits(mask):
-        row = adj[x] & keep
-        for y in bits(mask >> (x + 1) << (x + 1) & ~row):
-            if not adj[y] & row:
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = adj[low.bit_length() - 1] & keep
+        far = rest & ~row
+        while far:
+            y = far & -far
+            if not adj[y.bit_length() - 1] & row:
                 return False
+            far ^= y
     return True
 
 

@@ -60,6 +60,7 @@ from clawsq.structure import (
     krausz_partition,
     recognize_icosahedron,
     reduction_case,
+    reduction_thresholds,
     root_graph,
 )
 
@@ -310,12 +311,17 @@ class TestGreedyReduce:
             greedy_reduce(disjoint_union([cycle(7), complete(5)], random.Random(1)))
 
     def test_clique_test_matches_brute_force(self):
+        # The full mask and random sub-masks: each step grows a clique from
+        # the part of the mask above its lowest vertex.
         rng = random.Random(8)
+        pick = random.Random(9)
         for _ in range(80):
             g = random_graph(rng, rng.randint(0, 10), rng.random())
-            omega = brute_max_clique(g)
-            for size in range(2, 6):
-                assert graph.holds_clique(g._adj, (1 << g.n) - 1, size) == (omega >= size)
+            for mask in [(1 << g.n) - 1] + [pick.getrandbits(g.n) for _ in range(6)]:
+                sub, _ = induced_subgraph(g, graph.bits(mask))
+                omega = brute_max_clique(sub)
+                for size in range(2, 6):
+                    assert graph.holds_clique(g._adj, mask, size) == (omega >= size)
 
     def test_reducibility_is_evaluated_only_near_the_next_pick(self, monkeypatch):
         # A case is worked out when its vertex could be the next pick, not
@@ -353,6 +359,52 @@ class TestGreedyReduce:
             union,
         ):
             seen.clear()
+            greedy_reduce(g)
+            assert seen and all(seen)
+
+    def test_peel_clique_numbers_stay_exact(self, monkeypatch, stress_family):
+        # The peel updates its triangle and K4 masks on N(v) instead of
+        # searching again; at every evaluation the thresholds must be those
+        # of the clique number of v's component in the current graph. Every
+        # clique lies in a closed neighborhood, so that number is one more
+        # than the largest brute-force clique number of a neighborhood in
+        # the component (the components are too large to enumerate).
+        original = coloring.reduction_case
+        by_neighborhood = {}
+        by_graph = {}
+        seen = []
+
+        def omega_around(adj, v):
+            if adj not in by_graph:
+                cur = Graph(adj)
+                by_graph[adj] = comps = []
+                for comp in connected_components(cur):
+                    best = 0
+                    for u in comp:
+                        sub, _ = induced_subgraph(cur, graph.bits(adj[u]))
+                        if sub._adj not in by_neighborhood:
+                            by_neighborhood[sub._adj] = brute_max_clique(sub)
+                        best = max(best, by_neighborhood[sub._adj])
+                    comps.append((comp, best + 1))
+            return next(w for comp, w in by_graph[adj] if v in comp)
+
+        def checked(adj, sq, v, kprime, cap):
+            seen.append((kprime, cap) == reduction_thresholds(omega_around(adj, v)))
+            return original(adj, sq, v, kprime, cap)
+
+        monkeypatch.setattr(coloring, "reduction_case", checked)
+        union = disjoint_union(
+            [stress_family[0][3], squared_cycle(40), gen_random_claw_free(60, 4, 2)],
+            random.Random(6),
+        )
+        for g in (
+            gen_random_claw_free(150, 4, 1),
+            gen_random_claw_free(170, 3, 1),
+            squared_cycle(160),
+            union,
+        ):
+            seen.clear()
+            by_graph.clear()
             greedy_reduce(g)
             assert seen and all(seen)
 
