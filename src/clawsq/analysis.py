@@ -5,17 +5,19 @@ checks claw-freeness once and returns every instance as a
 :class:`LemmaReport` that records both sides of the bound exactly. Sides are
 integers or rationals (`fractions.Fraction`), never floating point, so
 ``holds``, which is ``lhs <= rhs``, is never a tolerance question. One sweep
-over the adjacency rows computes every report. ω and α of N(v) come off
-the two cliques that cover N(v) when the cover table has them: ω is the
-larger side of a disjoint cover, and |N(v)| minus the matching number of
-the complement (König) for a joined one. Only a neighborhood without a
-cover is searched for cliques, in g and in its complement. Each exterior
-is counted once per directed edge by popcounts, and its non-edges only
-where N(w) has no cover, since a cover puts the exterior inside one clique.
-q is computed at most once per edge, since it is symmetric and Z(v) is
-where it is positive. ν and q are matching numbers: a greedy matching
-grown by Edmonds' blossom algorithm, polynomial and without recursion, and
-no search at all on an edge whose cover table entry forces 0.
+over the adjacency rows computes every report. ω of N(v) comes off the
+two cliques that cover N(v) when the cover table has them: the larger
+side of a disjoint cover, and |N(v)| minus the matching number of the
+complement (König) for a joined one. Only a neighborhood without a cover
+is searched, for a clique in g's rows. The sweep assumes the
+claw-freeness that :func:`run_lemma_suite` checks first, so no N(v) holds
+an independent triple and every exterior N(w) - N[v] is a clique: the
+stability numbers and the exterior non-edges follow, with no search. Each
+exterior is counted once per directed edge by popcounts. q is computed at
+most once per edge, since it is symmetric and Z(v) is where it is
+positive. ν and q are matching numbers: a greedy matching grown by
+Edmonds' blossom algorithm, polynomial and without recursion, and no
+search at all on an edge whose cover table entry forces 0.
 """
 
 from __future__ import annotations
@@ -311,9 +313,9 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
     :func:`neighborhood_covers` table: the larger side of a DISJOINT_COVER,
     |N(v)| - ν for a JOINED_COVER, whose complement is bipartite, with ν its
     matching number, and a clique search on a NO_COVER neighborhood alone.
-    ``omega`` defaults to g's own, max(2, 1 + the largest of them). These
-    read only the cover's clique checks, never claw-freeness, so the sweep
-    is exact on graphs with claws too.
+    ``omega`` defaults to g's own, max(2, 1 + the largest of them). g must
+    be claw-free, as :func:`run_lemma_suite` checks first: the stability
+    numbers and the exterior non-edges are derived from that, not searched.
 
     Reports come in three families, each in vertex order:
     - per vertex: deg(v) <= R(omega,3)-1; no clique of size omega inside
@@ -327,8 +329,7 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
       bound needs that much room) the matching-weighted degree bound and
       the square-degree cap. One extra report caps the maximum square
       degree globally.
-    Each edge's exterior is computed once and read by both of its families;
-    its non-edges are counted only when N(w) has no cover, and are 0 otherwise.
+    Each edge's exterior is computed once and read by both of its families.
     """
     adj = g._adj
     kinds = neighborhood_covers(g)
@@ -357,12 +358,8 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
         deg = nv.bit_count()
         degree.append(LemmaReport("degree-below-ramsey", v, None, deg, degree_cap))
         degree.append(LemmaReport("neighborhood-clique-cap", v, None, clique, clique_cap))
-        if kinds[v] == NO_COVER:
-            # complement rows inside N(v); without 1 << u the search would count u twice
-            anti = {u: nv & ~(adj[u] | 1 << u) for u in bits(nv)}
-            stable = max_clique_within(anti, nv)[0]
-        else:  # two cliques; B holds non-neighbors of A's lowest vertex
-            stable = 0 if not nv else 1 if not split_at_lowest(adj, nv)[1] else 2
+        # an independent triple in N(v) would be a claw at v, so α is 1 on a clique, else 2
+        stable = 0 if not nv else 2 if kinds[v] == NO_COVER or split_at_lowest(adj, nv)[1] else 1
         degree.append(LemmaReport("neighborhood-stability-cap", v, None, stable, 2))
         if sqd > worst:
             worst, worst_v = sqd, v
@@ -374,13 +371,8 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
             ext = adj[w] & outside
             size = ext.bit_count()
             exterior.append(LemmaReport("exterior-size", v, w, size, clique_cap))
-            if kinds[w] == NO_COVER:
-                # every edge inside the exterior is seen once from each end
-                inner = sum((adj[x] & ext).bit_count() for x in bits(ext))
-                nonedges = (size * (size - 1) - inner) // 2
-            else:  # v's side of N(w)'s cover lies in N[v], so ext is in the other
-                nonedges = 0
-            exterior.append(LemmaReport("exterior-nonedges", v, w, nonedges, 0))
+            # two non-adjacent members of ext would be a claw at w with v
+            exterior.append(LemmaReport("exterior-nonedges", v, w, 0, 0))
             counts[q] = counts.get(q, 0) + 1
             exts[q] = exts.get(q, 0) + size
         z_size = deg - counts.get(0, 0)
@@ -420,7 +412,8 @@ def run_lemma_suite(g: Graph) -> list[LemmaReport]:
 
     Checks claw-freeness once, raising NotClawFreeError with the claw as its
     witness, and then evaluates every report in one sweep (``_lemma_reports``),
-    whose neighborhood clique numbers give the clique number.
+    which assumes that claw-freeness and whose neighborhood clique numbers
+    give the clique number.
     """
     require_claw_free(g)
     return _lemma_reports(g)

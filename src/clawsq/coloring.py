@@ -74,7 +74,14 @@ from .structure import (
 )
 
 def palette_bound(omega: int) -> int:
-    """Guaranteed palette size for a claw-free graph of this clique number."""
+    """Guaranteed palette size for a claw-free graph of this clique number.
+
+    From ω = 5 on, greedy meets it if no square degree passes 2ω(ω-1). That
+    holds at v when N(v) has a two-clique cover: |N(v)| <= 2(ω-1), and each
+    N(x) - N[v] with x in N(v) is a clique (else a claw at x with v) of at
+    most ω-1, so v's square degree is at most |N(v)|·ω <= 2ω(ω-1). Without
+    such a cover it is open, and :func:`color_square` checks every palette.
+    """
     if omega <= 2:
         return 5
     if omega == 3:

@@ -12,7 +12,6 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     GenerationExhaustedError,
     InvalidSpecError,
 )
-from .graph import Graph, bits, build_graph, max_clique
+from .graph import Graph, build_graph, line_graph, max_clique
 from .oracle import brute_force_claw_free
 
 
@@ -134,15 +133,8 @@ def gen_blowup_c5(spec: BlowupSpec) -> Graph:
 
 def gen_line_graph(f: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph of f and the ordered edge list serving as the bijection."""
-    edges = tuple(sorted(f.edges()))
-    position = {e: i for i, e in enumerate(edges)}
-    pairs = []
-    for u in range(f.n):
-        incident = sorted(
-            position[(min(u, w), max(u, w))] for w in bits(f._adj[u])
-        )
-        pairs.extend(combinations(incident, 2))
-    return build_graph(len(edges), sorted(set(pairs))), edges
+    edges = tuple(f.edges())
+    return line_graph(f.n, edges), edges
 
 
 def _random_bounded_graph(m: int, cap: int, rng: random.Random) -> Graph:

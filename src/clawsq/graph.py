@@ -10,12 +10,13 @@ neighborhood of a graph is read once for the claw check, the clique
 numbers and the Krausz step: :func:`neighborhood_covers` and
 :func:`neighborhood_cliques` keep what that read found, one small value per
 vertex, and :func:`square_degrees` keeps each vertex's square degree; these
-three are the only code that reads or writes those tables.
+three are the only code that reads or writes those tables. Every line graph
+comes from :func:`line_graph`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -241,6 +242,18 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(tuple(adj))
+
+
+def line_graph(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
+    """Line graph on ``edges``, distinct pairs of vertices below n: vertex i is ``edges[i]``.
+
+    Each row ORs the incidence masks of the edge's two ends, less its own bit.
+    """
+    at = [0] * n
+    for i, (a, b) in enumerate(edges):
+        at[a] |= 1 << i
+        at[b] |= 1 << i
+    return Graph(tuple((at[a] | at[b]) & ~(1 << i) for i, (a, b) in enumerate(edges)))
 
 
 def square_row(g: Graph, v: int) -> int:

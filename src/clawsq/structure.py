@@ -23,6 +23,7 @@ from .graph import (
     bits,
     build_graph,
     cover_kind,
+    line_graph,
     neighborhood_covers,
     split_at_lowest,
     square_degrees,
@@ -285,17 +286,9 @@ def root_graph(g: Graph, partition) -> RootGraph:
         edge_of_vertex.append(tuple(owners))
     if len(set(edge_of_vertex)) != g.n:
         raise InvalidPartitionError("two vertices share the same pair of cliques")
-    f = build_graph(next_aux, edge_of_vertex)
-    # at[x]: the vertices of g whose root edge ends at x. In the line graph
-    # of f, u is adjacent to exactly the others at either end of its edge.
-    at = [0] * next_aux
-    for u, (a, b) in enumerate(edge_of_vertex):
-        at[a] |= 1 << u
-        at[b] |= 1 << u
-    for u, (a, b) in enumerate(edge_of_vertex):
-        if (at[a] | at[b]) & ~(1 << u) != g._adj[u]:
-            raise InvalidPartitionError("line graph reconstruction mismatch")
-    return RootGraph(f, tuple(edge_of_vertex))
+    if line_graph(next_aux, edge_of_vertex)._adj != g._adj:
+        raise InvalidPartitionError("line graph reconstruction mismatch")
+    return RootGraph(build_graph(next_aux, edge_of_vertex), tuple(edge_of_vertex))
 
 
 @dataclass(frozen=True)

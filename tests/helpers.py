@@ -433,6 +433,21 @@ def backtracking_base_root():
     ])
 
 
+def chain(k):
+    """k copies of :func:`backtracking_base_root`, each cut at edge (2, 6), joined in a ring.
+
+    Copy i is shifted by 16·i, and vertex 6 of copy i is joined to vertex 2
+    of copy i+1 (mod k), so the root stays cubic and connected and its line
+    graph has 24k vertices. For k = 4 and 5 that line graph has no
+    reducible vertex, so color_square's work is all the base step, where
+    the strong edge search needs over a million nodes.
+    """
+    copy = [e for e in backtracking_base_root().edges() if e != (2, 6)]
+    edges = [(u + 16 * i, v + 16 * i) for i in range(k) for u, v in copy]
+    edges += [(6 + 16 * i, 2 + 16 * ((i + 1) % k)) for i in range(k)]
+    return build_graph(16 * k, edges)
+
+
 def circular_interval_graph(n, seed):
     """A seeded circular-interval graph on ``n`` points, for 2 <= n <= 40.
 

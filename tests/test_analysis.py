@@ -29,7 +29,6 @@ from clawsq.errors import NotClawFreeError, NotNeighborError, UnsupportedOmegaEr
 from clawsq.graph import (
     JOINED_COVER,
     NO_COVER,
-    bits,
     build_graph,
     cover_kind,
     max_clique,
@@ -427,18 +426,25 @@ class TestReportsMatchReference:
             assert [r for r in reports if r.lemma_id in lemmas] == case[family], case[:2]
 
     def test_families_on_graphs_with_claws(self):
-        # Claw-free inputs keep every exterior a clique and every stability
-        # number at most 2; the evaluators behind the checks must count
-        # non-edges and independent sets right anyway.
+        # The sweep derives stability numbers and exterior non-edges from
+        # claw-freeness, so the suite refuses exactly the graphs with a claw
+        # and matches the references, which search, on the rest.
         rng = random.Random(97)
+        refused = 0
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 16), rng.random())
+            if not brute_force_claw_free(g):
+                with pytest.raises(NotClawFreeError):
+                    run_lemma_suite(g)
+                refused += 1
+                continue
             omega = max(max_clique(g)[0], 2)
-            assert analysis._lemma_reports(g, omega) == (
+            assert run_lemma_suite(g) == (
                 brute_degree_reports(g, omega)
                 + brute_exterior_reports(g, omega)
                 + brute_second_neighborhood_reports(g, omega)
             )
+        assert 0 < refused < 60
 
     def test_suite(self, reference_reports, suite_reports):
         for (g, omega, degree, exterior, second), reports in zip(reference_reports, suite_reports):
@@ -496,9 +502,9 @@ class TestLemmaSuiteCalls:
         assert subgraphs == []
 
     def test_clique_searches_only_on_uncovered_neighborhoods(self, monkeypatch, corpus):
-        # A covered neighborhood's clique and stability numbers come off its
-        # cover; an uncovered N(v) is searched at most twice, for a clique in
-        # g's rows and for one in the complement's rows inside N(v).
+        # A covered neighborhood's clique number comes off its cover, and
+        # stability numbers follow from claw-freeness; an uncovered N(v) is
+        # searched at most once, for a clique in g's own rows.
         searches = record_calls(monkeypatch, analysis, "max_clique_within")
         graphs = [entry.graph for entry in corpus[::25]]
         graphs += [k2_join_cliques(4, 3, seed) for seed in range(4)] + [cocktail_party(6)]
@@ -509,10 +515,8 @@ class TestLemmaSuiteCalls:
             adj = g._adj
             uncovered = Counter(nv for nv in adj if cover_kind(adj, nv) == NO_COVER)
             masks = Counter(mask for _, mask in searches)
-            assert all(masks[nv] <= 2 * uncovered[nv] for nv in masks), g
-            for rows, nv in searches:
-                anti = {u: nv & ~(adj[u] | 1 << u) for u in bits(nv)}
-                assert rows is adj or rows == anti
+            assert all(masks[nv] <= uncovered[nv] for nv in masks), g
+            assert all(rows is adj for rows, _ in searches), g
             searched += len(searches)
         assert searched
 

@@ -43,6 +43,7 @@ from clawsq.errors import (
 )
 from clawsq import graph
 from clawsq.graph import (
+    NO_COVER,
     UNCOLORED,
     Coloring,
     Graph,
@@ -52,7 +53,9 @@ from clawsq.graph import (
     induced_subgraph,
     max_clique,
     max_degree,
+    neighborhood_covers,
     square,
+    square_degrees,
 )
 from clawsq.oracle import brute_force_claw_free, exact_chromatic
 from clawsq.structure import (
@@ -1163,6 +1166,21 @@ class TestTrivialGreedy:
         graphs += [random_graph(rng, rng.randint(0, 30), rng.random()) for _ in range(40)]
         for g in graphs:
             assert trivial_greedy_square(g) == brute_trivial_greedy_square(g)
+
+
+class TestSquareDegreeCap:
+    def test_within_twice_omega_times_omega_minus_one(self):
+        # palette_bound from ω = 5 on rests on Δ(G²) <= 2ω(ω-1), proved only
+        # where N(v) has a two-clique cover; most of these vertices have none.
+        graphs = [triangle_free_complement(n, seed) for n in range(6, 21, 2) for seed in range(5)]
+        graphs += [cocktail_party(k) for k in range(2, 11)] + [gen_icosahedron()]
+        graphs += [k2_join_cliques(s, t) for s in range(1, 7) for t in range(1, 7)]
+        uncovered = 0
+        for g in graphs:
+            omega = max_clique(g)[0]
+            assert all(d <= 2 * omega * (omega - 1) for d in square_degrees(g)), g
+            uncovered += neighborhood_covers(g).count(NO_COVER)
+        assert 2 * uncovered > sum(g.n for g in graphs)
 
 
 class TestVerifyColoring:

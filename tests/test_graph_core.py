@@ -27,6 +27,7 @@ from clawsq.graph import (
     cover_kind,
     delete_vertex,
     induced_subgraph,
+    line_graph,
     max_clique,
     max_clique_within,
     max_degree,
@@ -112,6 +113,7 @@ class TestBuildGraph:
             square(g),
             induced_subgraph(g, range(0, g.n, 2))[0],
             edge_conflict_graph(g)[0],
+            line_graph(g.n, tuple(g.edges())),
         ]
         if g.n:
             derived.append(delete_vertex(g, g.n // 2))
@@ -119,6 +121,22 @@ class TestBuildGraph:
             assert h.n == len(h._adj)
             assert h.edge_count == len(list(h.edges()))
         assert octahedron().edge_count == 12
+
+
+class TestLineGraph:
+    @given(graphs(), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_matches_pairwise_definition(self, f, data):
+        # root_graph lists its root edges in g's vertex order, which is not
+        # lexicographic; the ends of each edge come in either order here too.
+        edges = [
+            (v, u) if data.draw(st.booleans()) else (u, v)
+            for u, v in data.draw(st.permutations(list(f.edges())))
+        ]
+        pairs = [
+            (i, j) for i, j in combinations(range(len(edges)), 2) if {*edges[i]} & {*edges[j]}
+        ]
+        assert line_graph(f.n, edges) == build_graph(len(edges), pairs)
 
 
 class TestSquare:

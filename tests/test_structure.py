@@ -33,6 +33,7 @@ from clawsq.graph import (
     square,
     square_degrees,
 )
+from clawsq.oracle import brute_force_claw_free
 from clawsq.structure import (
     NeighborhoodShape,
     classify,
@@ -52,6 +53,7 @@ from helpers import (
     brute_krausz_root,
     brute_neighborhood_shape,
     brute_reduction_case,
+    chain,
     girth,
     line_graph_mismatch,
     random_graph,
@@ -510,6 +512,18 @@ class TestStressFamily:
             assert outcome.kind == "line_graph", name
             assert max_degree(outcome.root.f) == d, name
             assert not line_graph_mismatch(g, outcome.root.edge_of_vertex), name
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_chain_reaches_the_line_graph_base(self, k):
+        # Not coloured here: the chronological search takes seconds on these.
+        f = chain(k)
+        assert all(f.degree(v) == 3 for v in range(f.n))
+        assert len(connected_components(f)) == 1
+        g, _ = gen_line_graph(f)
+        assert g.n == 24 * k
+        assert brute_force_claw_free(g)
+        assert find_reducible_vertex(g, 3) is None
+        assert classify(g, 3).kind == "line_graph"
 
 
 class TestFindReducible:
