@@ -53,8 +53,8 @@ from .graph import (
     UNCOLORED,
     Coloring,
     Graph,
+    _component_masks,
     bits,
-    connected_components,
     delete_vertex,
     holds_clique,
     induced_subgraph,
@@ -101,7 +101,10 @@ def trivial_greedy_square(g: Graph) -> Coloring:
 
     Each vertex takes the smallest color whose class, a vertex mask, misses
     its square row. Uses at most one more color than the maximum square
-    degree, which for claw-free inputs stays within 2*omega*(omega-1)+1.
+    degree. That degree is at most 2*omega*(omega-1) at every vertex whose
+    neighborhood has a two-clique cover (:func:`palette_bound`); for
+    claw-free inputs in general it is not proved, so :func:`color_square`
+    checks every palette.
     """
     rows = [square_row(g, v) for v in range(g.n)]
     order = sorted(range(g.n), key=lambda v: (-rows[v].bit_count(), v))
@@ -137,25 +140,25 @@ def _cycle_pattern(length: int) -> list[int]:
 def color_small_omega(g: Graph) -> Coloring:
     """Color the square of a disjoint union of paths and cycles with at most 5 colors.
 
-    Each component is walked in g's own labels: a cycle (degree sum twice
-    its size) from its lowest vertex toward that vertex's lower neighbor, a
-    path from its lowest end. Raises NotSmallOmegaError on a triangle or a
-    vertex of degree 3 or more. The coloring is returned unverified.
+    Each component is walked in g's own labels: a path from its lowest end,
+    a cycle (no end) from its lowest vertex toward that vertex's lower
+    neighbor. Raises NotSmallOmegaError on a triangle or a vertex of degree
+    3 or more. The coloring is returned unverified.
     """
     if max_degree(g) > 2:
         raise NotSmallOmegaError("a vertex of degree 3 or more is present")
     adj = g._adj
     colors = [UNCOLORED] * g.n
-    for comp in connected_components(g):
-        size = len(comp)
-        if sum(adj[u].bit_count() for u in comp) == 2 * size:
-            if size == 3:
-                raise NotSmallOmegaError("a triangle is present")
-            cur = min(comp)
-            pattern = _cycle_pattern(size)
-        else:
-            cur = min(u for u in comp if adj[u].bit_count() <= 1)
+    for comp in _component_masks(g):
+        size = comp.bit_count()
+        cur = next((u for u in bits(comp) if adj[u].bit_count() <= 1), None)
+        if cur is not None:
             pattern = _path_pattern(size)
+        elif size == 3:
+            raise NotSmallOmegaError("a triangle is present")
+        else:
+            cur = _lowest(comp).bit_length() - 1
+            pattern = _cycle_pattern(size)
         came_from = 0
         for c in pattern:
             colors[cur] = c
@@ -492,16 +495,21 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
     K4, and only there does the one clique test left run. Only the
     component that held v can split.
 
-    Every vertex of a live component starts dirty. A deletion changes a
-    vertex's case only within distance 3 of v, or on all of a piece whose
-    clique number, and with it the threshold, drops, so it marks exactly
-    those vertices of the live pieces dirty. To pick, the dirty vertices of
-    the first live component are evaluated from the bottom until the
-    lowest vertex left in ``iii | dirty`` is clean: that is the smallest
-    case-iii vertex. When none is left, no vertex of the component is
-    dirty, and ``ii`` gives the smallest case-ii vertex. A clean vertex's
-    cached case is exact, so each pick is the one the masks would give if
-    every case were recomputed after every deletion. A live component left
+    A vertex is marked dirty only where it can be reducible. At the start
+    those are the vertices of a live component whose square degree is at
+    most that component's kprime, as :func:`reduction_case` gives None
+    above it. A deletion changes a vertex's case only within distance 3 of
+    v, where every square degree that drops lies, or on all of a piece
+    whose clique number, and with it kprime, drops. So it marks dirty the
+    vertices of the live pieces within distance 3 of v; on a piece whose
+    clique number drops it clears every cached case and marks dirty those
+    at most its new kprime. To pick, the dirty vertices of the first live
+    component are evaluated from the bottom until the lowest vertex left in
+    ``iii | dirty`` is clean: that is the smallest case-iii vertex. When
+    none is left, no vertex of the component is dirty, and ``ii`` gives the
+    smallest case-ii vertex. A clean vertex's cached case is exact, so each
+    pick is the one the masks would give if every case were recomputed
+    after every deletion. A live component left
     with no reducible vertex is final, as no later deletion touches it.
     """
     cur = g
@@ -517,15 +525,17 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
     def omega_of(mask):
         return 4 if mask & k4 else 3 if mask & tri else 2
 
+    def can_reduce(mask, w):
+        """The vertices of ``mask`` with square degree at most kprime of clique number w."""
+        kprime = reduction_thresholds(w)[0]
+        return sum(1 << x for x in bits(mask) if sq[x] <= kprime)
+
     comps = []
-    for comp in connected_components(g):
-        mask = 0
-        for x in comp:
-            mask |= 1 << x
-        w = omega_of(mask)
+    for comp in _component_masks(g):
+        w = omega_of(comp)
         if w > 2:
-            dirty |= mask
-            comps.append(mask)
+            dirty |= can_reduce(comp, w)
+            comps.append(comp)
     frames = []
     bases = []
     while comps:
@@ -598,7 +608,13 @@ def _peel(g: Graph) -> tuple[list[int], list[tuple[int, str, int]], list[tuple[i
         for piece in _pieces(adj, comp, nbrs):
             w_piece = omega_of(piece)
             if w_piece > 2:
-                dirty |= piece if w_piece < w else piece & near
+                if w_piece < w:
+                    # kprime dropped: no cached case on the piece holds any more.
+                    iii &= ~piece
+                    ii &= ~piece
+                    dirty |= can_reduce(piece, w_piece)
+                else:
+                    dirty |= piece & near
                 insort(comps, piece, key=_lowest)
     return orig, frames, bases
 
@@ -684,19 +700,19 @@ def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
     depend on ``-O``.
 
     The call works on a header of its own, ``Graph(g._adj)``, so the
-    per-vertex tables (:func:`neighborhood_covers`, one cover check per
-    vertex, :func:`neighborhood_cliques` and :func:`square_degrees`) end
-    with the call and g never holds them. The claw check checks each cover once and every later
-    step on the whole graph reads the result; a component that is a proper
-    subgraph builds its own tables. A component's clique number is one more
+    per-vertex tables (:func:`neighborhood_covers`,
+    :func:`neighborhood_cliques` and :func:`square_degrees`) end with the
+    call and g never holds them. The claw check builds all three in one
+    walk per neighborhood, and every later step on the whole graph reads
+    them; a component that is a proper subgraph builds its own tables. A component's clique number is one more
     than its largest capped neighborhood value, and only a component where
     that reaches 5 runs the exact :func:`max_clique`.
     """
     g = Graph(g._adj)
     require_claw_free(g)
     colors = [UNCOLORED] * g.n
-    for comp in connected_components(g):
-        sub, old = induced_subgraph(g, comp)
+    for comp in _component_masks(g):
+        sub, old = induced_subgraph(g, bits(comp))
         w = 1 + max(neighborhood_cliques(sub))
         if w <= 4:
             local = greedy_reduce(sub, node_limit=node_limit)

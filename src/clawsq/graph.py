@@ -7,11 +7,14 @@ representation. Vertex sets travel as plain frozensets. Hot loops walk a
 mask in place, lowest bit first (``low = m & -m``), and read one row per
 bit; :func:`bits` is for callers that need the positions as a list. Each
 neighborhood of a graph is read once for the claw check, the clique
-numbers and the Krausz step: :func:`neighborhood_covers` and
-:func:`neighborhood_cliques` keep what that read found, one small value per
-vertex, and :func:`square_degrees` keeps each vertex's square degree; these
-three are the only code that reads or writes those tables. Every line graph
-comes from :func:`line_graph`.
+numbers, the square degrees and the Krausz step: one walk over the rows of
+N(v) (:func:`_cover_walk`) gives its two-clique cover and the OR of those
+rows, and one builder (:func:`_build_tables`) turns that into three tables,
+one small value per vertex, that :func:`neighborhood_covers`,
+:func:`neighborhood_cliques` and :func:`square_degrees` return; these are
+the only code that reads or writes them. Components come from one mask
+search (:func:`_component_masks`). Every line graph comes from
+:func:`line_graph`.
 """
 
 from __future__ import annotations
@@ -75,32 +78,48 @@ def cover_kind(rows, mask: int) -> int:
 
     NO_COVER when a side is not a clique; JOINED_COVER when both are and
     an edge joins them; DISJOINT_COVER when none does, so that the mask
-    induces their disjoint union (an empty or one-clique mask included). A
-    mask of at most two vertices is always the latter, and is not checked.
-    Each side is walked once, in place: a member u is joined to the rest
-    of its side when the side minus the row of u is u alone, and the rows
-    of side B, ORed on the way, give the edges between the sides. The
-    lowest vertex is joined to side A by its construction.
+    induces their disjoint union (an empty or one-clique mask included).
+    The kind of :func:`_cover_walk`.
     """
-    if mask.bit_count() < 3:
-        return DISJOINT_COVER
-    side_a, side_b = split_at_lowest(rows, mask)
-    rest = side_a & (side_a - 1)
+    return _cover_walk(rows, mask)[0]
+
+
+def _cover_walk(rows, mask: int) -> tuple[int, int, int]:
+    """``(kind, A, near)``: :func:`cover_kind` of ``mask``, side A of its cover and the OR of its rows.
+
+    One walk reads the row of every vertex of the mask once. Each side is
+    walked in place: a member u is joined to the rest of its side when the
+    side minus the row of u is u alone, and the rows of side B, ORed on the
+    way, give the edges between the sides. The lowest vertex is joined to
+    side A by its construction. After a side fails, the rows not yet read
+    are ORed without a check, so ``near`` is always the neighbors of the
+    whole mask; for a neighborhood N(v) that OR with N(v), less v, is v's
+    square row.
+    """
+    if not mask:
+        return DISJOINT_COVER, 0, 0
+    low = mask & -mask
+    near = rows[low.bit_length() - 1]
+    side_a = (near | low) & mask
+    side_b = mask ^ side_a
+    rest = side_a ^ low
     while rest:
         bit = rest & -rest
-        if side_a & ~rows[bit.bit_length() - 1] != bit:
-            return NO_COVER
+        row = rows[bit.bit_length() - 1]
+        near |= row
         rest ^= bit
+        if side_a & ~row != bit:
+            return NO_COVER, side_a, near | reach(rows, rest | side_b)
     joined = 0
     rest = side_b
     while rest:
         bit = rest & -rest
         row = rows[bit.bit_length() - 1]
-        if side_b & ~row != bit:
-            return NO_COVER
         joined |= row
         rest ^= bit
-    return JOINED_COVER if joined & side_a else DISJOINT_COVER
+        if side_b & ~row != bit:
+            return NO_COVER, side_a, near | joined | reach(rows, rest)
+    return (JOINED_COVER if joined & side_a else DISJOINT_COVER), side_a, near | joined
 
 
 def holds_clique(rows, mask: int, size: int) -> bool:
@@ -126,8 +145,8 @@ class Graph:
     A graph is its adjacency rows; ``n`` and ``edge_count`` derive from
     them. Use :func:`build_graph` to construct one with validation; the raw
     constructor trusts its rows to be symmetric and loop-free. Three
-    per-vertex tables derived from the rows are built on first use by
-    :func:`neighborhood_covers`, :func:`neighborhood_cliques` and
+    per-vertex tables derived from the rows are built together on the first
+    call of :func:`neighborhood_covers`, :func:`neighborhood_cliques` or
     :func:`square_degrees`, and kept with the graph. Every new graph starts
     without them, so ``Graph(g._adj)`` is a header that shares g's rows but
     not its tables.
@@ -185,6 +204,35 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _build_tables(g: Graph) -> None:
+    """Build g's cover, clique and square-degree tables in one walk over every neighborhood.
+
+    :func:`_cover_walk` reads the rows of N(v) once for its cover and its
+    square row. The clique number of N(v) capped at 4 is read off a
+    disjoint cover (A, B), two disjoint cliques, as max(|A|, |B|); from a
+    joined cover's max(|A|, |B|), or from 1 with no cover (such an N(v) has
+    three or more vertices), :func:`holds_clique` grows it one size at a
+    time up to 4. A component's clique number is one more than its largest
+    value when that value is below 4, and at least 5 otherwise.
+    """
+    adj = g._adj
+    kinds = bytearray(g.n)
+    cliques = []
+    degrees = []
+    for v, row in enumerate(adj):
+        kind, side_a, near = _cover_walk(adj, row)
+        kinds[v] = kind
+        degrees.append(((near | row) & ~(1 << v)).bit_count())
+        size = 1 if kind == NO_COVER else max(side_a.bit_count(), (row ^ side_a).bit_count())
+        if kind != DISJOINT_COVER:
+            while size < 4 and holds_clique(adj, row, size + 1):
+                size += 1
+        cliques.append(min(size, 4))
+    g._covers = bytes(kinds)
+    g._cliques = tuple(cliques)
+    g._square_degrees = tuple(degrees)
+
+
 def neighborhood_covers(g: Graph) -> bytes:
     """:func:`cover_kind` of every neighborhood N(v), by vertex; built once per graph.
 
@@ -193,33 +241,17 @@ def neighborhood_covers(g: Graph) -> bytes:
     of the rows; :func:`split_at_lowest` rebuilds a cover from two rows.
     """
     if g._covers is None:
-        adj = g._adj
-        g._covers = bytes(cover_kind(adj, row) for row in adj)
+        _build_tables(g)
     return g._covers
 
 
 def neighborhood_cliques(g: Graph) -> tuple[int, ...]:
     """Clique number of every neighborhood N(v) capped at 4, by vertex; built once per graph.
 
-    Read off the cover (A, B) of N(v): when it is disjoint, N(v) is two
-    disjoint cliques and the value is max(|A|, |B|). Otherwise, or with no
-    cover, :func:`holds_clique` grows it from there one size at a time up
-    to 4. A component's clique number is one more than its largest value
-    when that value is below 4, and at least 5 otherwise.
+    See :func:`_build_tables` for how the cover gives it.
     """
     if g._cliques is None:
-        adj = g._adj
-        out = []
-        for row, kind in zip(adj, neighborhood_covers(g)):
-            size = 1  # a neighborhood without a cover has three or more vertices
-            if kind != NO_COVER:
-                side_a, side_b = split_at_lowest(adj, row)
-                size = max(side_a.bit_count(), side_b.bit_count())
-            if kind != DISJOINT_COVER:
-                while size < 4 and holds_clique(adj, row, size + 1):
-                    size += 1
-            out.append(min(size, 4))
-        g._cliques = tuple(out)
+        _build_tables(g)
     return g._cliques
 
 
@@ -265,12 +297,12 @@ def square_row(g: Graph, v: int) -> int:
 def square_degrees(g: Graph) -> tuple[int, ...]:
     """Square degree of every vertex, by vertex; built once per graph.
 
-    The popcounts of the :func:`square_row` of each vertex. Only the counts
-    are kept, not the rows, which would hold a second graph as large as
-    the square.
+    The popcounts of the :func:`square_row` of each vertex, from the rows
+    each cover walk ORs (:func:`_build_tables`). Only the counts are kept,
+    not the rows, which would hold a second graph as large as the square.
     """
     if g._square_degrees is None:
-        g._square_degrees = tuple(square_row(g, v).bit_count() for v in range(g.n))
+        _build_tables(g)
     return g._square_degrees
 
 
@@ -283,13 +315,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     """Subgraph induced by ``vertices`` plus the new-to-old index map; g itself for all of them.
 
     A proper subgraph is a new graph, which builds its own neighborhood
-    tables on first use.
+    tables on first use. As the vertices are distinct and sorted, n of them
+    are all of g exactly when the first is 0 and the last n - 1, so only
+    the vertices of a proper subgraph are checked one by one.
     """
     old = sorted(set(vertices))
+    if len(old) == g.n and (not old or (old[0] == 0 and old[-1] == g.n - 1)):
+        return g, tuple(old)
     for v in old:
         g.check_vertex(v)
-    if len(old) == g.n:
-        return g, tuple(old)
     position = {v: i for i, v in enumerate(old)}
     rows = []
     for v in old:
@@ -306,30 +340,37 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Graph with ``v`` removed and higher indices shifted down by one.
 
-    Every row is shifted in one pass and v's own row dropped.
+    Every row is shifted in one pass and v's own row dropped. A row with no
+    bit at or below v just shifts down by one.
     """
     g.check_vertex(v)
     low = (1 << v) - 1
     high = v + 1
-    rows = [(mask & low) | (mask >> high) << v for mask in g._adj]
+    upto = (1 << high) - 1
+    rows = [
+        mask >> 1 if not mask & upto else (mask & low) | (mask >> high) << v for mask in g._adj
+    ]
     del rows[v]
     return Graph(tuple(rows))
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition of the vertices by connectivity, ordered by smallest member."""
-    seen = 0
+    return [frozenset(bits(comp)) for comp in _component_masks(g)]
+
+
+def _component_masks(g: Graph) -> list[int]:
+    """The components of g as vertex masks, ordered by smallest member; one search each."""
+    adj = g._adj
+    unseen = (1 << g.n) - 1
     out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
+    while unseen:
+        comp = frontier = unseen & -unseen
         while frontier:
-            frontier = reach(g._adj, frontier) & ~comp
+            frontier = reach(adj, frontier) & ~comp
             comp |= frontier
-        seen |= comp
-        out.append(frozenset(bits(comp)))
+        unseen ^= comp
+        out.append(comp)
     return out
 
 

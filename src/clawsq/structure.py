@@ -21,7 +21,6 @@ from .graph import (
     DISJOINT_COVER,
     Graph,
     bits,
-    build_graph,
     cover_kind,
     line_graph,
     neighborhood_covers,
@@ -260,18 +259,21 @@ def root_graph(g: Graph, partition) -> RootGraph:
     in at most two cliques, comparing the line graph of the result with g
     edge for edge rejects a non-edge inside a clique and an edge covered
     zero times or twice, so exactly the families that are not Krausz
-    partitions raise InvalidPartitionError.
+    partitions raise InvalidPartitionError. The family is sorted once, as
+    member lists, which puts duplicate cliques side by side and each
+    clique's range in its ends; the root's rows are built from its edges
+    directly, as the comparison has checked them.
     """
-    given = [frozenset(c) for c in partition]
-    cliques = sorted(set(given), key=sorted)
-    if len(cliques) != len(given):
+    cliques = sorted(sorted(set(c)) for c in partition)
+    if any(a == b for a, b in zip(cliques, cliques[1:])):
         raise InvalidPartitionError("duplicate cliques in partition")
     membership: list[list[int]] = [[] for _ in range(g.n)]
     for i, c in enumerate(cliques):
         if len(c) < 2:
             raise InvalidPartitionError("cliques in the partition need at least two vertices")
+        g.check_vertex(c[0])
+        g.check_vertex(c[-1])
         for u in c:
-            g.check_vertex(u)
             membership[u].append(i)
     next_aux = len(cliques)
     edge_of_vertex = []
@@ -288,7 +290,11 @@ def root_graph(g: Graph, partition) -> RootGraph:
         raise InvalidPartitionError("two vertices share the same pair of cliques")
     if line_graph(next_aux, edge_of_vertex)._adj != g._adj:
         raise InvalidPartitionError("line graph reconstruction mismatch")
-    return RootGraph(build_graph(next_aux, edge_of_vertex), tuple(edge_of_vertex))
+    rows = [0] * next_aux
+    for a, b in edge_of_vertex:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return RootGraph(Graph(tuple(rows)), tuple(edge_of_vertex))
 
 
 @dataclass(frozen=True)

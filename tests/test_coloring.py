@@ -224,7 +224,7 @@ class TestOneNeighborhoodPass:
     def test_one_cover_per_vertex_and_no_clique_search(self, monkeypatch, stress_family):
         g = Graph(stress_family[0][3]._adj)
         assert len(connected_components(g)) == 1
-        covers = record_calls(monkeypatch, graph, "cover_kind")
+        covers = record_calls(monkeypatch, graph, "_cover_walk")
         cliques = record_calls(monkeypatch, graph, "max_clique")
         peels = record_calls(monkeypatch, graph, "delete_vertex")
         color_square(g)
@@ -234,7 +234,7 @@ class TestOneNeighborhoodPass:
     def test_components_build_their_own_covers(self, monkeypatch, stress_family):
         parts = [stress_family[0][3], stress_family[2][3], cycle(7)]
         g = disjoint_union(parts, random.Random(5))
-        covers = record_calls(monkeypatch, graph, "cover_kind")
+        covers = record_calls(monkeypatch, graph, "_cover_walk")
         cliques = record_calls(monkeypatch, graph, "max_clique")
         color_square(g)
         assert cliques == []
@@ -245,7 +245,7 @@ class TestOneNeighborhoodPass:
 
     def test_no_table_outlives_a_call(self, monkeypatch, stress_family):
         g = Graph(stress_family[2][3]._adj)
-        covers = record_calls(monkeypatch, graph, "cover_kind")
+        covers = record_calls(monkeypatch, graph, "_cover_walk")
         first = color_square(g)
         assert color_square(g) == first
         assert len(covers) == 2 * g.n
@@ -255,16 +255,18 @@ class TestOneNeighborhoodPass:
 class TestTriangleFreeBase:
     def test_remainder_colored_without_a_subgraph(self, monkeypatch):
         # With no triangle left, the base remainder goes to color_small_omega
-        # as it is: one component split each in color_square, _peel and
-        # color_small_omega, and two subgraphs, color_square's and the base
-        # step's, each g itself when it holds every vertex.
+        # as it is: one component mask search each in color_square, _peel
+        # and color_small_omega, none through the frozenset split, and two
+        # subgraphs, color_square's and the base step's, each g itself when
+        # it holds every vertex.
         calls = {
             name: record_calls(monkeypatch, graph, name)
-            for name in ("connected_components", "induced_subgraph")
+            for name in ("_component_masks", "connected_components", "induced_subgraph")
         }
         assert color_square(cycle(7)).colors == (0, 1, 2, 0, 1, 2, 3)
         assert {name: len(log) for name, log in calls.items()} == {
-            "connected_components": 3,
+            "_component_masks": 3,
+            "connected_components": 0,
             "induced_subgraph": 2,
         }
 
@@ -338,6 +340,15 @@ class TestGreedyReduce:
             calls.clear()
             greedy_reduce(g)
             assert 0 < len(calls) <= 3 * g.n
+
+    def test_base_path_evaluates_nothing_it_can_rule_out(self, monkeypatch, stress_family):
+        # Every square degree of these line graphs is above kprime, so no
+        # vertex is ever dirty and the peel reads no reduction case.
+        calls = record_calls(monkeypatch, coloring, "reduction_case")
+        for *_, g in stress_family:
+            rest, frames, bases = coloring._peel(Graph(g._adj))
+            assert frames == [] and len(bases) == 1 and len(rest) == g.n
+        assert calls == []
 
     def test_peel_square_degrees_stay_exact(self, monkeypatch, stress_family):
         # The peel updates its square degrees on each deletion instead of

@@ -312,7 +312,13 @@ class TestNeighborhoodTables:
         assert neighborhood_covers(g) == bytes(cover_kind(adj, row) for row in adj)
         want = tuple(min(max_clique_within(adj, row)[0], 4) for row in adj)
         assert neighborhood_cliques(g) == want
-        assert square_degrees(g) == tuple(row.bit_count() for row in square(g)._adj)
+        degrees = tuple(row.bit_count() for row in square(g)._adj)
+        assert square_degrees(g) == degrees
+        # The tables do not depend on which one is asked for first.
+        header = Graph(adj)
+        assert square_degrees(header) == degrees
+        assert neighborhood_cliques(header) == want
+        assert neighborhood_covers(header) == neighborhood_covers(g)
         for comp in connected_components(g):
             sub, _ = induced_subgraph(g, comp)
             assert 1 + max(neighborhood_cliques(sub)) == min(max_clique(sub)[0], 5)
