@@ -59,9 +59,9 @@ from .errors import (
 from .graph import (
     DISJOINT_COVER,
     Graph,
+    clique_number,
     connected_components,
     induced_subgraph,
-    max_clique,
     neighborhood_covers,
     square,
     square_degrees,
@@ -116,12 +116,12 @@ def cmd_analyze(args) -> int:
     started = time.perf_counter()
     g = load_dimacs(args.path)
     witness = find_claw(g)
-    # One clique search per component; induced_subgraph returns g itself for
-    # a component of every vertex.
+    # induced_subgraph returns g itself for a component of every vertex, so
+    # a connected graph's omega reads the table the claw check built.
     parts = []
     for comp in connected_components(g):
         sub, old = induced_subgraph(g, comp)
-        parts.append((sub, old, max_clique(sub)[0]))
+        parts.append((sub, old, clique_number(sub)))
     report = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -175,7 +175,8 @@ def cmd_color(args) -> int:
             }
         )
         return EXIT_CLAW
-    omega = max_clique(g)[0]
+    # Reads the tables color_square left on g; searches only from 5 up.
+    omega = clique_number(g)
     report = {
         "schema": SCHEMA,
         "command": "color",
@@ -212,7 +213,7 @@ def _verify_manifest_row(base: Path, row: dict) -> dict:
     except (DimacsError, OSError) as exc:
         out["error"] = f"input: {exc}"
         return out
-    omega = max_clique(g)[0]
+    omega = clique_number(g)
     known = row.get("known", {})
     mismatches = []
     if "omega" in known and known["omega"] != omega:

@@ -55,10 +55,10 @@ from .graph import (
     Graph,
     _component_masks,
     bits,
+    clique_number,
     delete_vertex,
     holds_clique,
     induced_subgraph,
-    max_clique,
     max_degree,
     neighborhood_cliques,
     reach,
@@ -699,26 +699,19 @@ def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
     the final coloring is not proper on the square; these checks do not
     depend on ``-O``.
 
-    The call works on a header of its own, ``Graph(g._adj)``, so the
-    per-vertex tables (:func:`neighborhood_covers`,
-    :func:`neighborhood_cliques` and :func:`square_degrees`) end with the
-    call and g never holds them. The claw check builds all three in one
-    walk per neighborhood, and every later step on the whole graph reads
-    them; a component that is a proper subgraph builds its own tables. A component's clique number is one more
-    than its largest capped neighborhood value, and only a component where
-    that reaches 5 runs the exact :func:`max_clique`.
+    The claw check builds g's per-vertex tables (:func:`neighborhood_covers`,
+    :func:`neighborhood_cliques` and :func:`square_degrees`) in one walk
+    per neighborhood and leaves them on g, where every later step on the
+    whole graph, and any later call on g, reads them; a component that is a
+    proper subgraph builds its own tables. Each component's clique number
+    comes from :func:`clique_number`, which searches only from 5 up.
     """
-    g = Graph(g._adj)
     require_claw_free(g)
     colors = [UNCOLORED] * g.n
     for comp in _component_masks(g):
         sub, old = induced_subgraph(g, bits(comp))
-        w = 1 + max(neighborhood_cliques(sub))
-        if w <= 4:
-            local = greedy_reduce(sub, node_limit=node_limit)
-        else:
-            w = max_clique(sub)[0]
-            local = trivial_greedy_square(sub)
+        w = clique_number(sub)
+        local = greedy_reduce(sub, node_limit=node_limit) if w <= 4 else trivial_greedy_square(sub)
         if local.palette_size > palette_bound(w):
             raise InternalBoundViolation(
                 f"component palette {local.palette_size} exceeds the bound "

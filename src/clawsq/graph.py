@@ -9,12 +9,12 @@ bit; :func:`bits` is for callers that need the positions as a list. Each
 neighborhood of a graph is read once for the claw check, the clique
 numbers, the square degrees and the Krausz step: one walk over the rows of
 N(v) (:func:`_cover_walk`) gives its two-clique cover and the OR of those
-rows, and one builder (:func:`_build_tables`) turns that into three tables,
-one small value per vertex, that :func:`neighborhood_covers`,
-:func:`neighborhood_cliques` and :func:`square_degrees` return; these are
-the only code that reads or writes them. Components come from one mask
-search (:func:`_component_masks`). Every line graph comes from
-:func:`line_graph`.
+rows, and one builder (:func:`_build_tables`) turns that into three tables
+kept on the graph, one small value per vertex; :func:`neighborhood_covers`,
+:func:`neighborhood_cliques` and :func:`square_degrees` are the only code
+that reads them, and :func:`clique_number` reads ω off the second. Components
+come from one mask search (:func:`_component_masks`). Every line graph comes
+from :func:`line_graph`.
 """
 
 from __future__ import annotations
@@ -147,19 +147,17 @@ class Graph:
     constructor trusts its rows to be symmetric and loop-free. Three
     per-vertex tables derived from the rows are built together on the first
     call of :func:`neighborhood_covers`, :func:`neighborhood_cliques` or
-    :func:`square_degrees`, and kept with the graph. Every new graph starts
-    without them, so ``Graph(g._adj)`` is a header that shares g's rows but
-    not its tables.
+    :func:`square_degrees`, and kept with the graph in ``_tables`` as
+    (covers, cliques, square degrees); as the rows never change, neither
+    do they. Every new graph starts without them.
     """
 
-    __slots__ = ("n", "_adj", "_covers", "_cliques", "_square_degrees")
+    __slots__ = ("n", "_adj", "_tables")
 
     def __init__(self, adj: tuple[int, ...]):
         self.n = len(adj)
         self._adj = adj
-        self._covers = None
-        self._cliques = None
-        self._square_degrees = None
+        self._tables = None
 
     @property
     def edge_count(self) -> int:
@@ -204,8 +202,8 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _build_tables(g: Graph) -> None:
-    """Build g's cover, clique and square-degree tables in one walk over every neighborhood.
+def _build_tables(g: Graph) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
+    """g's cover, clique and square-degree tables, built once in one walk over every neighborhood.
 
     :func:`_cover_walk` reads the rows of N(v) once for its cover and its
     square row. The clique number of N(v) capped at 4 is read off a
@@ -215,6 +213,8 @@ def _build_tables(g: Graph) -> None:
     time up to 4. A component's clique number is one more than its largest
     value when that value is below 4, and at least 5 otherwise.
     """
+    if g._tables is not None:
+        return g._tables
     adj = g._adj
     kinds = bytearray(g.n)
     cliques = []
@@ -228,9 +228,8 @@ def _build_tables(g: Graph) -> None:
             while size < 4 and holds_clique(adj, row, size + 1):
                 size += 1
         cliques.append(min(size, 4))
-    g._covers = bytes(kinds)
-    g._cliques = tuple(cliques)
-    g._square_degrees = tuple(degrees)
+    g._tables = (bytes(kinds), tuple(cliques), tuple(degrees))
+    return g._tables
 
 
 def neighborhood_covers(g: Graph) -> bytes:
@@ -240,9 +239,7 @@ def neighborhood_covers(g: Graph) -> bytes:
     are kept, since two masks per vertex would take about twice the memory
     of the rows; :func:`split_at_lowest` rebuilds a cover from two rows.
     """
-    if g._covers is None:
-        _build_tables(g)
-    return g._covers
+    return _build_tables(g)[0]
 
 
 def neighborhood_cliques(g: Graph) -> tuple[int, ...]:
@@ -250,9 +247,17 @@ def neighborhood_cliques(g: Graph) -> tuple[int, ...]:
 
     See :func:`_build_tables` for how the cover gives it.
     """
-    if g._cliques is None:
-        _build_tables(g)
-    return g._cliques
+    return _build_tables(g)[1]
+
+
+def clique_number(g: Graph) -> int:
+    """Clique number of g; only from 5 up does it run :func:`max_clique`.
+
+    Below 5 it is one more than the largest :func:`neighborhood_cliques`
+    value, each exact up to 3 (0 for the empty graph).
+    """
+    omega = 1 + max(neighborhood_cliques(g), default=-1)
+    return omega if omega < 5 else max_clique(g)[0]
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -301,9 +306,7 @@ def square_degrees(g: Graph) -> tuple[int, ...]:
     each cover walk ORs (:func:`_build_tables`). Only the counts are kept,
     not the rows, which would hold a second graph as large as the square.
     """
-    if g._square_degrees is None:
-        _build_tables(g)
-    return g._square_degrees
+    return _build_tables(g)[2]
 
 
 def square(g: Graph) -> Graph:
@@ -315,11 +318,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     """Subgraph induced by ``vertices`` plus the new-to-old index map; g itself for all of them.
 
     A proper subgraph is a new graph, which builds its own neighborhood
-    tables on first use. As the vertices are distinct and sorted, n of them
+    tables on first use. As the vertices are distinct sorted ints, n of them
     are all of g exactly when the first is 0 and the last n - 1, so only
-    the vertices of a proper subgraph are checked one by one.
+    the vertices of a proper subgraph are range-checked one by one.
     """
     old = sorted(set(vertices))
+    if not all(isinstance(v, int) for v in old):
+        raise VertexOutOfRangeError("vertex indices must be integers")
     if len(old) == g.n and (not old or (old[0] == 0 and old[-1] == g.n - 1)):
         return g, tuple(old)
     for v in old:

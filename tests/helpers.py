@@ -47,6 +47,9 @@ from clawsq.errors import (
     NotSmallOmegaError,
 )
 from clawsq.graph import (
+    DISJOINT_COVER,
+    JOINED_COVER,
+    NO_COVER,
     UNCOLORED,
     Coloring,
     Graph,
@@ -922,6 +925,23 @@ def brute_two_disjoint_cliques(g, v):
         for y in cy
         if x != y
     )
+
+
+def brute_cover_kind(g, v):
+    """Kind of N(v)'s two-clique cover, from its definition by pair scans.
+
+    Side A is the lowest neighbor a with its neighbors in N(v), side B the
+    rest of N(v): NO_COVER when a side is not a clique, DISJOINT_COVER when
+    no edge joins the sides, JOINED_COVER otherwise.
+    """
+    nbrs = g.neighbors(v)
+    side_a = [x for x in nbrs if x == nbrs[0] or g.has_edge(nbrs[0], x)]
+    side_b = [x for x in nbrs if x not in side_a]
+    if not (brute_is_clique(g, side_a) and brute_is_clique(g, side_b)):
+        return NO_COVER
+    if any(g.has_edge(x, y) for x in side_a for y in side_b):
+        return JOINED_COVER
+    return DISJOINT_COVER
 
 
 def open_edge_masks(g):

@@ -163,18 +163,28 @@ class TestAnalyze:
         assert report["claw_free"] is False and calls == []
         assert report["q_values"] is None and report["z_sets"] is None
 
-    def test_one_clique_search_per_connected_graph(self, tmp_path, capsys, monkeypatch):
+    def test_clique_search_only_from_omega_five(self, tmp_path, capsys, monkeypatch):
         # Reducibility reads square rows on demand, so classifying builds no
-        # square. Each component's omega is searched once, and the report's
-        # omega is their maximum.
+        # square. Each component's omega is read off its neighborhood clique
+        # table, and only a component of omega 5 or more searches for it; the
+        # report's omega is their maximum.
         line_petersen, _ = gen_line_graph(petersen())
         union = disjoint_union([gen_icosahedron(), line_petersen, octahedron()])
-        for g, components, cliques in ((line_petersen, 1, 1), (union, 3, 3)):
+        dense = gen_random_claw_free(18, 5, 0)
+        cases = (
+            (line_petersen, 1, 3, 0),
+            (union, 3, 3, 0),
+            (dense, 1, 5, 1),
+            (disjoint_union([line_petersen, dense]), 2, 5, 1),
+        )
+        for g, components, omega, cliques in cases:
             calls = {
                 name: record_calls(monkeypatch, graph, name) for name in ("square", "max_clique")
             }
             code, out, _ = run_cli(capsys, "analyze", write_graph(tmp_path, "g.col", g))
-            assert code == 0 and len(json.loads(out)["classification"]) == components
+            report = json.loads(out)
+            assert code == 0 and len(report["classification"]) == components
+            assert report["omega"] == omega
             assert {name: len(log) for name, log in calls.items()} == {
                 "square": 0,
                 "max_clique": cliques,
@@ -286,7 +296,8 @@ class TestColor:
 
     def test_one_pass_through_the_structure(self, tmp_path, capsys, monkeypatch):
         # color_square walks the induction once; the report adds no second
-        # classification of its components, only the whole graph's omega.
+        # classification of its components, and reads the whole graph's
+        # omega off the table color_square left on it.
         line_petersen, _ = gen_line_graph(petersen())
         g = disjoint_union([gen_icosahedron(), line_petersen, octahedron(), cycle(7), path(3)])
         target = write_graph(tmp_path, "union.col", g)
@@ -300,19 +311,27 @@ class TestColor:
         }
         coloring.color_square(g)
         alone = {name: len(log) for name, log in calls.items()}
-        assert alone["classify"] > 0
+        assert alone["classify"] > 0 and alone["max_clique"] == 0
         for log in calls.values():
             log.clear()
         code, out, _ = run_cli(capsys, "color", target)
         assert code == 0
-        assert {name: len(log) for name, log in calls.items()} == {
-            **alone,
-            "max_clique": alone["max_clique"] + 1,
-        }
+        assert {name: len(log) for name, log in calls.items()} == alone
         assert sorted(json.loads(out)) == [
             "bound", "claw_free", "colors", "command", "input", "m", "n",
             "omega", "oracle", "palette", "schema", "timings", "verified",
         ]  # fmt: skip
+
+    def test_clique_search_only_from_omega_five(self, tmp_path, capsys, monkeypatch):
+        # Connected inputs: below omega 5 the tables settle omega; at 5 both
+        # color_square's component and the report search for it.
+        line_petersen, _ = gen_line_graph(petersen())
+        for g, omega, cliques in ((line_petersen, 3, 0), (gen_random_claw_free(18, 5, 0), 5, 2)):
+            calls = record_calls(monkeypatch, graph, "max_clique")
+            code, out, _ = run_cli(capsys, "color", write_graph(tmp_path, "g.col", g))
+            assert code == 0 and json.loads(out)["omega"] == omega
+            assert len(calls) == cliques
+            monkeypatch.undo()
 
     def test_node_limit_below_the_first_descent_exits_three(self, tmp_path, capsys):
         line_petersen, _ = gen_line_graph(petersen())
@@ -390,6 +409,20 @@ class TestVerifyLemmas:
         code, _, _ = run_cli(capsys, "verify-lemmas", str(small_manifest))
         assert code == 2
         assert len(calls) == len(rows) == 11
+
+    def test_clique_search_only_from_omega_five(self, tmp_path, capsys, monkeypatch):
+        # The row's omega is read off the claw check's table below 5, and
+        # still checked against the exact value the manifest records.
+        line_petersen, _ = gen_line_graph(petersen())
+        for g, omega, cliques in ((line_petersen, 3, 0), (gen_random_claw_free(18, 5, 0), 5, 1)):
+            (tmp_path / "g.col").write_text(write_dimacs(g))
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps([{"file": "g.col", "known": {"omega": omega}}]))
+            calls = record_calls(monkeypatch, graph, "max_clique")
+            code, out, _ = run_cli(capsys, "verify-lemmas", str(manifest))
+            assert code == 0 and json.loads(out)["problems"] == []
+            assert len(calls) == cliques
+            monkeypatch.undo()
 
     def test_jobs_one_matches_default(self, small_manifest, capsys):
         code1, out1, _ = run_cli(capsys, "verify-lemmas", str(small_manifest))

@@ -23,6 +23,7 @@ from clawsq.graph import (
     Graph,
     bits,
     build_graph,
+    clique_number,
     connected_components,
     cover_kind,
     delete_vertex,
@@ -40,6 +41,7 @@ from clawsq.graph import (
 
 from helpers import (
     bfs_distances,
+    brute_cover_kind,
     brute_delete_vertex,
     brute_is_clique,
     brute_is_proper,
@@ -218,6 +220,13 @@ class TestInducedAndDelete:
         sub, _ = induced_subgraph(g, {1, 2, 3})
         assert sub.edge_count == 0
 
+    def test_non_integer_vertices_are_rejected(self):
+        # On both paths: a proper subset, and n distinct values spanning 0..n-1.
+        g = path(3)
+        for vertices in ([0, 0.5], [0, 0.5, 2]):
+            with pytest.raises(VertexOutOfRangeError):
+                induced_subgraph(g, vertices)
+
     def test_every_vertex_returns_the_graph_itself(self):
         for g in (build_graph(0, []), cycle(5), complete(4)):
             sub, old = induced_subgraph(g, range(g.n))
@@ -309,7 +318,7 @@ class TestNeighborhoodTables:
     @staticmethod
     def assert_tables_exact(g):
         adj = g._adj
-        assert neighborhood_covers(g) == bytes(cover_kind(adj, row) for row in adj)
+        assert neighborhood_covers(g) == bytes(brute_cover_kind(g, v) for v in range(g.n))
         want = tuple(min(max_clique_within(adj, row)[0], 4) for row in adj)
         assert neighborhood_cliques(g) == want
         degrees = tuple(row.bit_count() for row in square(g)._adj)
@@ -322,6 +331,8 @@ class TestNeighborhoodTables:
         for comp in connected_components(g):
             sub, _ = induced_subgraph(g, comp)
             assert 1 + max(neighborhood_cliques(sub)) == min(max_clique(sub)[0], 5)
+            assert clique_number(sub) == max_clique(sub)[0]
+        assert clique_number(g) == max_clique(g)[0]
 
     def test_claw_free_families(self, corpus, stress_family, icosahedron):
         graphs = [entry.graph for entry in corpus] + [g for *_, g in stress_family]
@@ -343,9 +354,13 @@ class TestNeighborhoodTables:
         assert neighborhood_covers(g) is neighborhood_covers(g)
         assert neighborhood_cliques(g) is neighborhood_cliques(g)
         assert square_degrees(g) is square_degrees(g)
+        assert g._tables == (
+            neighborhood_covers(g),
+            neighborhood_cliques(g),
+            square_degrees(g),
+        )
         header = Graph(g._adj)
-        assert header == g and header._covers is None and header._cliques is None
-        assert header._square_degrees is None
+        assert header == g and header._tables is None
 
     def test_proper_subgraphs_start_without_tables(self):
         rng = random.Random(12)
@@ -353,16 +368,14 @@ class TestNeighborhoodTables:
             g = random_graph(rng, rng.randint(1, 14), rng.choice((0.1, 0.25, 0.6)))
             neighborhood_cliques(g)
             square_degrees(g)
-            assert g._covers is not None and g._cliques is not None
-            assert g._square_degrees is not None
+            assert g._tables is not None
             assert induced_subgraph(g, range(g.n))[0] is g
             for comp in connected_components(g):
                 for part in (comp, list(comp)[1:]):
                     sub, _ = induced_subgraph(g, part)
                     if sub is g:
                         continue
-                    assert sub._covers is None and sub._cliques is None
-                    assert sub._square_degrees is None
+                    assert sub._tables is None
                     again = Graph(sub._adj)
                     assert neighborhood_covers(sub) == neighborhood_covers(again)
                     assert neighborhood_cliques(sub) == neighborhood_cliques(again)
