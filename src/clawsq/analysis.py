@@ -359,7 +359,7 @@ def _lemma_reports(g: Graph, omega: int | None = None) -> list[LemmaReport]:
         degree.append(LemmaReport("degree-below-ramsey", v, None, deg, degree_cap))
         degree.append(LemmaReport("neighborhood-clique-cap", v, None, clique, clique_cap))
         # an independent triple in N(v) would be a claw at v, so α is 1 on a clique, else 2
-        stable = 0 if not nv else 2 if kinds[v] == NO_COVER or split_at_lowest(adj, nv)[1] else 1
+        stable = 0 if not nv else 1 if clique == deg else 2
         degree.append(LemmaReport("neighborhood-stability-cap", v, None, stable, 2))
         if sqd > worst:
             worst, worst_v = sqd, v

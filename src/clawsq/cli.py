@@ -116,8 +116,8 @@ def cmd_analyze(args) -> int:
     started = time.perf_counter()
     g = load_dimacs(args.path)
     witness = find_claw(g)
-    # induced_subgraph returns g itself for a component of every vertex, so
-    # a connected graph's omega reads the table the claw check built.
+    # Each component's subgraph (g itself when it holds every vertex) copies
+    # the tables the claw check built, so omega and classify read them.
     parts = []
     for comp in connected_components(g):
         sub, old = induced_subgraph(g, comp)
@@ -255,8 +255,12 @@ def cmd_verify_lemmas(args) -> int:
             raise CliUsageError(f'manifest row {index}: not an object with a "file" string')
         if "\0" in row["file"]:
             raise CliUsageError(f'manifest row {index}: "file" contains a NUL character')
-        if not isinstance(row.get("known", {}), dict):
+        known = row.get("known", {})
+        if not isinstance(known, dict):
             raise CliUsageError(f'manifest row {index}: "known" is not an object')
+        for key, kind, what in (("omega", int, "an integer"), ("claw_free", bool, "a boolean")):
+            if key in known and type(known[key]) is not kind:
+                raise CliUsageError(f'manifest row {index}: "known.{key}" is not {what}')
     results = [_verify_manifest_row(manifest_path.parent, row) for row in rows]
     claw_hit = any("claw" in r for r in results)
     failures = [

@@ -702,9 +702,9 @@ def color_square(g: Graph, *, node_limit: int = DEFAULT_NODE_LIMIT) -> Coloring:
     The claw check builds g's per-vertex tables (:func:`neighborhood_covers`,
     :func:`neighborhood_cliques` and :func:`square_degrees`) in one walk
     per neighborhood and leaves them on g, where every later step on the
-    whole graph, and any later call on g, reads them; a component that is a
-    proper subgraph builds its own tables. Each component's clique number
-    comes from :func:`clique_number`, which searches only from 5 up.
+    whole graph, and any later call on g, reads them; each component's
+    subgraph copies g's entries. Each component's clique number comes from
+    :func:`clique_number`, which searches only from 5 up.
     """
     require_claw_free(g)
     colors = [UNCOLORED] * g.n

@@ -159,7 +159,7 @@ def _random_bounded_graph(m: int, cap: int, rng: random.Random) -> Graph:
 def gen_random_claw_free(
     n: int, omega_target: int, seed: int, strategy: str = "line-graph"
 ) -> Graph:
-    """Seeded random claw-free graph; claw-freeness is verified before return.
+    """Seeded random claw-free graph: a line graph has no claw, and a rejection draw is checked.
 
     Strategies: "line-graph" returns the line graph of a random graph with
     n edges and maximum degree at most omega_target, redrawn while its
@@ -212,8 +212,6 @@ def gen_random_claw_free(
             )
     else:
         raise InvalidSpecError(f"unknown strategy {strategy!r}")
-    if not brute_force_claw_free(g):
-        raise GenerationExhaustedError("generator produced a claw; this is a bug")
     return g
 
 

@@ -10,11 +10,11 @@ neighborhood of a graph is read once for the claw check, the clique
 numbers, the square degrees and the Krausz step: one walk over the rows of
 N(v) (:func:`_cover_walk`) gives its two-clique cover and the OR of those
 rows, and one builder (:func:`_build_tables`) turns that into three tables
-kept on the graph, one small value per vertex; :func:`neighborhood_covers`,
-:func:`neighborhood_cliques` and :func:`square_degrees` are the only code
-that reads them, and :func:`clique_number` reads ω off the second. Components
-come from one mask search (:func:`_component_masks`). Every line graph comes
-from :func:`line_graph`.
+kept on the graph, one small value per vertex, that a union of components
+copies (:func:`induced_subgraph`); :func:`neighborhood_covers`,
+:func:`neighborhood_cliques` and :func:`square_degrees` read them, and
+:func:`clique_number` reads ω off the second. Components come from one
+mask search (:func:`_component_masks`), line graphs from :func:`line_graph`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def split_at_lowest(rows, mask: int) -> tuple[int, int]:
 
     ``(0, 0)`` for an empty mask. When A and B are cliques they cover the
     mask, B is empty iff the mask is a clique, and edges between A and B
-    may remain; :func:`cover_kind` checks which.
+    may remain; :func:`_cover_walk` checks which.
     """
     if not mask:
         return 0, 0
@@ -69,23 +69,13 @@ def split_at_lowest(rows, mask: int) -> tuple[int, int]:
     return side_a, mask ^ side_a
 
 
-# What :func:`cover_kind` says of a mask's two-clique cover.
+# :func:`_cover_walk`'s kinds for the sides :func:`split_at_lowest` gives a mask: a side is not a
+# clique; both are, joined by an edge; both are, unjoined (an empty or one-clique mask included).
 NO_COVER, JOINED_COVER, DISJOINT_COVER = 0, 1, 2
 
 
-def cover_kind(rows, mask: int) -> int:
-    """Whether the two sides :func:`split_at_lowest` gives ``mask`` cover it as cliques of ``rows``.
-
-    NO_COVER when a side is not a clique; JOINED_COVER when both are and
-    an edge joins them; DISJOINT_COVER when none does, so that the mask
-    induces their disjoint union (an empty or one-clique mask included).
-    The kind of :func:`_cover_walk`.
-    """
-    return _cover_walk(rows, mask)[0]
-
-
 def _cover_walk(rows, mask: int) -> tuple[int, int, int]:
-    """``(kind, A, near)``: :func:`cover_kind` of ``mask``, side A of its cover and the OR of its rows.
+    """``(kind, A, near)``: the cover kind of ``mask``, side A of its cover and the OR of its rows.
 
     One walk reads the row of every vertex of the mask once. Each side is
     walked in place: a member u is joined to the rest of its side when the
@@ -149,7 +139,7 @@ class Graph:
     call of :func:`neighborhood_covers`, :func:`neighborhood_cliques` or
     :func:`square_degrees`, and kept with the graph in ``_tables`` as
     (covers, cliques, square degrees); as the rows never change, neither
-    do they. Every new graph starts without them.
+    do they. A new graph starts without them (see :func:`induced_subgraph`).
     """
 
     __slots__ = ("n", "_adj", "_tables")
@@ -233,7 +223,7 @@ def _build_tables(g: Graph) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
 
 
 def neighborhood_covers(g: Graph) -> bytes:
-    """:func:`cover_kind` of every neighborhood N(v), by vertex; built once per graph.
+    """The :func:`_cover_walk` kind of every neighborhood N(v), by vertex; built once per graph.
 
     A neighborhood with a cover holds no independent triple. Only the kinds
     are kept, since two masks per vertex would take about twice the memory
@@ -317,10 +307,13 @@ def square(g: Graph) -> Graph:
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced by ``vertices`` plus the new-to-old index map; g itself for all of them.
 
-    A proper subgraph is a new graph, which builds its own neighborhood
-    tables on first use. As the vertices are distinct sorted ints, n of them
-    are all of g exactly when the first is 0 and the last n - 1, so only
-    the vertices of a proper subgraph are range-checked one by one.
+    A proper subgraph is a new graph. A union of components of g (no row
+    leaves it) copies g's neighborhood tables when g has them: each N(v)
+    and distance-2 ball stays inside, and the relabelling keeps vertex
+    order, lowest neighbors included. Other subgraphs build their own on
+    first use. As the vertices are distinct sorted ints, n of them are all
+    of g exactly when the first is 0 and the last n - 1, so only the
+    vertices of a proper subgraph are range-checked one by one.
     """
     old = sorted(set(vertices))
     if not all(isinstance(v, int) for v in old):
@@ -331,13 +324,19 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         g.check_vertex(v)
     position = {v: i for i, v in enumerate(old)}
     rows = []
+    closed = True
     for v in old:
         row = 0
         for u in bits(g._adj[v]):
             if u in position:
                 row |= 1 << position[u]
+            else:
+                closed = False
         rows.append(row)
-    return Graph(tuple(rows)), tuple(old)
+    sub = Graph(tuple(rows))
+    if closed and g._tables is not None:
+        sub._tables = tuple(type(table)(table[v] for v in old) for table in g._tables)
+    return sub, tuple(old)
 
 
 # The engine's peel loop calls delete_vertex once per peeled vertex, and

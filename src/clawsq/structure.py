@@ -21,7 +21,6 @@ from .graph import (
     DISJOINT_COVER,
     Graph,
     bits,
-    cover_kind,
     line_graph,
     neighborhood_covers,
     split_at_lowest,
@@ -99,11 +98,10 @@ def neighborhood_shape(g: Graph, v: int) -> NeighborhoodShape:
     ``parts`` holds the two cliques :func:`_shape_masks` finds, as
     frozensets of g's labels with the smaller part first. Without a unique
     split it is None, with ``ambiguous`` set when several splits tie for
-    the fewest edges between the parts. Only N(v)'s own cover is checked.
+    the fewest edges between the parts.
     """
-    adj = g._adj
     nbrs = g.adjacency_mask(v)
-    found = _shape_masks(adj, nbrs, cover_kind(adj, nbrs))
+    found = _shape_masks(g._adj, nbrs, neighborhood_covers(g)[v])
     if isinstance(found, bool):
         return NeighborhoodShape(None, ambiguous=found)
     return _split(*found)
@@ -125,7 +123,7 @@ def _shape_masks(adj, nbrs: int, kind: int) -> tuple[int, int] | bool:
     whose complement is again an odd cycle, has no split. ``adj`` holds
     the rows of g, so the parts come out in g's labels.
 
-    ``kind`` is ``cover_kind(adj, nbrs)``, which the caller has at hand.
+    ``kind`` is the neighborhood's :func:`neighborhood_covers` entry.
     Fast path: when it is DISJOINT_COVER, with cliques A and B and no edge
     between them, the complement is K_{|A|,|B|} (edgeless when B is
     empty), whose unique split, with no cross edges, is (A, B).

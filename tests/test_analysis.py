@@ -30,7 +30,6 @@ from clawsq.graph import (
     JOINED_COVER,
     NO_COVER,
     build_graph,
-    cover_kind,
     max_clique,
     max_clique_within,
 )
@@ -110,7 +109,7 @@ class TestFindClaw:
             if first is not None:
                 found += 1
                 skipped += any(
-                    g.degree(v) >= 3 and cover_kind(g._adj, g._adj[v]) != NO_COVER
+                    g.degree(v) >= 3 and graph._cover_walk(g._adj, g._adj[v])[0] != NO_COVER
                     for v in range(first.center)
                 )
         assert found >= 100 and skipped >= 40
@@ -475,9 +474,9 @@ class TestReportsMatchReference:
 
 
 def joined_neighborhoods(g):
-    """Counter of N(v) over the vertices whose neighborhood cover_kind calls JOINED_COVER."""
+    """Counter of N(v) over the vertices whose neighborhood cover walk calls JOINED_COVER."""
     adj = g._adj
-    return Counter(nv for nv in adj if cover_kind(adj, nv) == JOINED_COVER)
+    return Counter(nv for nv in adj if graph._cover_walk(adj, nv)[0] == JOINED_COVER)
 
 
 class TestLemmaSuiteCalls:
@@ -513,7 +512,7 @@ class TestLemmaSuiteCalls:
             searches.clear()
             run_lemma_suite(g)
             adj = g._adj
-            uncovered = Counter(nv for nv in adj if cover_kind(adj, nv) == NO_COVER)
+            uncovered = Counter(nv for nv in adj if graph._cover_walk(adj, nv)[0] == NO_COVER)
             masks = Counter(mask for _, mask in searches)
             assert all(masks[nv] <= uncovered[nv] for nv in masks), g
             assert all(rows is adj for rows, _ in searches), g
@@ -544,5 +543,5 @@ class TestNeighborhoodCliqueCap:
                 reports = run_lemma_suite(g)
                 caps = [r.lhs for r in reports if r.lemma_id == "neighborhood-clique-cap"]
                 assert caps == [max_clique_within(adj, nv)[0] for nv in adj], (name, g)
-                joined += sum(cover_kind(adj, nv) == JOINED_COVER for nv in adj)
+                joined += sum(graph._cover_walk(adj, nv)[0] == JOINED_COVER for nv in adj)
             assert joined, name

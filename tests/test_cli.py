@@ -125,6 +125,17 @@ class TestAnalyze:
         assert kinds == ["icosahedron", "line_graph", "reducible", "small_omega", "small_omega"]
         assert len(calls) == 5
 
+    def test_one_cover_walk_per_vertex(self, tmp_path, capsys, monkeypatch):
+        # The claw check walks each neighborhood once, and each component's
+        # subgraph copies those entries for its omega and classification.
+        line_petersen, _ = gen_line_graph(petersen())
+        g = disjoint_union([gen_icosahedron(), line_petersen, octahedron()])
+        target = write_graph(tmp_path, "union.col", g)
+        covers = record_calls(monkeypatch, graph, "_cover_walk")
+        code, out, _ = run_cli(capsys, "analyze", target)
+        assert code == 0 and len(json.loads(out)["classification"]) == 3
+        assert g.n == 33 and len(covers) == 33
+
     def test_one_q_value_per_edge(self, tmp_path, capsys, monkeypatch):
         # q is symmetric, so analyze searches each edge at most once and
         # mirrors the value; an edge with an end whose neighborhood is two
@@ -527,6 +538,17 @@ class TestVerifyLemmas:
             ({"file": "planted.col", "known": [2]}, '"known" is not an object'),
             ({"file": "planted.col", "known": None}, '"known" is not an object'),
             ({"file": "a\u0000b"}, '"file" contains a NUL character'),
+            ({"file": "planted.col", "known": {"omega": "2"}}, '"known.omega" is not an integer'),
+            ({"file": "planted.col", "known": {"omega": True}}, '"known.omega" is not an integer'),
+            ({"file": "planted.col", "known": {"omega": 2.0}}, '"known.omega" is not an integer'),
+            (
+                {"file": "planted.col", "known": {"claw_free": "no"}},
+                '"known.claw_free" is not a boolean',
+            ),
+            (
+                {"file": "planted.col", "known": {"claw_free": 1}},
+                '"known.claw_free" is not a boolean',
+            ),
         ],
     )
     @pytest.mark.parametrize("jobs", ["1"])

@@ -231,17 +231,16 @@ class TestOneNeighborhoodPass:
         assert peels == [] and cliques == []
         assert len(covers) == g.n
 
-    def test_components_build_their_own_covers(self, monkeypatch, stress_family):
+    def test_components_read_their_graphs_covers(self, monkeypatch, stress_family):
         parts = [stress_family[0][3], stress_family[2][3], cycle(7)]
         g = disjoint_union(parts, random.Random(5))
         covers = record_calls(monkeypatch, graph, "_cover_walk")
         cliques = record_calls(monkeypatch, graph, "max_clique")
         color_square(g)
         assert cliques == []
-        # The claw check covers each vertex once, and its component's own
-        # table once more.
-        sizes = sorted(mask.bit_count() for _, mask in covers)
-        assert sizes == sorted(2 * [g.degree(v) for v in range(g.n)])
+        # The claw check covers each vertex once, and each component copies
+        # its entries.
+        assert [mask for _, mask in covers] == list(g._adj)
 
     def test_tables_outlive_a_call(self, monkeypatch, stress_family):
         # The tables depend on g's rows alone, so the ones the first call's
@@ -1181,18 +1180,26 @@ class TestTrivialGreedy:
 
 
 class TestSquareDegreeCap:
-    def test_within_twice_omega_times_omega_minus_one(self):
+    @staticmethod
+    def uncovered_within_cap(cases):
+        """How many vertices of the (graph, ω) cases lack a two-clique cover; asserts the cap."""
+        uncovered = 0
+        for g, omega in cases:
+            assert all(d <= 2 * omega * (omega - 1) for d in square_degrees(g)), g
+            uncovered += neighborhood_covers(g).count(NO_COVER)
+        return uncovered
+
+    def test_within_twice_omega_times_omega_minus_one(self, corpus):
         # palette_bound from ω = 5 on rests on Δ(G²) <= 2ω(ω-1), proved only
         # where N(v) has a two-clique cover; most of these vertices have none.
         graphs = [triangle_free_complement(n, seed) for n in range(6, 21, 2) for seed in range(5)]
         graphs += [cocktail_party(k) for k in range(2, 11)] + [gen_icosahedron()]
         graphs += [k2_join_cliques(s, t) for s in range(1, 7) for t in range(1, 7)]
-        uncovered = 0
-        for g in graphs:
-            omega = max_clique(g)[0]
-            assert all(d <= 2 * omega * (omega - 1) for d in square_degrees(g)), g
-            uncovered += neighborhood_covers(g).count(NO_COVER)
+        uncovered = self.uncovered_within_cap((g, max_clique(g)[0]) for g in graphs)
         assert 2 * uncovered > sum(g.n for g in graphs)
+        # The corpus's ω is the manifest's, from an exact clique search.
+        cases = [(entry.graph, entry.known["omega"]) for entry in corpus]
+        assert self.uncovered_within_cap(cases) > 2000
 
 
 class TestVerifyColoring:

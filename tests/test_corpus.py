@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from clawsq import oracle
 from clawsq.corpus import (
     BlowupSpec,
     cocktail_party,
@@ -31,7 +32,7 @@ from clawsq.graph import build_graph, induced_subgraph, max_degree, square
 from clawsq.oracle import brute_force_claw_free
 from clawsq.structure import recognize_icosahedron
 
-from helpers import brute_max_clique
+from helpers import brute_max_clique, record_calls
 
 
 class TestBlowup:
@@ -131,6 +132,15 @@ class TestRandomGenerators:
         for n in range(5, 12):
             for seed in range(10):
                 assert gen_random_claw_free(n, 4, seed, strategy="blowup").n <= n
+
+    def test_only_rejection_draws_are_claw_checked(self, monkeypatch):
+        # A line graph has no claw, so only the rejection loop checks a draw.
+        calls = record_calls(monkeypatch, oracle, "brute_force_claw_free")
+        gen_random_claw_free(40, 4, 3, strategy="line-graph")
+        gen_random_claw_free(30, 5, 11, strategy="blowup")
+        assert calls == []
+        g = gen_random_claw_free(10, 12, 5, strategy="rejection")
+        assert calls[-1] == (g,)
 
     def test_rejection_strategy(self):
         g = gen_random_claw_free(10, 12, 5, strategy="rejection")

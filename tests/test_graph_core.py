@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clawsq import graph
 from clawsq.analysis import find_claw
 from clawsq.coloring import edge_conflict_graph
 from clawsq.corpus import cocktail_party, cycle, complete, octahedron, path
@@ -25,7 +26,6 @@ from clawsq.graph import (
     build_graph,
     clique_number,
     connected_components,
-    cover_kind,
     delete_vertex,
     induced_subgraph,
     line_graph,
@@ -192,7 +192,7 @@ class TestBitKernels:
             mask = rng.getrandbits(g.n)
             if not mask:
                 assert split_at_lowest(g._adj, mask) == (0, 0)
-                assert cover_kind(g._adj, mask) == DISJOINT_COVER
+                assert graph._cover_walk(g._adj, mask)[0] == DISJOINT_COVER
                 continue
             low = scan(mask)[0]
             side_a = [u for u in scan(mask) if u == low or g.has_edge(low, u)]
@@ -202,7 +202,7 @@ class TestBitKernels:
             covered = brute_is_clique(g, side_a) and brute_is_clique(g, side_b)
             joined = any(g.has_edge(a, b) for a in side_a for b in side_b)
             kind = NO_COVER if not covered else JOINED_COVER if joined else DISJOINT_COVER
-            assert cover_kind(g._adj, mask) == kind
+            assert graph._cover_walk(g._adj, mask)[0] == kind
 
 
 class TestInducedAndDelete:
@@ -362,24 +362,40 @@ class TestNeighborhoodTables:
         header = Graph(g._adj)
         assert header == g and header._tables is None
 
-    def test_proper_subgraphs_start_without_tables(self):
+    @staticmethod
+    def assert_tables_as_fresh(sub):
+        again = Graph(sub._adj)
+        assert neighborhood_covers(sub) == neighborhood_covers(again)
+        assert neighborhood_cliques(sub) == neighborhood_cliques(again)
+        assert square_degrees(sub) == square_degrees(again)
+
+    def test_unions_of_components_inherit_tables(self):
         rng = random.Random(12)
-        for _ in range(40):
+        inherited = 0
+        for _ in range(60):
             g = random_graph(rng, rng.randint(1, 14), rng.choice((0.1, 0.25, 0.6)))
-            neighborhood_cliques(g)
+            comps = connected_components(g)
+            union = set().union(*rng.sample(comps, rng.randint(1, len(comps))))
+            assert induced_subgraph(Graph(g._adj), union)[0]._tables is None
             square_degrees(g)
-            assert g._tables is not None
             assert induced_subgraph(g, range(g.n))[0] is g
-            for comp in connected_components(g):
-                for part in (comp, list(comp)[1:]):
-                    sub, _ = induced_subgraph(g, part)
-                    if sub is g:
-                        continue
-                    assert sub._tables is None
-                    again = Graph(sub._adj)
-                    assert neighborhood_covers(sub) == neighborhood_covers(again)
-                    assert neighborhood_cliques(sub) == neighborhood_cliques(again)
-                    assert square_degrees(sub) == square_degrees(again)
+            for part in comps + [union]:
+                sub, _ = induced_subgraph(g, part)
+                if sub is not g:
+                    assert sub._tables is not None
+                    self.assert_tables_as_fresh(sub)
+                    inherited += 1
+        assert inherited > 100
+
+    def test_subgraphs_that_cut_an_edge_start_without_tables(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(2, 14), rng.choice((0.1, 0.25, 0.6)))
+            square_degrees(g)
+            for _, v in g.edges():
+                sub, _ = induced_subgraph(g, set(range(g.n)) - {v})
+                assert sub._tables is None
+                self.assert_tables_as_fresh(sub)
 
 
 class TestSmallHelpers:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from clawsq import graph
 from clawsq.corpus import (
     claw,
     cocktail_party,
@@ -25,7 +26,6 @@ from clawsq.graph import (
     DISJOINT_COVER,
     build_graph,
     connected_components,
-    cover_kind,
     delete_vertex,
     induced_subgraph,
     max_clique,
@@ -168,7 +168,7 @@ class TestNeighborhoodShapeFastPath:
                     for perm in (list(range(h)), rng.sample(range(h), h)):
                         g = two_cliques_under_apex(a, b, cross, perm)
                         if not cross:
-                            covered += cover_kind(g._adj, g._adj[h]) == DISJOINT_COVER
+                            covered += graph._cover_walk(g._adj, g._adj[h])[0] == DISJOINT_COVER
                         assert neighborhood_shape(g, h) == brute_neighborhood_shape(g, h)
         # Every neighborhood without cross edges takes the shortcut.
         assert covered == 7 * 8 * 2
@@ -474,7 +474,7 @@ class TestKrauszMatchesReference:
     def test_neighborhood_without_a_split(self, icosahedron):
         # Every neighborhood of the icosahedron is a five-cycle.
         adj = icosahedron._adj
-        assert structure._shape_masks(adj, adj[0], cover_kind(adj, adj[0])) is False
+        assert structure._shape_masks(adj, adj[0], graph._cover_walk(adj, adj[0])[0]) is False
         assert same_krausz_as_reference(icosahedron, 3) is None
 
     def test_part_larger_than_omega_minus_one(self):
